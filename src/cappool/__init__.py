@@ -59,6 +59,7 @@ from .pool import (
     StaticPool,
     WeightFit,
     em_pool_weights,
+    em_pool_weights_batch,
     fit_adaptive_weights,
     fit_static_weights,
 )

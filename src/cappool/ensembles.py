@@ -12,6 +12,7 @@ realized at or before t; later data never changes earlier artifacts.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field, replace
 
@@ -21,7 +22,7 @@ from .clustering import Clustering, cluster_models
 from .epiweek import Epiweek, season_length, season_weeks
 from .panel import Panel
 from .pmf import bin_index, linear_pool
-from .pool import AdaptivePrior, em_pool_weights
+from .pool import AdaptivePrior, WeightFit, em_pool_weights, em_pool_weights_batch
 from .scoring import LOG_SCORE_FLOOR, log_score
 
 __all__ = [
@@ -45,6 +46,8 @@ VARIANTS = ("cap-equal", "cap-adaptive", "equal", "static", "adaptive")
 DEFAULT_PHI_GRID = tuple(round(0.05 * k, 2) for k in range(20))
 
 _INITIAL_PHI = 0.5
+
+_log = logging.getLogger("cappool")
 
 
 def _region_order(region: str) -> tuple[int, int]:
@@ -422,6 +425,16 @@ class SeasonData:
         return f
 
 
+def _warn_unconverged(variant: str, data: SeasonData, stratum, fitted_for: str, fit: WeightFit):
+    """Log a weight fit that stopped at the EM iteration cap unconverged."""
+    if not fit.converged:
+        region, target = stratum
+        _log.warning(
+            "%s: EM fit did not converge (season %d, %s target %d, %s, K=%d, n_iter=%d)",
+            variant, data.season, region, target, fitted_for, fit.weights.size, fit.n_iter,
+        )
+
+
 def _no_ensemble(variant: str, data: SeasonData, stratum, t: int, note: str) -> EnsembleRun:
     region, target = stratum
     return EnsembleRun(
@@ -510,8 +523,9 @@ class StaticVariant(_VariantBase):
     def season_weights(self, data: SeasonData, stratum) -> np.ndarray:
         cached = self._weights.get((data.season, *stratum))
         if cached is None:
-            f = data.prior_mass_matrix(stratum)
-            cached = em_pool_weights(f).weights
+            fit = em_pool_weights(data.prior_mass_matrix(stratum))
+            _warn_unconverged(self.name, data, stratum, "prior seasons", fit)
+            cached = fit.weights
             self._weights[(data.season, *stratum)] = cached
         return cached
 
@@ -533,8 +547,9 @@ class AdaptiveVariant(_VariantBase):
         if t == 1:
             return np.full(n, 1.0 / n)
         prior = AdaptivePrior(t, data.n_weeks, self.delta)
-        f = data.model_mass_matrix(stratum, t)
-        return em_pool_weights(f, alpha=prior.concentration).weights
+        fit = em_pool_weights(data.model_mass_matrix(stratum, t), alpha=prior.concentration)
+        _warn_unconverged(self.name, data, stratum, f"week {t}", fit)
+        return fit.weights
 
     def run_stratum(self, data: SeasonData, stratum, t: int) -> EnsembleRun:
         return _model_pool_run(self.name, data, stratum, t, self.week_weights(data, stratum, t))
@@ -570,16 +585,25 @@ class CapVariant(_VariantBase):
         k = clustering.n_clusters
         if self.pooling == "equal" or t == 1:
             return np.full(k, 1.0 / k)
-        # Distinct thresholds often produce the same partition; the fit
-        # depends only on the partition, the week, and the prior strength.
-        key = (stratum, t, clustering.clusters, self.delta)
+        key = self._weights_key(stratum, t, clustering)
         cached = data._weights_cache.get(key)
         if cached is None:
             prior = AdaptivePrior(t, data.n_weeks, self.delta)
             f = data.cluster_mass_matrix(stratum, clustering, t)
-            cached = em_pool_weights(f, alpha=prior.concentration).weights
+            fit = em_pool_weights(f, alpha=prior.concentration)
+            _warn_unconverged(self.name, data, stratum, f"week {t}", fit)
+            cached = fit.weights
             data._weights_cache[key] = cached
         return cached
+
+    def _weights_key(self, stratum, t: int, clustering: Clustering) -> tuple:
+        # Distinct thresholds often produce the same partition; the fit
+        # depends only on the partition, the week, and the prior strength.
+        return (stratum, t, clustering.clusters, self.delta)
+
+    def _replay_key(self, stratum, j: int, clustering: Clustering) -> tuple:
+        # Likewise the replayed score depends on the partition, not on phi.
+        return (stratum, j, clustering.clusters, self.pooling)
 
     def _pool(
         self,
@@ -603,17 +627,38 @@ class CapVariant(_VariantBase):
     # -- threshold selection -------------------------------------------
 
     def _replay_score(self, data: SeasonData, stratum, j: int, phi: float) -> float | None:
-        key = (stratum, j, phi, self.pooling)
-        if key in data._replay_cache:
-            return data._replay_cache[key]
         sd = data.strata[stratum]
         if not sd.submitted[j]:
-            value = None
-        else:
+            return None
+        key = self._replay_key(stratum, j, data.clusters(stratum, j, phi))
+        if key not in data._replay_cache:
             pmf, _, _, _ = self._pool(data, stratum, j, phi)
-            value = None if pmf is None else log_score(pmf, sd.truth_target[j])
-        data._replay_cache[key] = value
-        return value
+            data._replay_cache[key] = None if pmf is None else log_score(pmf, sd.truth_target[j])
+        return data._replay_cache[key]
+
+    def _prefetch_weights(self, data: SeasonData, scorable) -> None:
+        """Fit, as one batched EM problem set, the cluster weights of every
+        replay in ``scorable`` that neither cache answers yet."""
+        pending: dict[tuple, tuple[np.ndarray, float]] = {}
+        for stratum, j in scorable:
+            if j == 1 or not data.strata[stratum].submitted[j]:
+                continue
+            alpha = AdaptivePrior(j, data.n_weeks, self.delta).concentration
+            for phi in self.phi_grid:
+                clustering = data.clusters(stratum, j, phi)
+                key = self._weights_key(stratum, j, clustering)
+                if (
+                    key in pending
+                    or key in data._weights_cache
+                    or self._replay_key(stratum, j, clustering) in data._replay_cache
+                ):
+                    continue
+                pending[key] = (data.cluster_mass_matrix(stratum, clustering, j), alpha)
+        fits = em_pool_weights_batch(list(pending.values()))
+        for key, fit in zip(pending, fits):
+            stratum, j = key[:2]
+            _warn_unconverged(self.name, data, stratum, f"week {j}", fit)
+            data._weights_cache[key] = fit.weights
 
     def select_phi(self, data: SeasonData, t: int) -> float:
         """Threshold for week t: 1/2 on week one, afterwards the candidate
@@ -622,6 +667,13 @@ class CapVariant(_VariantBase):
 
         A single-candidate grid is a pinned threshold: it applies from week
         one, since no data-driven selection is happening at all.
+
+        With adaptive pooling, the cluster-weight fits that the replays need
+        and no cache holds yet are prefetched before the grid is scored: each
+        uncached (stratum, week, phi) replay is clustered, partitions whose
+        fit is already cached are dropped, and the rest are solved together
+        in one ``em_pool_weights_batch`` call. The grid loop then finds every
+        fit in the cache.
         """
         if len(self.phi_grid) == 1:
             return self.phi_grid[0]
@@ -636,6 +688,8 @@ class CapVariant(_VariantBase):
             for j in range(1, t):
                 if j + sd.target <= t and sd.truth_target[j] is not None:
                     scorable.append((stratum, j))
+        if self.pooling == "adaptive":
+            self._prefetch_weights(data, scorable)
         best_phi, best_avg = None, -math.inf
         for phi in self.phi_grid:
             scores = [

@@ -19,6 +19,7 @@ __all__ = [
     "WeightFit",
     "AdaptivePrior",
     "em_pool_weights",
+    "em_pool_weights_batch",
     "truth_bin_masses",
     "fit_static_weights",
     "fit_adaptive_weights",
@@ -69,13 +70,6 @@ class AdaptivePrior:
         return 1.0 + self.delta * max(frac, 0.0)
 
 
-def _objective(denom: np.ndarray, pi: np.ndarray, alpha: float) -> float:
-    ll = float(np.log(denom).sum())
-    if alpha != 1.0:
-        ll += (alpha - 1.0) * float(np.log(pi).sum())
-    return ll
-
-
 def em_pool_weights(
     f,
     alpha: float = 1.0,
@@ -91,49 +85,139 @@ def em_pool_weights(
     likelihood is degenerate and equal weights are returned with a flag.
 
     The (penalized, for alpha > 1) objective is checked to be non-decreasing
-    at every iteration.
+    at every iteration. This is ``em_pool_weights_batch`` on one problem.
     """
-    f = np.asarray(f, dtype=float)
-    if f.ndim != 2:
-        raise ValueError(f"expected (n_obs, n_models) mass matrix, got {f.shape}")
-    if alpha < 1.0:
-        raise ValueError("concentration must be >= 1")
-    n_models = f.shape[1]
-    if n_models < 1:
-        raise ValueError("need at least one model")
-    equal = np.full(n_models, 1.0 / n_models)
+    return em_pool_weights_batch([(f, alpha)], tol=tol, max_iter=max_iter, inits=[init])[0]
 
-    keep = f.sum(axis=1) > 0.0
-    f = f[keep]
-    n_obs = f.shape[0]
-    if n_obs == 0:
-        return WeightFit(equal, 0, True, 0.0, degenerate=True)
 
-    pi = equal.copy() if init is None else np.asarray(init, dtype=float).copy()
-    if pi.shape != (n_models,) or np.any(pi <= 0.0) or abs(pi.sum() - 1.0) > 1e-9:
-        raise ValueError("init must be an interior simplex point")
+def _denominators(F: np.ndarray, pi: np.ndarray, row_pad) -> np.ndarray:
+    denom = F @ pi.mT
+    if row_pad is not None:
+        denom += row_pad
+    return denom
 
-    denom = f @ pi
-    obj = _objective(denom, pi, alpha)
-    converged = False
+
+def _objectives(denom: np.ndarray, pi: np.ndarray, alpha_m1, shift) -> np.ndarray:
+    obj = np.add.reduce(np.log(denom), axis=1)
+    if alpha_m1 is not None:
+        obj += alpha_m1 * np.add.reduce(np.log(pi if shift is None else pi + shift), axis=2)
+    return obj
+
+
+def em_pool_weights_batch(
+    problems, tol: float = EM_TOL, max_iter: int = EM_MAX_ITER, inits=None
+) -> list[WeightFit]:
+    """``em_pool_weights`` for many ``(f, alpha)`` problems in one EM loop.
+
+    ``inits`` optionally gives each problem's start (None: equal weights).
+    The problems are padded into one ``(P, n_obs, K)`` array. Padded rows get
+    a unit denominator, so they add nothing to the responsibilities or the
+    log-likelihood; padded columns keep zero weight, get no Dirichlet mass and
+    no ``log pi`` term. Each problem keeps its own convergence test and leaves
+    the working arrays at the iteration where its solo fit would stop. The
+    monotone-objective guard is checked per problem and names the one that
+    failed.
+
+    Padding can regroup a sum, so a fit in a larger batch may differ from its
+    solo fit in the last bits; a batch of one does the solo arithmetic.
+    """
+    fits: list[WeightFit | None] = [None] * len(problems)
+    live = []
+    for p, ((f, alpha), init) in enumerate(zip(problems, inits or [None] * len(problems))):
+        f = np.asarray(f, dtype=float)
+        if f.ndim != 2:
+            raise ValueError(f"expected (n_obs, n_models) mass matrix, got {f.shape}")
+        if np.any(f < 0.0):
+            raise ValueError("mass matrix has negative entries")
+        if alpha < 1.0:
+            raise ValueError("concentration must be >= 1")
+        n_models = f.shape[1]
+        if n_models < 1:
+            raise ValueError("need at least one model")
+        equal = np.full(n_models, 1.0 / n_models)
+        f = f[f.sum(axis=1) > 0.0]
+        if f.shape[0] == 0:
+            fits[p] = WeightFit(equal, 0, True, 0.0, degenerate=True)
+            continue
+        if init is None:
+            pi = equal
+        else:
+            pi = np.asarray(init, dtype=float)
+            if pi.shape != (n_models,) or np.any(pi <= 0.0) or abs(pi.sum() - 1.0) > 1e-9:
+                raise ValueError("init must be an interior simplex point")
+        live.append((p, f, float(alpha), pi))
+    if not live:
+        return fits
+
+    owner = [p for p, _, _, _ in live]
+    rows = [f.shape[0] for _, f, _, _ in live]
+    sizes = [f.shape[1] for _, f, _, _ in live]
+    alphas = [alpha for _, _, alpha, _ in live]
+    F = np.zeros((len(live), max(rows), max(sizes)))
+    pi = np.zeros((len(live), 1, max(sizes)))
+    for r, (_, f, _, start) in enumerate(live):
+        F[r, : rows[r], : sizes[r]] = f
+        pi[r, 0, : sizes[r]] = start
+    alpha_m1 = prior_mass = shift = row_pad = None
+    if max(alphas) != 1.0:
+        alpha_m1 = np.array(alphas)[:, None] - 1.0
+        prior_mass = np.zeros_like(pi)
+        for r, alpha in enumerate(alphas):
+            prior_mass[r, 0, : sizes[r]] = alpha - 1.0
+        if min(alphas) == 1.0 or min(sizes) < max(sizes):
+            # log pi enters only over the real columns of penalized problems;
+            # the shift turns every other entry into log(1) = 0 (with
+            # alpha = 1 a weight may reach 0 exactly).
+            shift = np.ones_like(pi)
+            for r, alpha in enumerate(alphas):
+                if alpha != 1.0:
+                    shift[r, 0, : sizes[r]] = 0.0
+    if min(rows) < max(rows):
+        row_pad = np.zeros((len(live), max(rows), 1))
+        for r, n in enumerate(rows):
+            row_pad[r, n:, 0] = 1.0
+
+    denom = _denominators(F, pi, row_pad)
+    obj = _objectives(denom, pi, alpha_m1, shift)
+    # The ufunc reductions are what .sum() and .max() call; skipping their
+    # Python wrappers matters at these sizes, where call overhead dominates.
     n_iter = 0
     for n_iter in range(1, max_iter + 1):
-        resp = (f * pi) / denom[:, None]
-        mass = resp.sum(axis=0) + (alpha - 1.0)
-        np.maximum(mass, 0.0, out=mass)
-        new_pi = mass / mass.sum()
-        new_denom = f @ new_pi
-        new_obj = _objective(new_denom, new_pi, alpha)
-        if new_obj < obj - 1e-9:
+        resp = F * pi
+        resp /= denom
+        mass = np.add.reduce(resp, axis=1, keepdims=True)
+        if prior_mass is not None:
+            mass += prior_mass
+        new_pi = mass / np.add.reduce(mass, axis=2, keepdims=True)
+        new_denom = _denominators(F, new_pi, row_pad)
+        new_obj = _objectives(new_denom, new_pi, alpha_m1, shift)
+        fell = new_obj < obj - 1e-9
+        if np.count_nonzero(fell):
+            r = int(np.argmax(fell))
             raise RuntimeError(
-                f"EM objective decreased at iteration {n_iter}: {obj} -> {new_obj}"
+                f"EM objective decreased for problem {owner[r]} at iteration {n_iter}: "
+                f"{obj[r, 0]} -> {new_obj[r, 0]}"
             )
-        delta = float(np.max(np.abs(new_pi - pi)))
+        done = np.maximum.reduce(np.abs(new_pi - pi), axis=2) < tol
         pi, denom, obj = new_pi, new_denom, new_obj
-        if delta < tol:
-            converged = True
-            break
-    return WeightFit(pi, n_iter, converged, obj)
+        n_done = np.count_nonzero(done)
+        if n_done:
+            for r in np.flatnonzero(done):
+                weights = pi[r, 0, : sizes[r]].copy()
+                fits[owner[r]] = WeightFit(weights, n_iter, True, float(obj[r, 0]))
+            if n_done == len(owner):
+                break
+            keep = ~done[:, 0]
+            owner = [p for p, k in zip(owner, keep) if k]
+            sizes = [s for s, k in zip(sizes, keep) if k]
+            F, pi, denom, obj, prior_mass, row_pad, alpha_m1, shift = (
+                None if a is None else a[keep]
+                for a in (F, pi, denom, obj, prior_mass, row_pad, alpha_m1, shift)
+            )
+    else:
+        for r, p in enumerate(owner):
+            fits[p] = WeightFit(pi[r, 0, : sizes[r]].copy(), n_iter, False, float(obj[r, 0]))
+    return fits
 
 
 def truth_bin_masses(F, y) -> np.ndarray:

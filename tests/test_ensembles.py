@@ -1,8 +1,11 @@
+import logging
 import math
 
 import numpy as np
 import pytest
 
+from cappool import ensembles, pool
+from cappool.clustering import Clustering
 from cappool.ensembles import (
     CapVariant,
     AdaptiveVariant,
@@ -17,6 +20,8 @@ from cappool.ensembles import (
 from cappool.epiweek import season_weeks
 from cappool.panel import ForecastKey, Panel, TruthTable
 from cappool.pmf import N_BINS, bin_index, gaussian_pmf
+from cappool.pool import AdaptivePrior, em_pool_weights
+from cappool.synthetic import synthetic_archive
 
 from conftest import point_mass, random_pmf
 
@@ -327,6 +332,76 @@ class TestComparators:
         assert set(run.weights) == {"good"}
         assert run.weights["good"] == pytest.approx(1.0)
         assert run.missing_models == ("bad",)
+
+
+def _synthetic_season() -> SeasonData:
+    """The replay tests' synthetic archive, first season only."""
+    fragment, truth = synthetic_archive(
+        seasons=(2010,), regions=("Nat", "HHS1"), targets=(1, 2), seed=5, missing_rate=0.04
+    )
+    return SeasonData(Panel(fragment, truth), 2010, (1, 2))
+
+
+PREFETCH_GRID = tuple(round(0.1 * k, 1) for k in range(10))
+
+
+class TestWeightPrefetch:
+    def _replay(self, data, weeks=None):
+        cap = CapVariant("adaptive", phi_grid=PREFETCH_GRID)
+        return [
+            run for t in range(1, (weeks or data.n_weeks) + 1) for run in cap.week_runs(data, t)
+        ]
+
+    def test_cached_fits_match_solo_fits_and_phi_is_unchanged(self, monkeypatch):
+        batch_sizes, solo_calls = [], []
+
+        def spy_batch(problems):
+            batch_sizes.append(len(problems))
+            return pool.em_pool_weights_batch(problems)
+
+        def spy_solo(*args, **kwargs):
+            solo_calls.append(None)
+            return pool.em_pool_weights(*args, **kwargs)
+
+        monkeypatch.setattr(ensembles, "em_pool_weights_batch", spy_batch)
+        monkeypatch.setattr(ensembles, "em_pool_weights", spy_solo)
+        data = _synthetic_season()
+        runs = self._replay(data)
+        assert max(batch_sizes) > 1
+        # Replays never fit on their own: only each published week's fit does.
+        assert len(solo_calls) <= len(data.strata) * data.n_weeks
+        for (stratum, t, clusters, delta), weights in data._weights_cache.items():
+            f = data.cluster_mass_matrix(stratum, Clustering(clusters, 0.0), t)
+            alpha = AdaptivePrior(t, data.n_weeks, delta).concentration
+            assert np.max(np.abs(weights - em_pool_weights(f, alpha=alpha).weights)) <= 1e-12
+
+        monkeypatch.setattr(CapVariant, "_prefetch_weights", lambda self, data, scorable: None)
+        unbatched = self._replay(_synthetic_season())
+        assert [run.phi for run in runs] == [run.phi for run in unbatched]
+
+    def test_unconverged_fits_are_logged(self, monkeypatch, caplog):
+        unconverged = {"solo": 0, "batch": 0}
+
+        def capped_solo(f, alpha=1.0):
+            fit = pool.em_pool_weights(f, alpha=alpha, max_iter=2)
+            unconverged["solo"] += not fit.converged
+            return fit
+
+        def capped_batch(problems):
+            fits = pool.em_pool_weights_batch(problems, max_iter=2)
+            unconverged["batch"] += sum(not fit.converged for fit in fits)
+            return fits
+
+        monkeypatch.setattr(ensembles, "em_pool_weights", capped_solo)
+        monkeypatch.setattr(ensembles, "em_pool_weights_batch", capped_batch)
+        with caplog.at_level(logging.WARNING, logger="cappool"):
+            self._replay(_synthetic_season(), weeks=6)
+        assert unconverged["solo"] and unconverged["batch"]
+        records = [r for r in caplog.records if r.name == "cappool"]
+        assert len(records) == unconverged["solo"] + unconverged["batch"]
+        message = records[0].getMessage()
+        assert message.startswith("cap-adaptive: EM fit did not converge")
+        assert "season 2010" in message and "week " in message and "n_iter=2" in message
 
 
 class TestMakeVariant:

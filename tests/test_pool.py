@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cappool import pool
 from cappool.pmf import N_BINS, bin_index, gaussian_pmf
 from cappool.pool import (
     AdaptivePool,
@@ -8,6 +11,7 @@ from cappool.pool import (
     EqualPool,
     StaticPool,
     em_pool_weights,
+    em_pool_weights_batch,
     fit_adaptive_weights,
     fit_static_weights,
     truth_bin_masses,
@@ -96,6 +100,96 @@ class TestEmCore:
             em_pool_weights(f, init=np.array([1.0, 0.0, 0.0]))
         with pytest.raises(ValueError):
             em_pool_weights(f, alpha=0.5)
+
+
+@st.composite
+def em_problems(draw):
+    """An ``(f, alpha)`` EM problem: random masses with missing entries, some
+    all-zero rows, or nothing usable at all."""
+    n_obs = draw(st.integers(0, 33))
+    n_models = draw(st.integers(1, 20))
+    alpha = draw(st.one_of(st.just(1.0), st.floats(1.0, 6.0)))
+    kind = draw(st.sampled_from(["dense", "zero_rows", "degenerate"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    f = rng.uniform(0.0, 1.0, (n_obs, n_models)) * (rng.uniform(size=(n_obs, n_models)) < 0.8)
+    if kind == "zero_rows":
+        f[rng.uniform(size=n_obs) < 0.3] = 0.0
+    elif kind == "degenerate":
+        f[:] = 0.0
+    return f, alpha
+
+
+# Low enough that some drawn problems stop at the cap unconverged, which the
+# comparisons below must then agree on too.
+BATCH_MAX_ITER = 400
+batch_settings = settings(max_examples=40, deadline=None)
+
+
+class TestEmBatch:
+    @batch_settings
+    @given(st.lists(em_problems(), min_size=1, max_size=8))
+    def test_each_fit_matches_its_solo_fit(self, problems):
+        fits = em_pool_weights_batch(problems, max_iter=BATCH_MAX_ITER)
+        for (f, alpha), fit in zip(problems, fits):
+            solo = em_pool_weights(f, alpha=alpha, max_iter=BATCH_MAX_ITER)
+            assert fit.n_iter == solo.n_iter
+            assert fit.converged == solo.converged
+            assert fit.degenerate == solo.degenerate
+            assert fit.weights.shape == solo.weights.shape
+            assert np.max(np.abs(fit.weights - solo.weights)) <= 1e-12
+            assert fit.log_posterior == pytest.approx(solo.log_posterior, rel=1e-12, abs=1e-12)
+
+    @batch_settings
+    @given(em_problems())
+    def test_batch_of_one_is_the_solo_fit(self, problem):
+        f, alpha = problem
+        (fit,) = em_pool_weights_batch([problem], max_iter=BATCH_MAX_ITER)
+        solo = em_pool_weights(f, alpha=alpha, max_iter=BATCH_MAX_ITER)
+        assert np.array_equal(fit.weights, solo.weights)
+        assert (fit.n_iter, fit.converged, fit.log_posterior, fit.degenerate) == (
+            solo.n_iter, solo.converged, solo.log_posterior, solo.degenerate
+        )
+
+    @batch_settings
+    @given(st.lists(em_problems(), min_size=2, max_size=8), st.randoms())
+    def test_permuting_problems_leaves_results_unchanged(self, problems, random):
+        order = list(range(len(problems)))
+        random.shuffle(order)
+        fits = em_pool_weights_batch(problems, max_iter=BATCH_MAX_ITER)
+        shuffled = em_pool_weights_batch([problems[i] for i in order], max_iter=BATCH_MAX_ITER)
+        for i, fit in zip(order, shuffled):
+            assert np.array_equal(fit.weights, fits[i].weights)
+            assert (fit.n_iter, fit.converged) == (fits[i].n_iter, fits[i].converged)
+
+    def test_iteration_cap_stops_only_the_slow_problem(self, rng):
+        same = np.tile(rng.uniform(0.1, 1.0, (12, 1)), (1, 3))  # fixed point at the start
+        rough = rng.uniform(0.0, 1.0, (30, 6))
+        problems = [(same, 1.0), (rough, 1.0), (np.zeros((4, 2)), 2.0), (same, 3.0)]
+        fits = em_pool_weights_batch(problems, max_iter=5)
+        assert [fit.converged for fit in fits] == [True, False, True, True]
+        assert [fit.n_iter for fit in fits] == [1, 5, 0, 1]
+        solo = em_pool_weights(rough, max_iter=5)
+        assert np.max(np.abs(fits[1].weights - solo.weights)) <= 1e-12
+
+    def test_guard_names_the_failing_problem(self, monkeypatch, rng):
+        real = pool._objectives
+        calls = []
+
+        def dips_for_second_problem(denom, pi, alpha_m1, shift):
+            obj = real(denom, pi, alpha_m1, shift)
+            calls.append(None)
+            if len(calls) == 3:
+                obj[1] -= 1.0
+            return obj
+
+        monkeypatch.setattr(pool, "_objectives", dips_for_second_problem)
+        f = rng.uniform(0.0, 1.0, (20, 4))
+        with pytest.raises(RuntimeError, match="problem 2 at iteration 2"):
+            em_pool_weights_batch([(np.zeros((3, 2)), 1.0), (f, 1.0), (f, 2.0)])
+
+    def test_negative_mass_rejected(self):
+        with pytest.raises(ValueError):
+            em_pool_weights_batch([(np.ones((3, 2)), 1.0), (-np.ones((3, 2)), 1.0)])
 
 
 class TestAdaptivePrior:

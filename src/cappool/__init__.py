@@ -8,7 +8,7 @@ proper-scoring battery, redundancy diagnostics, and a no-peeking season
 replay harness with a CLI.
 """
 
-from .clustering import Clustering, cluster_models, logscore_correlation_matrix
+from .clustering import Clustering, cluster_models
 from .diagnostics import (
     RestartReport,
     TrajectoryPoint,
@@ -62,6 +62,7 @@ from .pool import (
     em_pool_weights_batch,
     fit_adaptive_weights,
     fit_static_weights,
+    renormalized,
 )
 from .replay import RunConfig, ingest, replay
 from .report import ReportBundle, emit_report, write_report
@@ -71,6 +72,7 @@ from .scoring import (
     ScoreRecord,
     brier_integral,
     brier_score,
+    floored_log,
     kl_divergence,
     log_score,
     median_log_score,

@@ -113,7 +113,7 @@ def _panel_fit_inputs(out: str, region: str, target: int, season: int):
     rows = []
     truths = []
     for i in range(1, data.n_weeks + 1):
-        if sd.truth_target[i] is None or not sd.submitted[i]:
+        if sd.truth_target[i] is None or not sd.pmfs[i]:
             continue
         row = np.full((len(panel.roster), N_BINS), np.nan)
         for k, m in enumerate(panel.roster):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Clustering", "logscore_correlation_matrix", "cluster_models"]
+__all__ = ["Clustering", "cluster_models"]
 
 
 @dataclass(frozen=True)
@@ -38,42 +38,6 @@ class Clustering:
 
     def members(self) -> frozenset[str]:
         return frozenset(m for cluster in self.clusters for m in cluster)
-
-
-def logscore_correlation_matrix(
-    scores: dict[str, dict], model_ids,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pairwise Pearson correlation of per-key log-score series.
-
-    ``scores[m]`` maps score keys (e.g. issue weeks) to floored log scores;
-    pairs are compared on their common keys only. The diagonal is 1. Pairs
-    with fewer than two common keys, or with a zero-variance series, get a
-    correlation of 0 and are flagged.
-
-    Returns (matrix, flagged) where ``flagged[i, j]`` marks entries forced
-    to 0 because the correlation was undefined.
-    """
-    ids = list(model_ids)
-    n = len(ids)
-    corr = np.eye(n)
-    flagged = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        for j in range(i + 1, n):
-            si, sj = scores.get(ids[i], {}), scores.get(ids[j], {})
-            common = sorted(si.keys() & sj.keys())
-            value = None
-            if len(common) >= 2:
-                a = np.array([si[k] for k in common])
-                b = np.array([sj[k] for k in common])
-                da, db = a - a.mean(), b - b.mean()
-                denom = np.sqrt((da @ da) * (db @ db))
-                if denom > 0.0:
-                    value = float(np.clip((da @ db) / denom, -1.0, 1.0))
-            if value is None:
-                value = 0.0
-                flagged[i, j] = flagged[j, i] = True
-            corr[i, j] = corr[j, i] = value
-    return corr, flagged
 
 
 def cluster_models(corr: np.ndarray, phi: float, model_ids) -> Clustering:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,8 +22,8 @@ from .clustering import Clustering, cluster_models
 from .epiweek import Epiweek, season_length, season_weeks
 from .panel import Panel
 from .pmf import bin_index, linear_pool
-from .pool import AdaptivePrior, WeightFit, em_pool_weights, em_pool_weights_batch
-from .scoring import LOG_SCORE_FLOOR, log_score
+from .pool import AdaptivePrior, WeightFit, em_pool_weights, em_pool_weights_batch, renormalized
+from .scoring import floored_log, log_score
 
 __all__ = [
     "VARIANTS",
@@ -135,45 +135,51 @@ class EnsembleRun:
     note: str = ""
 
 
-@dataclass
-class StratumHistory:
-    """Fully realized scoring history for one (region, target) stratum."""
-
-    keys: list[int] = field(default_factory=list)
-    scores: dict[str, dict[int, float]] = field(default_factory=dict)
-    masses: dict[int, dict[str, float]] = field(default_factory=dict)
-
-
 class HistoryStore:
-    """Accumulates per-stratum component score history across seasons."""
+    """Accumulates per-stratum component truth-bin masses across seasons.
+
+    Each absorbed season adds one ``(roster, mass, sub)`` block per stratum:
+    its realized weeks' truth-bin masses and submission masks, with columns
+    in that season's roster order.
+    """
 
     def __init__(self) -> None:
-        self._strata: dict[tuple[str, int], StratumHistory] = {}
+        self._blocks: dict[tuple[str, int], list[tuple[tuple[str, ...], np.ndarray, np.ndarray]]] = {}
         self.seasons: list[int] = []
 
-    def stratum(self, region: str, target: int) -> StratumHistory:
-        return self._strata.setdefault((region, target), StratumHistory())
-
     def absorb(self, data: "SeasonData") -> None:
-        """Fold a completed season's realized scores into the store."""
+        """Fold a completed season's realized weeks into the store."""
         if data.season in self.seasons:
             return
         self.seasons.append(data.season)
         for stratum, sd in data.strata.items():
-            hist = self.stratum(*stratum)
-            for i in range(1, data.n_weeks + 1):
-                truth = sd.truth_target[i]
-                if truth is None:
-                    continue
-                key = sd.week_ints[i]
-                hist.keys.append(key)
-                hist.masses[key] = dict(sd.f_mass[i])
-                for m in sd.submitted[i]:
-                    hist.scores.setdefault(m, {})[key] = sd.score[i][m]
+            rows = sd.realized
+            self._blocks.setdefault(stratum, []).append((data.roster, sd.mass[rows], sd.sub[rows]))
+
+    def prior(self, stratum: tuple[str, int], roster) -> tuple[np.ndarray, np.ndarray]:
+        """Stacked prior-season masses and submission masks of ``stratum``,
+        with columns mapped onto ``roster`` by model id (models absent from a
+        season count as missing there)."""
+        mass = [np.zeros((0, len(roster)))]
+        sub = [np.zeros((0, len(roster)), dtype=bool)]
+        for block_roster, block_mass, block_sub in self._blocks.get(stratum, ()):
+            # A model the block lacks reads the appended all-zero column.
+            index = {m: k for k, m in enumerate(block_roster)}
+            cols = [index.get(m, len(block_roster)) for m in roster]
+            mass.append(np.pad(block_mass, ((0, 0), (0, 1)))[:, cols])
+            sub.append(np.pad(block_sub, ((0, 0), (0, 1)))[:, cols])
+        return np.vstack(mass), np.vstack(sub)
 
 
 class _StratumData:
-    """Current-season data plus the combined score window for one stratum."""
+    """Current-season data plus the combined score window for one stratum.
+
+    ``mass[i, c]`` is the probability roster model c placed on the realized
+    truth bin of week i (0 when it did not submit or the truth is unknown),
+    ``sub[i, c]`` whether it submitted; week indexing is 1-based, row 0
+    unused. ``S`` holds the floored log scores of the prior seasons' weeks,
+    then of this season's weeks in the order they become known.
+    """
 
     def __init__(
         self,
@@ -181,59 +187,49 @@ class _StratumData:
         region: str,
         target: int,
         weeks: list[Epiweek],
-        history: StratumHistory,
-        roster: tuple[str, ...],
+        index: dict[str, int],
+        prior: tuple[np.ndarray, np.ndarray],
     ):
         self.region = region
         self.target = target
-        self.roster = roster
+        self.roster = tuple(index)
         n = len(weeks)
-        # 1-based week indexing; slot 0 unused.
-        self.week_ints: list[int] = [0] + [w.add_weeks(target).to_int() for w in weeks]
-        self.submitted: list[frozenset[str]] = [frozenset()]
         self.pmfs: list[dict[str, np.ndarray]] = [{}]
         self.truth_target: list[float | None] = [None]
-        self.f_mass: list[dict[str, float]] = [{}]
-        self.score: list[dict[str, float]] = [{}]
-        for w in weeks:
+        self.mass = np.zeros((n + 1, len(index)))
+        self.sub = np.zeros((n + 1, len(index)), dtype=bool)
+        for i, w in enumerate(weeks, start=1):
             cell = panel.available(region, target, w)
             truth = panel.realized_truth(region, target, w)
-            self.submitted.append(frozenset(cell))
             self.pmfs.append(cell)
             self.truth_target.append(truth)
-            if truth is None:
-                self.f_mass.append({})
-                self.score.append({})
-            else:
+            cols = [index[m] for m in cell]
+            self.sub[i, cols] = True
+            if truth is not None:
                 b = bin_index(truth)
-                masses = {m: float(p[b]) for m, p in cell.items()}
-                self.f_mass.append(masses)
-                self.score.append(
-                    {
-                        m: max(math.log(v), LOG_SCORE_FLOOR) if v > 0.0 else LOG_SCORE_FLOOR
-                        for m, v in masses.items()
-                    }
-                )
+                self.mass[i, cols] = [p[b] for p in cell.values()]
+        self.realized = np.flatnonzero([truth is not None for truth in self.truth_target])
 
-        index = {m: k for k, m in enumerate(roster)}
-        n_prior = len(history.keys)
-        # Current-season score columns become usable once their target week
-        # is realized; column i is available from week index i + target.
-        usable = [i for i in range(1, n + 1) if i + target <= n and self.truth_target[i] is not None]
-        self.col_avail = np.array([0] * n_prior + [i + target for i in usable])
-        self.n_prior = n_prior
-        total = n_prior + len(usable)
-        self.S = np.full((len(roster), total), np.nan)
-        for col, key in enumerate(history.keys):
-            for m, s in history.scores.items():
-                if key in s and m in index:
-                    self.S[index[m], col] = s[key]
-        for col, i in enumerate(usable, start=n_prior):
-            for m, s in self.score[i].items():
-                self.S[index[m], col] = s
+        self.prior_mass, prior_sub = prior
+        self.n_prior = len(self.prior_mass)
+        usable = self.scored_weeks(n)
+        mass = np.vstack([self.prior_mass, self.mass[usable]]).T
+        present = np.vstack([prior_sub, self.sub[usable]]).T
+        self.S = np.full(mass.shape, np.nan)
+        self.S[present] = [floored_log(v) for v in mass[present].tolist()]
+
+    def scored_weeks(self, t: int) -> np.ndarray:
+        """Weeks j whose truth is realized and known by week t
+        (j + target <= t), in order."""
+        return self.realized[: np.searchsorted(self.realized, t - self.target, side="right")]
 
     def window_size(self, t: int) -> int:
-        return int(np.searchsorted(self.col_avail, t, side="right"))
+        """Score-window columns usable at week t."""
+        return self.n_prior + len(self.scored_weeks(t))
+
+    def missing(self, t: int) -> tuple[str, ...]:
+        """Roster models without a forecast at week t."""
+        return tuple(sorted(set(self.roster) - self.pmfs[t].keys()))
 
 
 def _masked_correlation(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -285,16 +281,18 @@ class SeasonData:
         self.targets = tuple(sorted(targets))
         self.regions = tuple(sorted(panel.regions, key=_region_order))
         self.roster = panel.roster
+        self.index = {m: k for k, m in enumerate(self.roster)}
         self.strata: dict[tuple[str, int], _StratumData] = {}
         for region in self.regions:
             for target in self.targets:
                 key = (region, target)
                 self.strata[key] = _StratumData(
-                    panel, region, target, self.weeks, self.history.stratum(*key), self.roster
+                    panel, region, target, self.weeks, self.index,
+                    self.history.prior(key, self.roster),
                 )
         self._corr_cache: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
         self._median_cache: dict[tuple, dict[str, float]] = {}
-        self._ranking_cache: dict[tuple, list[str]] = {}
+        self._preference_cache: dict[tuple, np.ndarray] = {}
         self._cluster_cache: dict[tuple, Clustering] = {}
         self._replay_cache: dict[tuple, float | None] = {}
         self._weights_cache: dict[tuple, np.ndarray] = {}
@@ -322,17 +320,18 @@ class SeasonData:
         self._median_cache[(stratum, t)] = out
         return out
 
-    def ranking(self, stratum: tuple[str, int], t: int) -> list[str]:
-        """Roster ordered by leader preference as of week t."""
-        cached = self._ranking_cache.get((stratum, t))
-        if cached is not None:
-            return cached
-        med = self.medians(stratum, t)
-        scored = sorted((m for m in self.roster if m in med), key=lambda m: (-med[m], m))
-        unscored = sorted(m for m in self.roster if m not in med)
-        order = scored + unscored
-        self._ranking_cache[(stratum, t)] = order
-        return order
+    def preference(self, stratum: tuple[str, int], t: int) -> np.ndarray:
+        """Each roster model's place in the leader preference order as of
+        week t (0 is the first choice): scored models by descending median,
+        then unscored ones, ties and unscored models in id order."""
+        cached = self._preference_cache.get((stratum, t))
+        if cached is None:
+            med = self.medians(stratum, t)
+            order = sorted(self.roster, key=lambda m: (m not in med, -med.get(m, 0.0), m))
+            cached = np.empty(len(self.roster), dtype=np.intp)
+            cached[[self.index[m] for m in order]] = np.arange(len(order))
+            self._preference_cache[(stratum, t)] = cached
+        return cached
 
     def correlation(self, stratum: tuple[str, int], t: int) -> tuple[np.ndarray, np.ndarray]:
         cached = self._corr_cache.get((stratum, t))
@@ -347,10 +346,8 @@ class SeasonData:
         the window, or a submission this week."""
         sd = self.strata[stratum]
         window = sd.S[:, : sd.window_size(t)]
-        scored = (~np.isnan(window)).any(axis=1)
-        ids = {m for idx, m in enumerate(self.roster) if scored[idx]}
-        ids.update(sd.submitted[t])
-        return sorted(ids)
+        eligible = (~np.isnan(window)).any(axis=1) | sd.sub[t]
+        return sorted(m for m, keep in zip(self.roster, eligible.tolist()) if keep)
 
     def clusters(self, stratum: tuple[str, int], t: int, phi: float) -> Clustering:
         cached = self._cluster_cache.get((stratum, t, phi))
@@ -358,8 +355,7 @@ class SeasonData:
             return cached
         ids = self.clustering_universe(stratum, t)
         corr, _ = self.correlation(stratum, t)
-        index = {m: k for k, m in enumerate(self.roster)}
-        sel = [index[m] for m in ids]
+        sel = [self.index[m] for m in ids]
         sub = corr[np.ix_(sel, sel)]
         clustering = cluster_models(sub, phi, ids)
         self._cluster_cache[(stratum, t, phi)] = clustering
@@ -380,49 +376,29 @@ class SeasonData:
         """Truth-bin mass each current cluster would have scored at past
         weeks, replaying each week's leader choice from its own history."""
         sd = self.strata[stratum]
-        obs = [
-            j
-            for j in range(1, t)
-            if j + sd.target <= t and sd.truth_target[j] is not None
-        ]
-        f = np.zeros((len(obs), clustering.n_clusters))
-        member_sets = [set(c) for c in clustering.clusters]
-        for row, j in enumerate(obs):
-            order = self.ranking(stratum, j)
-            sub = sd.submitted[j]
-            masses = sd.f_mass[j]
-            for col, members in enumerate(member_sets):
-                for m in order:
-                    if m in members and m in sub:
-                        f[row, col] = masses[m]
-                        break
-        return f
+        obs = sd.scored_weeks(t)
+        n_models = len(self.roster)
+        members = np.zeros((clustering.n_clusters, n_models), dtype=bool)
+        for c, cluster in enumerate(clustering.clusters):
+            members[c, [self.index[m] for m in cluster]] = True
+        place = np.array([self.preference(stratum, j) for j in obs.tolist()], dtype=np.intp)
+        # A cluster's leader at week j is its submitting member placed first
+        # in week j's preference order; clusters with none score 0.
+        eligible = members & sd.sub[obs][:, None, :]
+        rank = np.where(eligible, place.reshape(len(obs), 1, n_models), n_models)
+        leader = rank.argmin(axis=2)
+        mass = np.take_along_axis(sd.mass[obs], leader, axis=1)
+        return np.where(eligible.any(axis=2), mass, 0.0)
 
     def model_mass_matrix(self, stratum: tuple[str, int], t: int) -> np.ndarray:
         """Truth-bin mass per roster model at past scored weeks (0 when
         missing), for the comparator weight fits."""
         sd = self.strata[stratum]
-        obs = [
-            j
-            for j in range(1, t)
-            if j + sd.target <= t and sd.truth_target[j] is not None
-        ]
-        f = np.zeros((len(obs), len(self.roster)))
-        for row, j in enumerate(obs):
-            masses = sd.f_mass[j]
-            for col, m in enumerate(self.roster):
-                f[row, col] = masses.get(m, 0.0)
-        return f
+        return sd.mass[sd.scored_weeks(t)]
 
     def prior_mass_matrix(self, stratum: tuple[str, int]) -> np.ndarray:
         """Truth-bin mass per roster model over all prior-season weeks."""
-        hist = self.history.stratum(*stratum)
-        f = np.zeros((len(hist.keys), len(self.roster)))
-        for row, key in enumerate(hist.keys):
-            masses = hist.masses[key]
-            for col, m in enumerate(self.roster):
-                f[row, col] = masses.get(m, 0.0)
-        return f
+        return self.strata[stratum].prior_mass.copy()
 
 
 def _warn_unconverged(variant: str, data: SeasonData, stratum, fitted_for: str, fit: WeightFit):
@@ -447,7 +423,7 @@ def _no_ensemble(variant: str, data: SeasonData, stratum, t: int, note: str) -> 
         pmf=None,
         weights={},
         entropy=None,
-        missing_models=tuple(sorted(set(data.roster) - data.strata[stratum].submitted[t])),
+        missing_models=data.strata[stratum].missing(t),
         note=note,
     )
 
@@ -478,13 +454,9 @@ def _model_pool_run(
     cell = sd.pmfs[t]
     if not cell:
         return _no_ensemble(variant, data, stratum, t, "no forecasts submitted")
-    ids = sorted(cell)
-    index = {m: k for k, m in enumerate(data.roster)}
-    w = np.array([fitted[index[m]] for m in ids])
-    total = w.sum()
-    w = w / total if total > 0.0 else np.full(len(ids), 1.0 / len(ids))
-    pmf = linear_pool([cell[m] for m in ids], w)
-    weights = {m: float(v) for m, v in zip(ids, w)}
+    w = renormalized(fitted, [data.index[m] for m in cell])
+    pmf = linear_pool(list(cell.values()), w)
+    weights = {m: float(v) for m, v in zip(cell, w)}
     return EnsembleRun(
         variant=variant,
         season=data.season,
@@ -495,7 +467,7 @@ def _model_pool_run(
         pmf=pmf,
         weights=weights,
         entropy=percent_entropy(w),
-        missing_models=tuple(sorted(set(data.roster) - set(ids))),
+        missing_models=sd.missing(t),
     )
 
 
@@ -618,9 +590,7 @@ class CapVariant(_VariantBase):
         present = [i for i, cf in enumerate(forecasts) if cf.pmf is not None]
         if not present:
             return None, clustering, forecasts, np.array([])
-        w = fitted[present]
-        total = w.sum()
-        w = w / total if total > 0.0 else np.full(len(present), 1.0 / len(present))
+        w = renormalized(fitted, present)
         pmf = linear_pool([forecasts[i].pmf for i in present], w)
         return pmf, clustering, forecasts, w
 
@@ -628,7 +598,7 @@ class CapVariant(_VariantBase):
 
     def _replay_score(self, data: SeasonData, stratum, j: int, phi: float) -> float | None:
         sd = data.strata[stratum]
-        if not sd.submitted[j]:
+        if not sd.pmfs[j]:
             return None
         key = self._replay_key(stratum, j, data.clusters(stratum, j, phi))
         if key not in data._replay_cache:
@@ -641,7 +611,7 @@ class CapVariant(_VariantBase):
         replay in ``scorable`` that neither cache answers yet."""
         pending: dict[tuple, tuple[np.ndarray, float]] = {}
         for stratum, j in scorable:
-            if j == 1 or not data.strata[stratum].submitted[j]:
+            if j == 1 or not data.strata[stratum].pmfs[j]:
                 continue
             alpha = AdaptivePrior(j, data.n_weeks, self.delta).concentration
             for phi in self.phi_grid:
@@ -682,12 +652,11 @@ class CapVariant(_VariantBase):
         cached = self._phi_cache.get((data.season, t))
         if cached is not None:
             return cached
-        scorable: list[tuple[tuple[str, int], int]] = []
-        for stratum in data.stratum_keys():
-            sd = data.strata[stratum]
-            for j in range(1, t):
-                if j + sd.target <= t and sd.truth_target[j] is not None:
-                    scorable.append((stratum, j))
+        scorable = [
+            (stratum, j)
+            for stratum in data.stratum_keys()
+            for j in data.strata[stratum].scored_weeks(t).tolist()
+        ]
         if self.pooling == "adaptive":
             self._prefetch_weights(data, scorable)
         best_phi, best_avg = None, -math.inf
@@ -712,7 +681,7 @@ class CapVariant(_VariantBase):
         region, target = stratum
         sd = data.strata[stratum]
         phi = self.select_phi(data, t)
-        if not sd.submitted[t]:
+        if not sd.pmfs[t]:
             run = _no_ensemble(self.name, data, stratum, t, "no forecasts submitted")
             return replace(run, phi=phi)
         pmf, clustering, forecasts, w = self._pool(data, stratum, t, phi)
@@ -732,7 +701,7 @@ class CapVariant(_VariantBase):
             clusters=clustering.clusters,
             leaders=tuple(cf.leader for cf in forecasts),
             n_clusters=clustering.n_clusters,
-            missing_models=tuple(sorted(set(data.roster) - sd.submitted[t])),
+            missing_models=sd.missing(t),
         )
 
 

@@ -23,6 +23,7 @@ __all__ = [
     "truth_bin_masses",
     "fit_static_weights",
     "fit_adaptive_weights",
+    "renormalized",
     "EqualPool",
     "StaticPool",
     "AdaptivePool",
@@ -227,12 +228,8 @@ def truth_bin_masses(F, y) -> np.ndarray:
     """
     arr, available = check_forecast_array(F)
     truths = check_truths(y, arr.shape[0])
-    out = np.zeros(arr.shape[:2])
-    for j, t in enumerate(truths):
-        b = bin_index(t)
-        for c in np.flatnonzero(available[j]):
-            out[j, c] = arr[j, c, b]
-    return out
+    bins = np.array([bin_index(t) for t in truths], dtype=np.intp)
+    return np.where(available, arr[np.arange(bins.size), :, bins], 0.0)
 
 
 def fit_static_weights(F, y, tol: float = EM_TOL, max_iter: int = EM_MAX_ITER) -> WeightFit:
@@ -241,10 +238,6 @@ def fit_static_weights(F, y, tol: float = EM_TOL, max_iter: int = EM_MAX_ITER) -
     With no past observations at all (a first season) this is the equal
     weighting, returned as a degenerate fit.
     """
-    arr = np.asarray(F, dtype=float)
-    if arr.shape[0] == 0:
-        n_models = arr.shape[1]
-        return WeightFit(np.full(n_models, 1.0 / n_models), 0, True, 0.0, degenerate=True)
     return em_pool_weights(truth_bin_masses(F, y), alpha=1.0, tol=tol, max_iter=max_iter)
 
 
@@ -256,25 +249,26 @@ def fit_adaptive_weights(
     Week one always returns equal weights; later weeks run the penalized EM
     on observations scored so far.
     """
-    arr = np.asarray(F, dtype=float)
-    n_models = arr.shape[1]
-    if prior.week_index == 1 or arr.shape[0] == 0:
-        return WeightFit(np.full(n_models, 1.0 / n_models), 0, True, 0.0, degenerate=True)
-    return em_pool_weights(
-        truth_bin_masses(F, y), alpha=prior.concentration, tol=tol, max_iter=max_iter
-    )
+    f = truth_bin_masses(F, y)
+    if prior.week_index == 1:
+        f = f[:0]  # nothing is scored yet: the degenerate equal fit
+    return em_pool_weights(f, alpha=prior.concentration, tol=tol, max_iter=max_iter)
+
+
+def renormalized(weights, present) -> np.ndarray:
+    """The weights of the ``present`` components (an index list or mask),
+    rescaled to sum to 1; equal over them when they carry no weight at all."""
+    w = np.asarray(weights)[present]
+    total = w.sum()
+    return w / total if total > 0.0 else np.full(w.size, 1.0 / w.size)
 
 
 def _pool_rows(arr: np.ndarray, available: np.ndarray, weights: np.ndarray) -> np.ndarray:
     out = np.full((arr.shape[0], arr.shape[2]), np.nan)
     for j in range(arr.shape[0]):
         idx = np.flatnonzero(available[j])
-        if idx.size == 0:
-            continue
-        w = weights[idx]
-        total = w.sum()
-        w = w / total if total > 0.0 else np.full(idx.size, 1.0 / idx.size)
-        out[j] = w @ arr[j, idx]
+        if idx.size:
+            out[j] = renormalized(weights, idx) @ arr[j, idx]
     return out
 
 
@@ -295,12 +289,17 @@ class EqualPool(ParamsMixin):
 class StaticPool(ParamsMixin):
     """Linear pool with maximum-likelihood weights fit once on past data."""
 
+    # Maximum likelihood is the penalized fit under a flat Dirichlet prior.
+    concentration = 1.0
+
     def __init__(self, tol: float = EM_TOL, max_iter: int = EM_MAX_ITER):
         self.tol = tol
         self.max_iter = max_iter
 
     def fit(self, F, y):
-        result = fit_static_weights(F, y, tol=self.tol, max_iter=self.max_iter)
+        result = em_pool_weights(
+            truth_bin_masses(F, y), alpha=self.concentration, tol=self.tol, max_iter=self.max_iter
+        )
         self.weights_ = result.weights
         self.n_iter_ = result.n_iter
         self.converged_ = result.converged
@@ -323,22 +322,3 @@ class AdaptivePool(StaticPool):
     ):
         super().__init__(tol=tol, max_iter=max_iter)
         self.concentration = concentration
-
-    def fit(self, F, y):
-        arr = np.asarray(F, dtype=float)
-        if arr.shape[0] == 0:
-            n_models = arr.shape[1]
-            result = WeightFit(np.full(n_models, 1.0 / n_models), 0, True, 0.0, True)
-        else:
-            result = em_pool_weights(
-                truth_bin_masses(F, y),
-                alpha=self.concentration,
-                tol=self.tol,
-                max_iter=self.max_iter,
-            )
-        self.weights_ = result.weights
-        self.n_iter_ = result.n_iter
-        self.converged_ = result.converged
-        self.degenerate_ = result.degenerate
-        self.n_models_ = result.weights.shape[0]
-        return self

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import logging
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -43,11 +44,17 @@ from .panel import (
 from .pmf import N_BINS
 from .scoring import ScoreRecord, brier_integral, log_score, pit_value
 
-__all__ = ["ConfigError", "RunConfig", "ingest", "replay", "load_run_artifacts"]
+__all__ = ["ConfigError", "CorruptArtifactError", "RunConfig", "ingest", "replay", "load_run_artifacts"]
+
+_log = logging.getLogger("cappool")
 
 
 class ConfigError(ValueError):
     """The run configuration file is malformed."""
+
+
+class CorruptArtifactError(ValueError):
+    """A persisted week artifact cannot be read back; the message names it."""
 
 
 _CONFIG_KEYS = {
@@ -271,38 +278,63 @@ def _write_week(
 def _load_week(
     out_dir: Path, variant: str, season: int, week: Epiweek
 ) -> tuple[list[EnsembleRun], list[ScoreRecord]] | None:
+    """Read back one completed week, or None if it was never completed.
+
+    Raises CorruptArtifactError naming the file when the week's JSON bundle
+    or pmf CSV is unparsable, truncated, or does not match the other.
+    """
     csv_path, json_path = _week_paths(out_dir, variant, season, week)
     if not json_path.exists():
         return None
-    payload = json.loads(json_path.read_text())
     pmfs: dict[tuple[str, int], np.ndarray] = {}
     if csv_path.exists():
-        with open(csv_path, newline="") as fh:
-            reader = csv.reader(fh)
-            next(reader, None)
-            for row in reader:
-                if not row:
-                    continue
+        text = csv_path.read_text()
+        # Every write ends in a newline, so a file without one was cut short,
+        # possibly inside a number that still parses.
+        if not text.endswith("\n"):
+            raise CorruptArtifactError(f"corrupt week file {csv_path}: truncated")
+        for line_no, row in enumerate(csv.reader(text.splitlines()), start=1):
+            if line_no == 1 or not row:
+                continue
+            try:
+                if len(row) != N_BINS + 2:
+                    raise ValueError(f"{len(row)} fields")
                 pmf = np.array([float(v) for v in row[2:]])
-                pmf.setflags(write=False)
-                pmfs[(row[0], int(row[1]))] = pmf
-    runs = [
-        _run_from_json(variant, season, item, pmfs.get((item["region"], item["target"])))
-        for item in payload["runs"]
-    ]
-    scores = [
-        ScoreRecord(
-            variant=variant,
-            region=item["region"],
-            target=item["target"],
-            issue_week=item["issue_week"],
-            target_week=item["target_week"],
-            log_score=item["log_score"],
-            pit=item["pit"],
-            brier_integral=item["brier_integral"],
-        )
-        for item in payload["scores"]
-    ]
+                key = (row[0], int(row[1]))
+            except ValueError as exc:
+                raise CorruptArtifactError(
+                    f"corrupt week file {csv_path}, line {line_no}: {exc}"
+                ) from None
+            pmf.setflags(write=False)
+            pmfs[key] = pmf
+    try:
+        payload = json.loads(json_path.read_text())
+        runs = [
+            _run_from_json(variant, season, item, pmfs.get((item["region"], item["target"])))
+            for item in payload["runs"]
+        ]
+        missing = [
+            (item["region"], item["target"])
+            for item in payload["runs"]
+            if item["has_pmf"] and (item["region"], item["target"]) not in pmfs
+        ]
+        scores = [
+            ScoreRecord(
+                variant=variant,
+                region=item["region"],
+                target=item["target"],
+                issue_week=item["issue_week"],
+                target_week=item["target_week"],
+                log_score=item["log_score"],
+                pit=item["pit"],
+                brier_integral=item["brier_integral"],
+            )
+            for item in payload["scores"]
+        ]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise CorruptArtifactError(f"corrupt week file {json_path}: {exc!r}") from None
+    if missing:
+        raise CorruptArtifactError(f"corrupt week file {csv_path}: no pmf row for {missing[0]}")
     return runs, scores
 
 
@@ -396,7 +428,11 @@ def _replay_season_runs(
                 if in_season
                 else data.weeks[-1].add_weeks(t - data.n_weeks)
             )
-            cached = _load_week(out_dir, variant.name, data.season, week)
+            try:
+                cached = _load_week(out_dir, variant.name, data.season, week)
+            except CorruptArtifactError as exc:
+                _log.warning("%s; recomputing that week", exc)
+                cached = None
             if cached is not None:
                 runs = cached[0]
             elif in_season:
@@ -412,7 +448,10 @@ def _replay_season_runs(
 
 
 def load_run_artifacts(out_dir) -> tuple[list[EnsembleRun], list[ScoreRecord]]:
-    """Read every persisted run and score record under a run directory."""
+    """Read every persisted run and score record under a run directory.
+
+    A week file that cannot be read back raises CorruptArtifactError.
+    """
     out_dir = Path(out_dir)
     runs_root = out_dir / "runs"
     if not runs_root.exists():

@@ -17,6 +17,7 @@ __all__ = [
     "LOG_SCORE_FLOOR",
     "BRIER_THRESHOLDS",
     "ScoreRecord",
+    "floored_log",
     "log_score",
     "pit_value",
     "brier_score",
@@ -49,12 +50,16 @@ class ScoreRecord:
     brier_integral: float
 
 
-def log_score(pmf, truth: float) -> float:
-    """Natural log of the probability on the realized bin, floored at -10."""
-    p = float(np.asarray(pmf)[bin_index(truth)])
+def floored_log(p: float) -> float:
+    """Natural log of a probability, floored at -10 (zero mass scores -10)."""
     if p <= 0.0:
         return LOG_SCORE_FLOOR
     return max(math.log(p), LOG_SCORE_FLOOR)
+
+
+def log_score(pmf, truth: float) -> float:
+    """Natural log of the probability on the realized bin, floored at -10."""
+    return floored_log(float(np.asarray(pmf)[bin_index(truth)]))
 
 
 def pit_value(pmf, truth: float) -> float:

@@ -1,12 +1,10 @@
 import numpy as np
 import pytest
 
-from cappool.clustering import (
-    Clustering,
-    cluster_models,
-    logscore_correlation_matrix,
-)
+from cappool.clustering import Clustering, cluster_models
 from cappool.ensembles import _masked_correlation
+
+from oracles import logscore_correlation_matrix
 
 
 class TestCorrelationMatrix:

@@ -1,0 +1,119 @@
+"""The dense mass-matrix builders and score window against looped oracles.
+
+Random seasons with missing forecasts and unrealized truths, a history
+absorbed from a season with a different roster, and random partitions of the
+clustering universe; every matrix must equal its oracle exactly.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cappool.clustering import Clustering
+from cappool.ensembles import HistoryStore, SeasonData
+from cappool.epiweek import season_weeks
+from cappool.panel import ForecastKey, Panel, TruthTable
+from cappool.pmf import N_BINS
+from cappool.pool import truth_bin_masses
+
+import oracles
+from conftest import random_pmf
+
+REGION = "Nat"
+# Forecasts and truths share a few bins, and half the forecasts a few mass
+# levels, so truth-bin masses, floored scores and median ranks tie often.
+# Level 0 scores the floor; the other half's masses are all distinct.
+BINS = (10, 11, 12)
+LEVELS = (0.0, 0.05, 0.2, 0.5)
+
+
+def _pmf(b: int, p: float) -> np.ndarray:
+    pmf = np.full(N_BINS, (1.0 - p) / (N_BINS - 1))
+    pmf[b] = p
+    return pmf
+
+
+def _season_panel(rng, season, roster, targets, missing, unrealized) -> Panel:
+    weeks = season_weeks(season)
+    entries = {
+        ForecastKey(REGION, target, m, w): _pmf(
+            int(rng.choice(BINS)),
+            float(rng.choice(LEVELS)) if rng.random() < 0.5 else float(rng.uniform()),
+        )
+        for target in targets
+        for w in weeks
+        for m in roster
+        if rng.random() >= missing
+    }
+    truth = TruthTable()
+    for w in weeks + [weeks[-1].add_weeks(k) for k in range(1, max(targets) + 1)]:
+        if rng.random() >= unrealized:
+            truth.add(REGION, w, 0.1 * int(rng.choice(BINS)) + 0.05)
+    return Panel(entries, truth)
+
+
+@st.composite
+def two_seasons(draw):
+    """Prior and current season panels whose rosters overlap only in part."""
+    pool = [f"m{k}" for k in range(8)]
+    prior_roster = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6, unique=True))
+    roster = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6, unique=True))
+    targets = tuple(sorted(draw(st.sets(st.integers(1, 4), min_size=1, max_size=2))))
+    missing = draw(st.sampled_from([0.0, 0.2, 0.6]))
+    unrealized = draw(st.sampled_from([0.0, 0.2, 0.5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    prior = _season_panel(rng, 2009, prior_roster, targets, missing, unrealized)
+    current = _season_panel(rng, 2010, roster, targets, missing, unrealized)
+    return prior, current, targets, rng
+
+
+def _random_partition(rng, ids) -> Clustering:
+    labels = rng.integers(0, len(ids), len(ids))
+    groups: dict[int, list[str]] = {}
+    for m, label in zip(ids, labels.tolist()):
+        groups.setdefault(label, []).append(m)
+    return Clustering(tuple(tuple(g) for g in groups.values()), 0.0)
+
+
+class TestDenseBuildersMatchOracle:
+    @settings(max_examples=20, deadline=None)
+    @given(two_seasons())
+    def test_every_matrix_equals_its_looped_oracle(self, seasons):
+        prior_panel, panel, targets, rng = seasons
+        history, looped_history = HistoryStore(), oracles.LoopedHistory()
+        history.absorb(SeasonData(prior_panel, 2009, targets))
+        looped_history.absorb(oracles.LoopedSeason(prior_panel, 2009, targets, looped_history))
+        data = SeasonData(panel, 2010, targets, history)
+        looped = oracles.LoopedSeason(panel, 2010, targets, looped_history)
+
+        for stratum, sd in data.strata.items():
+            ref = looped.strata[stratum]
+            assert np.array_equal(sd.S, ref.S, equal_nan=True)
+            assert np.array_equal(data.prior_mass_matrix(stratum), looped.prior_mass_matrix(stratum))
+            for t in range(1, data.n_weeks + 1):
+                assert sd.window_size(t) == ref.window_size(t)
+                assert np.array_equal(
+                    data.model_mass_matrix(stratum, t), looped.model_mass_matrix(stratum, t)
+                )
+                universe = data.clustering_universe(stratum, t)
+                if not universe:
+                    continue
+                clustering = _random_partition(rng, universe)
+                assert np.array_equal(
+                    data.cluster_mass_matrix(stratum, clustering, t),
+                    looped.cluster_mass_matrix(stratum, clustering, t),
+                )
+
+
+class TestTruthBinMassesMatchOracle:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 8), st.integers(1, 5), st.integers(0, 2**32 - 1))
+    def test_equals_looped_oracle(self, n_obs, n_models, seed):
+        rng = np.random.default_rng(seed)
+        F = np.full((n_obs, n_models, N_BINS), np.nan)
+        for j in range(n_obs):
+            for c in range(n_models):
+                if rng.random() < 0.7:
+                    F[j, c] = random_pmf(rng)
+        y = rng.uniform(0.0, 14.0, n_obs)
+        assert np.array_equal(truth_bin_masses(F, y), oracles.truth_bin_masses(F, y))

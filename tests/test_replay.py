@@ -1,5 +1,7 @@
 import csv
 import json
+import logging
+import re
 import shutil
 from pathlib import Path
 
@@ -7,7 +9,13 @@ import numpy as np
 import pytest
 
 from cappool.epiweek import Epiweek
-from cappool.replay import ConfigError, RunConfig, load_run_artifacts, replay
+from cappool.replay import (
+    ConfigError,
+    CorruptArtifactError,
+    RunConfig,
+    load_run_artifacts,
+    replay,
+)
 from cappool.report import write_report
 from cappool.synthetic import ModelSpec, write_synthetic_archive
 
@@ -182,6 +190,24 @@ class TestDeterminismAndResume:
         replay(config, out_cut)
         assert _tree_bytes(out_full) == _tree_bytes(out_cut)
 
+    def test_corrupt_week_files_are_recomputed(self, tmp_path, caplog):
+        data_dir = tmp_path / "data"
+        write_synthetic_archive(data_dir, seed=6, missing_rate=0.05)
+        config = RunConfig.parse(_config_text(data_dir, variants="equal,cap-adaptive"))
+        out_full, out_cut = tmp_path / "full", tmp_path / "cut"
+        replay(config, out_full)
+        shutil.copytree(out_full, out_cut)
+        weeks = sorted(out_cut.glob("runs/equal/2010/week-*.json"))
+        truncated_json = weeks[5]
+        truncated_json.write_text(truncated_json.read_text()[:200])
+        truncated_csv = sorted(out_cut.glob("runs/cap-adaptive/2010/week-*.csv"))[7]
+        truncated_csv.write_text(truncated_csv.read_text()[:3000])
+        with caplog.at_level(logging.WARNING, logger="cappool"):
+            replay(config, out_cut)
+        assert _tree_bytes(out_full) == _tree_bytes(out_cut)
+        warned = " ".join(r.getMessage() for r in caplog.records if r.name == "cappool")
+        assert str(truncated_json) in warned and str(truncated_csv) in warned
+
     def test_no_peeking(self, tmp_path):
         cutoff = 201050
         data_dir = tmp_path / "data"
@@ -338,6 +364,17 @@ class TestReport:
             rows = list(csv.DictReader(fh))
         overall = next(r for r in rows if r["target"] == "all")
         assert float(overall["pit_auc_pooled"]) < 0.1
+
+    def test_corrupt_week_file_is_reported_by_name(self, small_run, tmp_path):
+        _, out = small_run
+        copy = tmp_path / "run"
+        shutil.copytree(out, copy)
+        path = sorted(copy.glob("runs/static/2011/week-*.json"))[3]
+        path.write_text(path.read_text()[:150])
+        with pytest.raises(CorruptArtifactError, match=re.escape(str(path))):
+            load_run_artifacts(copy)
+        with pytest.raises(CorruptArtifactError, match=re.escape(str(path))):
+            write_report(copy)
 
     def test_empty_report_rejected(self, tmp_path):
         with pytest.raises(FileNotFoundError):

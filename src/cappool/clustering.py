@@ -41,19 +41,23 @@ class Clustering:
 
 
 def cluster_models(corr: np.ndarray, phi: float, model_ids) -> Clustering:
-    """Greedy threshold partition of models given their correlation matrix.
+    """Greedy threshold partition of models given their correlation matrix,
+    whose rows and columns follow ``model_ids``.
 
     Models are visited in ascending id order; each joins the first cluster
     (by creation order) in which it correlates above ``phi`` with every
     member, else it starts a new one.
     """
-    ids = sorted(model_ids)
+    model_ids = list(model_ids)
+    n = len(model_ids)
     corr = np.asarray(corr, dtype=float)
-    if corr.shape != (len(ids), len(ids)):
-        raise ValueError(f"correlation matrix {corr.shape} does not match {len(ids)} models")
+    if corr.shape != (n, n):
+        raise ValueError(f"correlation matrix {corr.shape} does not match {n} models")
     if not 0.0 <= phi:
         raise ValueError("phi must be >= 0")
-    index = {m: k for k, m in enumerate(ids)}
+    order = sorted(range(n), key=model_ids.__getitem__)
+    ids = [model_ids[k] for k in order]
+    index = dict(zip(ids, order))
     clusters: list[list[str]] = []
     for m in ids:
         for members in clusters:

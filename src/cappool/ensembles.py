@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,6 +46,8 @@ VARIANTS = ("cap-equal", "cap-adaptive", "equal", "static", "adaptive")
 DEFAULT_PHI_GRID = tuple(round(0.05 * k, 2) for k in range(20))
 
 _INITIAL_PHI = 0.5
+
+_NO_FORECASTS = "no forecasts submitted"
 
 _log = logging.getLogger("cappool")
 
@@ -294,8 +296,6 @@ class SeasonData:
         self._median_cache: dict[tuple, dict[str, float]] = {}
         self._preference_cache: dict[tuple, np.ndarray] = {}
         self._cluster_cache: dict[tuple, Clustering] = {}
-        self._replay_cache: dict[tuple, float | None] = {}
-        self._weights_cache: dict[tuple, np.ndarray] = {}
 
     def stratum_keys(self) -> list[tuple[str, int]]:
         return sorted(self.strata, key=stratum_sort_key)
@@ -411,7 +411,8 @@ def _warn_unconverged(variant: str, data: SeasonData, stratum, fitted_for: str, 
         )
 
 
-def _no_ensemble(variant: str, data: SeasonData, stratum, t: int, note: str) -> EnsembleRun:
+def _run(variant: str, data: SeasonData, stratum, t: int, **fields) -> EnsembleRun:
+    """An ``EnsembleRun`` for (stratum, week t) with the header fields filled in."""
     region, target = stratum
     return EnsembleRun(
         variant=variant,
@@ -420,11 +421,8 @@ def _no_ensemble(variant: str, data: SeasonData, stratum, t: int, note: str) -> 
         target=target,
         issue_week=data.weeks[t - 1].to_int(),
         week_index=t,
-        pmf=None,
-        weights={},
-        entropy=None,
         missing_models=data.strata[stratum].missing(t),
-        note=note,
+        **fields,
     )
 
 
@@ -449,25 +447,17 @@ def _model_pool_run(
 ) -> EnsembleRun:
     """Pool component forecasts under fitted per-model weights, renormalized
     over this week's submitters."""
-    region, target = stratum
-    sd = data.strata[stratum]
-    cell = sd.pmfs[t]
+    cell = data.strata[stratum].pmfs[t]
     if not cell:
-        return _no_ensemble(variant, data, stratum, t, "no forecasts submitted")
+        return _run(
+            variant, data, stratum, t, pmf=None, weights={}, entropy=None, note=_NO_FORECASTS
+        )
     w = renormalized(fitted, [data.index[m] for m in cell])
-    pmf = linear_pool(list(cell.values()), w)
-    weights = {m: float(v) for m, v in zip(cell, w)}
-    return EnsembleRun(
-        variant=variant,
-        season=data.season,
-        region=region,
-        target=target,
-        issue_week=data.weeks[t - 1].to_int(),
-        week_index=t,
-        pmf=pmf,
-        weights=weights,
+    return _run(
+        variant, data, stratum, t,
+        pmf=linear_pool(list(cell.values()), w),
+        weights={m: float(v) for m, v in zip(cell, w)},
         entropy=percent_entropy(w),
-        missing_models=sd.missing(t),
     )
 
 
@@ -533,6 +523,11 @@ class CapVariant(_VariantBase):
     Each week one threshold is chosen globally by replaying the pipeline
     over the season's scored weeks across all strata and averaging the
     resulting ensemble log scores; clustering itself is per stratum.
+
+    A replayed week's scores use only data known at that week, so each
+    (stratum, week) is replayed once per season and kept as a score row.
+    The rows and the cluster-weight fits belong to one ``SeasonData`` and
+    are dropped when another one arrives.
     """
 
     def __init__(self, pooling: str = "equal", phi_grid=DEFAULT_PHI_GRID, delta: float = 5.0):
@@ -543,11 +538,21 @@ class CapVariant(_VariantBase):
         if not self.phi_grid:
             raise ValueError("empty phi candidate grid")
         self.delta = delta
-        self._phi_cache: dict[tuple[int, int], float] = {}
+        self._season: SeasonData | None = None
+        # (stratum, week) -> replayed log score per grid phi, or None when
+        # nobody submitted that week.
+        self._rows: dict[tuple, list[float] | None] = {}
+        # (stratum, week, partition) -> fitted cluster weights. Distinct
+        # thresholds often give one partition, and the fit depends only on it.
+        self._fits: dict[tuple, np.ndarray] = {}
 
     @property
     def name(self) -> str:
         return f"cap-{self.pooling}"
+
+    def _use_season(self, data: SeasonData) -> None:
+        if data is not self._season:
+            self._season, self._rows, self._fits = data, {}, {}
 
     # -- pooling over cluster forecasts --------------------------------
 
@@ -557,25 +562,15 @@ class CapVariant(_VariantBase):
         k = clustering.n_clusters
         if self.pooling == "equal" or t == 1:
             return np.full(k, 1.0 / k)
-        key = self._weights_key(stratum, t, clustering)
-        cached = data._weights_cache.get(key)
-        if cached is None:
+        self._use_season(data)
+        key = (stratum, t, clustering.clusters)
+        if key not in self._fits:
             prior = AdaptivePrior(t, data.n_weeks, self.delta)
             f = data.cluster_mass_matrix(stratum, clustering, t)
             fit = em_pool_weights(f, alpha=prior.concentration)
             _warn_unconverged(self.name, data, stratum, f"week {t}", fit)
-            cached = fit.weights
-            data._weights_cache[key] = cached
-        return cached
-
-    def _weights_key(self, stratum, t: int, clustering: Clustering) -> tuple:
-        # Distinct thresholds often produce the same partition; the fit
-        # depends only on the partition, the week, and the prior strength.
-        return (stratum, t, clustering.clusters, self.delta)
-
-    def _replay_key(self, stratum, j: int, clustering: Clustering) -> tuple:
-        # Likewise the replayed score depends on the partition, not on phi.
-        return (stratum, j, clustering.clusters, self.pooling)
+            self._fits[key] = fit.weights
+        return self._fits[key]
 
     def _pool(
         self,
@@ -583,52 +578,55 @@ class CapVariant(_VariantBase):
         stratum,
         t: int,
         phi: float,
-    ) -> tuple[np.ndarray | None, Clustering, list[ClusterForecast], np.ndarray]:
+    ) -> tuple[np.ndarray, Clustering, list[ClusterForecast], np.ndarray]:
+        """Pool week t's cluster forecasts; t must have a submission, so the
+        submitter's cluster always has a forecast."""
         clustering = data.clusters(stratum, t, phi)
         forecasts = data.cluster_forecasts(stratum, t, clustering)
         fitted = self._cluster_weights(data, stratum, t, clustering)
         present = [i for i, cf in enumerate(forecasts) if cf.pmf is not None]
-        if not present:
-            return None, clustering, forecasts, np.array([])
         w = renormalized(fitted, present)
         pmf = linear_pool([forecasts[i].pmf for i in present], w)
         return pmf, clustering, forecasts, w
 
     # -- threshold selection -------------------------------------------
 
-    def _replay_score(self, data: SeasonData, stratum, j: int, phi: float) -> float | None:
-        sd = data.strata[stratum]
-        if not sd.pmfs[j]:
-            return None
-        key = self._replay_key(stratum, j, data.clusters(stratum, j, phi))
-        if key not in data._replay_cache:
-            pmf, _, _, _ = self._pool(data, stratum, j, phi)
-            data._replay_cache[key] = None if pmf is None else log_score(pmf, sd.truth_target[j])
-        return data._replay_cache[key]
+    def _replay(self, data: SeasonData, weeks) -> None:
+        """Replay each (stratum, week) in ``weeks`` and store its score row:
+        every grid phi's replayed log score, pooling each distinct partition
+        once.
 
-    def _prefetch_weights(self, data: SeasonData, scorable) -> None:
-        """Fit, as one batched EM problem set, the cluster weights of every
-        replay in ``scorable`` that neither cache answers yet."""
-        pending: dict[tuple, tuple[np.ndarray, float]] = {}
-        for stratum, j in scorable:
-            if j == 1 or not data.strata[stratum].pmfs[j]:
-                continue
-            alpha = AdaptivePrior(j, data.n_weeks, self.delta).concentration
-            for phi in self.phi_grid:
-                clustering = data.clusters(stratum, j, phi)
-                key = self._weights_key(stratum, j, clustering)
-                if (
-                    key in pending
-                    or key in data._weights_cache
-                    or self._replay_key(stratum, j, clustering) in data._replay_cache
-                ):
+        With adaptive pooling the cluster-weight fits these replays need and
+        no published week already fitted are solved first, together, in one
+        ``em_pool_weights_batch`` call.
+        """
+        if self.pooling == "adaptive":
+            pending: dict[tuple, tuple[np.ndarray, float]] = {}
+            for stratum, j in weeks:
+                if j == 1 or not data.strata[stratum].pmfs[j]:
                     continue
-                pending[key] = (data.cluster_mass_matrix(stratum, clustering, j), alpha)
-        fits = em_pool_weights_batch(list(pending.values()))
-        for key, fit in zip(pending, fits):
-            stratum, j = key[:2]
-            _warn_unconverged(self.name, data, stratum, f"week {j}", fit)
-            data._weights_cache[key] = fit.weights
+                alpha = AdaptivePrior(j, data.n_weeks, self.delta).concentration
+                for phi in self.phi_grid:
+                    clustering = data.clusters(stratum, j, phi)
+                    key = (stratum, j, clustering.clusters)
+                    if key not in pending and key not in self._fits:
+                        pending[key] = (data.cluster_mass_matrix(stratum, clustering, j), alpha)
+            fits = em_pool_weights_batch(list(pending.values()))
+            for key, fit in zip(pending, fits):
+                _warn_unconverged(self.name, data, key[0], f"week {key[1]}", fit)
+                self._fits[key] = fit.weights
+        for stratum, j in weeks:
+            sd = data.strata[stratum]
+            if not sd.pmfs[j]:
+                self._rows[stratum, j] = None
+                continue
+            partitions = [data.clusters(stratum, j, phi).clusters for phi in self.phi_grid]
+            scores: dict[tuple, float] = {}
+            for phi, partition in zip(self.phi_grid, partitions):
+                if partition not in scores:
+                    pmf = self._pool(data, stratum, j, phi)[0]
+                    scores[partition] = log_score(pmf, sd.truth_target[j])
+            self._rows[stratum, j] = [scores[partition] for partition in partitions]
 
     def select_phi(self, data: SeasonData, t: int) -> float:
         """Threshold for week t: 1/2 on week one, afterwards the candidate
@@ -638,70 +636,48 @@ class CapVariant(_VariantBase):
         A single-candidate grid is a pinned threshold: it applies from week
         one, since no data-driven selection is happening at all.
 
-        With adaptive pooling, the cluster-weight fits that the replays need
-        and no cache holds yet are prefetched before the grid is scored: each
-        uncached (stratum, week, phi) replay is clustered, partitions whose
-        fit is already cached are dropped, and the rest are solved together
-        in one ``em_pool_weights_batch`` call. The grid loop then finds every
-        fit in the cache.
+        Weeks scored by t that have no score row yet are replayed first. The
+        mean is taken over the rows of every week scored by t that had a
+        submission, strata in ``stratum_keys()`` order and weeks ascending,
+        so calls made out of order or repeated give the same answer.
         """
         if len(self.phi_grid) == 1:
             return self.phi_grid[0]
         if t == 1:
             return _INITIAL_PHI
-        cached = self._phi_cache.get((data.season, t))
-        if cached is not None:
-            return cached
-        scorable = [
+        self._use_season(data)
+        scored = [
             (stratum, j)
             for stratum in data.stratum_keys()
             for j in data.strata[stratum].scored_weeks(t).tolist()
         ]
-        if self.pooling == "adaptive":
-            self._prefetch_weights(data, scorable)
-        best_phi, best_avg = None, -math.inf
-        for phi in self.phi_grid:
-            scores = [
-                s
-                for stratum, j in scorable
-                if (s := self._replay_score(data, stratum, j, phi)) is not None
-            ]
-            if not scores:
-                continue
-            avg = float(np.mean(scores))
-            if avg > best_avg:
-                best_phi, best_avg = phi, avg
-        phi = _INITIAL_PHI if best_phi is None else best_phi
-        self._phi_cache[(data.season, t)] = phi
-        return phi
+        self._replay(data, [key for key in scored if key not in self._rows])
+        rows = [row for key in scored if (row := self._rows[key]) is not None]
+        if not rows:
+            return _INITIAL_PHI
+        means = [np.mean(scores) for scores in np.array(rows).T]
+        return self.phi_grid[int(np.argmax(means))]
 
     # -- weekly run ------------------------------------------------------
 
     def run_stratum(self, data: SeasonData, stratum, t: int) -> EnsembleRun:
-        region, target = stratum
-        sd = data.strata[stratum]
         phi = self.select_phi(data, t)
-        if not sd.pmfs[t]:
-            run = _no_ensemble(self.name, data, stratum, t, "no forecasts submitted")
-            return replace(run, phi=phi)
+        if not data.strata[stratum].pmfs[t]:
+            return _run(
+                self.name, data, stratum, t,
+                pmf=None, weights={}, entropy=None, phi=phi, note=_NO_FORECASTS,
+            )
         pmf, clustering, forecasts, w = self._pool(data, stratum, t, phi)
         present = [i for i, cf in enumerate(forecasts) if cf.pmf is not None]
-        weights = {f"c{i + 1}": float(v) for i, v in zip(present, w)}
-        return EnsembleRun(
-            variant=self.name,
-            season=data.season,
-            region=region,
-            target=target,
-            issue_week=data.weeks[t - 1].to_int(),
-            week_index=t,
+        return _run(
+            self.name, data, stratum, t,
             pmf=pmf,
-            weights=weights,
-            entropy=percent_entropy(w) if len(w) else None,
+            weights={f"c{i + 1}": float(v) for i, v in zip(present, w)},
+            entropy=percent_entropy(w),
             phi=phi,
             clusters=clustering.clusters,
             leaders=tuple(cf.leader for cf in forecasts),
             n_clusters=clustering.n_clusters,
-            missing_models=sd.missing(t),
         )
 
 

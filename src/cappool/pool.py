@@ -8,6 +8,7 @@ stay close to uniform.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,8 +63,8 @@ class AdaptivePrior:
             raise ValueError("week_index must be >= 1")
         if self.season_weeks < 1:
             raise ValueError("season_weeks must be >= 1")
-        if self.delta < 0.0:
-            raise ValueError("delta must be >= 0")
+        if not (math.isfinite(self.delta) and self.delta >= 0.0):
+            raise ValueError("delta must be finite and >= 0")
 
     @property
     def concentration(self) -> float:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -148,15 +149,20 @@ class RunConfig:
             raise ConfigError(f"unknown variants {sorted(unknown)}")
         if not self.variants:
             raise ConfigError("at least one ensemble variant is required")
+        if len(set(self.variants)) != len(self.variants):
+            raise ConfigError(f"duplicate variants in {list(self.variants)}")
         bad = [t for t in self.targets if t not in (1, 2, 3, 4)]
         if bad:
             raise ConfigError(f"targets {bad} outside 1..4")
         if not self.targets:
             raise ConfigError("at least one target is required")
-        if self.delta < 0.0:
-            raise ConfigError("delta must be >= 0")
+        if not (math.isfinite(self.delta) and self.delta >= 0.0):
+            raise ConfigError(f"delta must be finite and >= 0, got {self.delta}")
         if not self.phi_grid:
             raise ConfigError("phi_grid must not be empty")
+        bad = [p for p in self.phi_grid if not (math.isfinite(p) and p >= 0.0)]
+        if bad:
+            raise ConfigError(f"phi_grid values {bad} are not finite and >= 0")
         if self.brier_mode not in ("standard", "strict"):
             raise ConfigError(f"unknown brier_mode {self.brier_mode!r}")
 

@@ -98,6 +98,15 @@ class TestClusterModels:
             again = cluster_models(corr, phi, ids)
             assert again.clusters == clustering.clusters
 
+    def test_unsorted_ids_follow_the_matrix_order(self):
+        # Rows and columns are in the given id order: b, a, c.
+        corr = np.eye(3)
+        corr[0, 2] = corr[2, 0] = 0.9
+        clustering = cluster_models(corr, 0.5, ["b", "a", "c"])
+        assert clustering.clusters == (("a",), ("b", "c"))
+        sorted_corr = corr[np.ix_([1, 0, 2], [1, 0, 2])]
+        assert cluster_models(sorted_corr, 0.5, ["a", "b", "c"]).clusters == clustering.clusters
+
     def test_threshold_one_never_joins(self):
         corr = np.ones((3, 3))
         clustering = cluster_models(corr, 1.0, ["a", "b", "c"])

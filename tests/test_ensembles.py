@@ -334,10 +334,10 @@ class TestComparators:
         assert run.missing_models == ("bad",)
 
 
-def _synthetic_season() -> SeasonData:
+def _synthetic_season(seed: int = 5) -> SeasonData:
     """The replay tests' synthetic archive, first season only."""
     fragment, truth = synthetic_archive(
-        seasons=(2010,), regions=("Nat", "HHS1"), targets=(1, 2), seed=5, missing_rate=0.04
+        seasons=(2010,), regions=("Nat", "HHS1"), targets=(1, 2), seed=seed, missing_rate=0.04
     )
     return SeasonData(Panel(fragment, truth), 2010, (1, 2))
 
@@ -348,7 +348,7 @@ PREFETCH_GRID = tuple(round(0.1 * k, 1) for k in range(10))
 class TestWeightPrefetch:
     def _replay(self, data, weeks=None):
         cap = CapVariant("adaptive", phi_grid=PREFETCH_GRID)
-        return [
+        return cap, [
             run for t in range(1, (weeks or data.n_weeks) + 1) for run in cap.week_runs(data, t)
         ]
 
@@ -366,17 +366,20 @@ class TestWeightPrefetch:
         monkeypatch.setattr(ensembles, "em_pool_weights_batch", spy_batch)
         monkeypatch.setattr(ensembles, "em_pool_weights", spy_solo)
         data = _synthetic_season()
-        runs = self._replay(data)
+        cap, runs = self._replay(data)
         assert max(batch_sizes) > 1
         # Replays never fit on their own: only each published week's fit does.
         assert len(solo_calls) <= len(data.strata) * data.n_weeks
-        for (stratum, t, clusters, delta), weights in data._weights_cache.items():
+        for (stratum, t, clusters), weights in cap._fits.items():
             f = data.cluster_mass_matrix(stratum, Clustering(clusters, 0.0), t)
-            alpha = AdaptivePrior(t, data.n_weeks, delta).concentration
+            alpha = AdaptivePrior(t, data.n_weeks, cap.delta).concentration
             assert np.max(np.abs(weights - em_pool_weights(f, alpha=alpha).weights)) <= 1e-12
 
-        monkeypatch.setattr(CapVariant, "_prefetch_weights", lambda self, data, scorable: None)
-        unbatched = self._replay(_synthetic_season())
+        def solo_batch(problems):
+            return [pool.em_pool_weights(f, alpha=alpha) for f, alpha in problems]
+
+        monkeypatch.setattr(ensembles, "em_pool_weights_batch", solo_batch)
+        _, unbatched = self._replay(_synthetic_season())
         assert [run.phi for run in runs] == [run.phi for run in unbatched]
 
     def test_unconverged_fits_are_logged(self, monkeypatch, caplog):
@@ -402,6 +405,54 @@ class TestWeightPrefetch:
         message = records[0].getMessage()
         assert message.startswith("cap-adaptive: EM fit did not converge")
         assert "season 2010" in message and "week " in message and "n_iter=2" in message
+
+
+def _same_runs(a, b) -> bool:
+    return [r.phi for r in a] == [r.phi for r in b] and all(
+        (x.pmf is None and y.pmf is None) or np.array_equal(x.pmf, y.pmf) for x, y in zip(a, b)
+    )
+
+
+class TestScoreRows:
+    def _walk(self, cap, data):
+        return [run for t in range(1, data.n_weeks + 1) for run in cap.week_runs(data, t)]
+
+    def test_variants_sharing_season_data_do_not_share_scores(self):
+        shared = _synthetic_season()
+        self._walk(CapVariant("adaptive", phi_grid=PREFETCH_GRID, delta=5.0), shared)
+        after = self._walk(CapVariant("adaptive", phi_grid=PREFETCH_GRID, delta=0.0), shared)
+        fresh = self._walk(
+            CapVariant("adaptive", phi_grid=PREFETCH_GRID, delta=0.0), _synthetic_season()
+        )
+        assert _same_runs(after, fresh)
+
+    def test_new_season_data_starts_afresh(self):
+        cap = CapVariant("adaptive", phi_grid=PREFETCH_GRID)
+        self._walk(cap, _synthetic_season(seed=6))
+        again = self._walk(cap, _synthetic_season())
+        fresh = self._walk(CapVariant("adaptive", phi_grid=PREFETCH_GRID), _synthetic_season())
+        assert _same_runs(again, fresh)
+
+    @pytest.mark.parametrize("pooling", ["equal", "adaptive"])
+    def test_out_of_order_calls_match_in_order_walk(self, pooling, monkeypatch):
+        data = _synthetic_season()
+        n = data.n_weeks
+        in_order = CapVariant(pooling, phi_grid=PREFETCH_GRID)
+        expected = {t: in_order.select_phi(data, t) for t in range(1, n + 1)}
+
+        pooled: dict[tuple, int] = {}
+        original = CapVariant._pool
+
+        def counting_pool(self, data, stratum, t, phi):
+            key = (stratum, t, data.clusters(stratum, t, phi).clusters)
+            pooled[key] = pooled.get(key, 0) + 1
+            return original(self, data, stratum, t, phi)
+
+        monkeypatch.setattr(CapVariant, "_pool", counting_pool)
+        cap = CapVariant(pooling, phi_grid=PREFETCH_GRID)
+        for t in [n, 3, n, *range(2, n + 1)]:
+            assert cap.select_phi(data, t) == expected[t], t
+        assert pooled and max(pooled.values()) == 1
 
 
 class TestMakeVariant:

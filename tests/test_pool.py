@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -208,6 +210,11 @@ class TestAdaptivePrior:
             AdaptivePrior(week_index=0, season_weeks=33)
         with pytest.raises(ValueError):
             AdaptivePrior(week_index=1, season_weeks=33, delta=-1.0)
+
+    @pytest.mark.parametrize("delta", [math.nan, math.inf])
+    def test_non_finite_delta_rejected(self, delta):
+        with pytest.raises(ValueError, match="finite"):
+            AdaptivePrior(week_index=1, season_weeks=33, delta=delta)
 
 
 class TestFitFunctions:

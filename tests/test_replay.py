@@ -75,6 +75,20 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             RunConfig.parse("delta = 1\ndelta = 2\n")
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "delta = nan\n",
+            "delta = inf\n",
+            "phi_grid = 0.0,-0.1,0.5\n",
+            "phi_grid = 0.0,nan\n",
+            "variants = equal,cap-equal,equal\n",
+        ],
+    )
+    def test_bad_value_rejected(self, text):
+        with pytest.raises(ConfigError):
+            RunConfig.parse(text)
+
 
 class TestReplayStructure:
     def test_smallest_pipeline(self, tmp_path):

@@ -37,8 +37,10 @@ from .panel import (
     TruthTable,
     compute_wili,
     convert_flusight_csv,
+    format_probs,
     load_panel,
     parse_component_csv,
+    parse_prob_rows,
     parse_truth_csv,
     write_panel,
 )
@@ -51,6 +53,7 @@ from .pmf import (
     linear_pool,
     mixture_variance,
     normalize_pmf,
+    normalize_pmfs,
 )
 from .pool import (
     AdaptivePool,

@@ -57,16 +57,22 @@ def cluster_models(corr: np.ndarray, phi: float, model_ids) -> Clustering:
         raise ValueError("phi must be >= 0")
     order = sorted(range(n), key=model_ids.__getitem__)
     ids = [model_ids[k] for k in order]
-    index = dict(zip(ids, order))
-    clusters: list[list[str]] = []
-    for m in ids:
-        for members in clusters:
-            if all(corr[index[m], index[j]] > phi for j in members):
-                members.append(m)
+    # Bit b of linked[a] is set when the a-th and b-th models in id order
+    # correlate above phi; a cluster's bit mask holds its members.
+    rows = np.packbits((corr > phi)[order][:, order], axis=1, bitorder="little")
+    linked = [int.from_bytes(row.tobytes(), "little") for row in rows]
+    masks: list[int] = []
+    clusters: list[list[int]] = []
+    for a, row in enumerate(linked):
+        for c, mask in enumerate(masks):
+            if not mask & ~row:
+                masks[c] |= 1 << a
+                clusters[c].append(a)
                 break
         else:
-            clusters.append([m])
-    result = Clustering(tuple(tuple(c) for c in clusters), phi)
+            masks.append(1 << a)
+            clusters.append([a])
+    result = Clustering(tuple(tuple(ids[a] for a in c) for c in clusters), phi)
     if result.members() != set(ids):
         raise AssertionError("partition does not cover the model set")
     return result

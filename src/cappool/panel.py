@@ -10,16 +10,16 @@ models are absent at any key without imputing anything.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import re
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from .epiweek import Epiweek, season_of, season_weeks
-from .pmf import N_BINS, normalize_pmf
+from .pmf import N_BINS, MalformedPmfError, normalize_pmf, normalize_pmfs
 
 __all__ = [
     "REGIONS",
@@ -30,6 +30,9 @@ __all__ = [
     "StatePopulationTable",
     "Panel",
     "canonical_region",
+    "format_probs",
+    "parse_prob_rows",
+    "read_prob_records",
     "parse_component_csv",
     "convert_flusight_csv",
     "ingest_flusight_tree",
@@ -38,6 +41,7 @@ __all__ = [
     "parse_state_ili_csv",
     "compute_wili",
     "truth_from_state_ili",
+    "write_component_csv",
     "write_panel",
     "load_panel",
 ]
@@ -112,44 +116,176 @@ class TruthTable:
         return isinstance(other, TruthTable) and self._values == other._values
 
 
+# Probability rows are converted this many at a time, which bounds the text
+# held besides the parsed arrays.
+_CHUNK_ROWS = 512
+
+# ASCII separators that np.loadtxt strips as whitespace around a number and
+# float() rejects.
+_LOADTXT_ONLY_SPACES = ("\x1c", "\x1d", "\x1e", "\x1f")
+
+
+def format_probs(pmf) -> str:
+    """A probability row as comma-joined shortest round-trip ``repr`` floats,
+    which ``parse_prob_rows`` reads back bit for bit."""
+    return ",".join(map(repr, np.asarray(pmf, dtype=float).tolist()))
+
+
+def parse_prob_rows(tails, row_nos, label: str = "row") -> np.ndarray:
+    """Parse probability rows into an (n, 131) float64 array.
+
+    Each tail is one row's probability fields, comma-joined, or their list
+    when a field holds a comma. Values are bit-identical to
+    ``float()`` of each field. One ``np.loadtxt`` pass converts the rows;
+    text that ``loadtxt`` does not take the way ``float()`` does falls back
+    to ``float()`` per field, which raises ``ForecastDataError`` as
+    ``"<label> N: ..."`` for the first row holding a field ``float()``
+    rejects. Callers check that every row has 131 fields.
+    """
+    if tails and all(isinstance(t, str) for t in tails):
+        text = "\n".join(tails)
+        if text.isascii() and not any(c in text for c in _LOADTXT_ONLY_SPACES):
+            try:
+                probs = np.loadtxt(tails, dtype=float, delimiter=",", comments=None, ndmin=2)
+            except ValueError:
+                pass
+            else:
+                if probs.shape == (len(tails), N_BINS):
+                    return probs
+    probs = np.empty((len(tails), N_BINS))
+    for i, (tail, row_no) in enumerate(zip(tails, row_nos)):
+        try:
+            values = [float(v) for v in (tail.split(",") if isinstance(tail, str) else tail)]
+        except ValueError as exc:
+            raise ForecastDataError(f"{label} {row_no}: {exc}") from None
+        probs[i] = values
+    return probs
+
+
+def _records(lines, n_head: int, start: int):
+    """Yield ``(number, n_fields, head, tail)`` for each non-blank CSV record
+    of ``lines``, numbering records (blank ones included) from ``start``.
+
+    ``head`` holds the first ``n_head`` fields and ``tail`` the rest in the
+    form ``parse_prob_rows`` takes, or None when there are no more fields.
+    Only quotes, line breaks inside a line and NUL (on Python 3.10) are
+    special to csv's excel dialect, so a line without them that is too short
+    to hold a field over csv's size limit is split on commas, as
+    ``csv.reader`` would split it. Any other line starts a ``csv.reader``
+    record, which may read further lines.
+    """
+    lines = iter(lines)
+    limit = csv.field_size_limit()
+    for number, line in enumerate(lines, start):
+        text = line.rstrip("\r\n")
+        if len(text) <= limit and not (
+            '"' in text or "\r" in text or "\n" in text or "\0" in text
+        ):
+            if not text:
+                continue
+            fields = text.split(",", n_head)
+            if len(fields) <= n_head:
+                yield number, len(fields), fields, None
+            else:
+                tail = fields.pop()
+                yield number, n_head + 1 + tail.count(","), fields, tail
+            continue
+        row = next(csv.reader(chain([line], lines)))
+        if not row:
+            continue
+        tail = row[n_head:] or None
+        if tail is not None:
+            joined = ",".join(tail)
+            if joined.count(",") == len(tail) - 1:
+                tail = joined
+        yield number, len(row), row[:n_head], tail
+
+
+def read_prob_records(lines, n_head: int, start: int, convert) -> None:
+    """Feed the CSV records of ``lines`` to ``convert`` in bounded chunks.
+
+    Records are ``(number, n_fields, head, tail)`` as described in
+    ``_records``. ``convert`` takes a list of them and must either accept all
+    of them or raise a ``ValueError`` before keeping any. A chunk it rejects
+    is fed again one record at a time, so the error raised is the one for
+    the first bad record. Records before a line that cannot be read or
+    decoded are converted before that error propagates.
+    """
+    chunk: list = []
+
+    def flush() -> None:
+        try:
+            convert(chunk)
+        except ValueError:
+            for record in chunk:
+                convert([record])
+        chunk.clear()
+
+    try:
+        for record in _records(lines, n_head, start):
+            chunk.append(record)
+            if len(chunk) == _CHUNK_ROWS:
+                flush()
+    except (csv.Error, UnicodeError):
+        flush()
+        raise
+    flush()
+
+
 def parse_component_csv(stream, renormalize: bool = True) -> dict[ForecastKey, np.ndarray]:
     """Parse canonical wide-format forecasts into a panel fragment.
 
     Each data row becomes one (key, pmf) pair; row order is irrelevant.
-    Malformed rows fail hard with their row number.
+    Malformed rows fail hard with their row number. The file is streamed,
+    and its probabilities are converted in chunks of rows.
     """
     if isinstance(stream, (str, Path)):
         with open(stream, newline="") as fh:
             return parse_component_csv(fh, renormalize)
-    reader = csv.reader(stream)
+    lines = iter(stream)
     try:
-        header = next(reader)
+        header = next(csv.reader(lines))
     except StopIteration:
         raise ForecastDataError("empty forecast file: header row missing") from None
     if [h.strip() for h in header] != _COMPONENT_HEADER:
         raise ForecastDataError("unexpected forecast header; expected canonical wide format")
     fragment: dict[ForecastKey, np.ndarray] = {}
-    for row_no, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != len(_COMPONENT_HEADER):
-            raise ForecastDataError(f"row {row_no}: expected {len(_COMPONENT_HEADER)} fields")
-        try:
-            region = canonical_region(row[0])
-            target = _parse_target(row[1])
-            issue = Epiweek.parse(row[3])
-            probs = np.array([float(v) for v in row[4:]])
-            pmf = normalize_pmf(probs) if renormalize else probs
-        except ValueError as exc:
-            raise ForecastDataError(f"row {row_no}: {exc}") from None
-        model_id = row[2].strip()
-        if not model_id:
-            raise ForecastDataError(f"row {row_no}: empty model_id")
-        key = ForecastKey(region, target, model_id, issue)
-        if key in fragment:
-            raise ForecastDataError(f"row {row_no}: duplicate forecast for {key}")
-        pmf.setflags(write=False)
-        fragment[key] = pmf
+    parsed: dict[tuple[str, str, str], tuple] = {}  # key tokens -> (region, target, issue)
+
+    def convert(records) -> None:
+        keys = []
+        for row_no, n_fields, head, _ in records:
+            if n_fields != len(_COMPONENT_HEADER):
+                raise ForecastDataError(f"row {row_no}: expected {len(_COMPONENT_HEADER)} fields")
+            tokens = (head[0], head[1], head[3])
+            if tokens not in parsed:
+                try:
+                    parsed[tokens] = (
+                        canonical_region(head[0]), _parse_target(head[1]), Epiweek.parse(head[3])
+                    )
+                except ValueError as exc:
+                    raise ForecastDataError(f"row {row_no}: {exc}") from None
+            keys.append(parsed[tokens])
+        row_nos = [r[0] for r in records]
+        probs = parse_prob_rows([r[3] for r in records], row_nos)
+        if renormalize:
+            try:
+                probs = normalize_pmfs(probs)
+            except MalformedPmfError as exc:
+                raise ForecastDataError(f"row {row_nos[exc.row]}: {exc}") from None
+        probs.setflags(write=False)
+        rows: dict[ForecastKey, np.ndarray] = {}
+        for (row_no, _, head, _), (region, target, issue), pmf in zip(records, keys, probs):
+            model_id = head[2].strip()
+            if not model_id:
+                raise ForecastDataError(f"row {row_no}: empty model_id")
+            key = ForecastKey(region, target, model_id, issue)
+            if key in fragment or key in rows:
+                raise ForecastDataError(f"row {row_no}: duplicate forecast for {key}")
+            rows[key] = pmf
+        fragment.update(rows)
+
+    read_prob_records(lines, 4, 2, convert)
     return fragment
 
 
@@ -407,31 +543,46 @@ def _season_sidecar(directory: Path, season: int) -> Path:
     return directory / f"season-{season}.json"
 
 
+_NEEDS_QUOTES = re.compile('[,"\r\n]')
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as a ``csv.writer`` field with the default minimal quoting."""
+    if _NEEDS_QUOTES.search(text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def write_component_csv(fh, entries: dict[ForecastKey, np.ndarray]) -> None:
+    """Write forecasts in the canonical wide format, keys in sorted order,
+    byte for byte as ``csv.writer`` writes the rows. Open ``fh`` with
+    ``newline=""``."""
+    fh.write(",".join(_COMPONENT_HEADER) + "\r\n")
+    for key in sorted(entries):
+        fh.write(
+            f"{_csv_field(key.region)},{key.target},{_csv_field(key.model_id)},"
+            f"{key.issue},{format_probs(entries[key])}\r\n"
+        )
+
+
 def write_panel(panel: Panel, directory) -> None:
     """Persist a panel: one forecasts CSV per season plus a JSON sidecar
     carrying the roster and explicit missingness, and the truth table."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    by_season: dict[int, list[ForecastKey]] = {}
-    for key in panel.entries:
+    by_season: dict[int, dict[ForecastKey, np.ndarray]] = {}
+    for key, pmf in panel.entries.items():
         season = season_of(key.issue)
         if season is None:
             raise ForecastDataError(f"forecast issued off-season at {key.issue}")
-        by_season.setdefault(season, []).append(key)
+        by_season.setdefault(season, {})[key] = pmf
 
-    for season, keys in sorted(by_season.items()):
+    for season, entries in sorted(by_season.items()):
         with open(_season_csv(directory, season), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(_COMPONENT_HEADER)
-            for key in sorted(keys):
-                pmf = panel.entries[key]
-                writer.writerow(
-                    [key.region, key.target, key.model_id, str(key.issue)]
-                    + [repr(float(v)) for v in pmf]
-                )
+            write_component_csv(fh, entries)
         missing: dict[str, list[str]] = {}
-        season_region = sorted({k.region for k in keys})
-        season_target = sorted({k.target for k in keys})
+        season_region = sorted({k.region for k in entries})
+        season_target = sorted({k.target for k in entries})
         for region in season_region:
             for target in season_target:
                 for week in season_weeks(season):
@@ -456,11 +607,32 @@ def write_panel(panel: Panel, directory) -> None:
             writer.writerow([region, str(week), repr(float(value))])
 
 
+def _check_stored(path: Path, fragment: dict[ForecastKey, np.ndarray]) -> None:
+    """Stored pmfs must be finite and non-negative and sum to 1 within 1e-6;
+    the first one in file order that is not raises, naming file and key."""
+    items = list(fragment.items())
+    for start in range(0, len(items), _CHUNK_ROWS):
+        block = items[start : start + _CHUNK_ROWS]
+        probs = np.stack([pmf for _, pmf in block])
+        signed = (probs >= 0.0).all(axis=1)  # false for nan; an inf makes the sum inf
+        totals = probs.sum(axis=1)
+        bad = ~(signed & (np.abs(totals - 1.0) <= 1e-6))
+        if bad.any():
+            i = int(bad.argmax())
+            key = block[i][0]
+            if not np.isfinite(probs[i]).all():
+                raise ForecastDataError(f"{path}: stored pmf for {key} has a non-finite entry")
+            if not signed[i]:
+                raise ForecastDataError(f"{path}: stored pmf for {key} has a negative entry")
+            raise ForecastDataError(f"{path}: stored pmf for {key} sums to {float(totals[i])}")
+
+
 def load_panel(directory, seasons=None) -> Panel:
     """Load a persisted panel, optionally restricted to given seasons.
 
     Stored probabilities are read back exactly (no renormalization), so a
-    write/load cycle is bit-exact.
+    write/load cycle is bit-exact. A stored pmf with a non-finite or
+    negative entry, or a sum more than 1e-6 from 1, is rejected.
     """
     directory = Path(directory)
     truth_path = directory / "truth.csv"
@@ -478,10 +650,7 @@ def load_panel(directory, seasons=None) -> Panel:
             raise ForecastDataError(f"panel missing seasons {sorted(wanted - found)}")
     for path in paths:
         fragment = parse_component_csv(path, renormalize=False)
-        for key, pmf in fragment.items():
-            total = float(pmf.sum())
-            if abs(total - 1.0) > 1e-6:
-                raise ForecastDataError(f"{path}: stored pmf for {key} sums to {total}")
+        _check_stored(path, fragment)
         entries.update(fragment)
         season = int(path.stem.split("-")[1])
         sidecar = json.loads(_season_sidecar(directory, season).read_text())

@@ -18,6 +18,7 @@ __all__ = [
     "BIN_WIDTH",
     "bin_index",
     "normalize_pmf",
+    "normalize_pmfs",
     "linear_pool",
     "MixtureComponent",
     "mixture_variance",
@@ -38,7 +39,14 @@ _SUM_TOLERANCE = 0.1
 
 
 class MalformedPmfError(ValueError):
-    """Probability vector is negative, mis-sized, or far from unit mass."""
+    """Probability vector is negative, mis-sized, or far from unit mass.
+
+    ``row`` is the index of the offending row when a stack of pmfs was checked.
+    """
+
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message)
+        self.row = row
 
 
 def bin_index(ili: float) -> int:
@@ -57,14 +65,33 @@ def normalize_pmf(raw) -> np.ndarray:
     probs = np.asarray(raw, dtype=float)
     if probs.shape != (N_BINS,):
         raise MalformedPmfError(f"expected {N_BINS} probabilities, got shape {probs.shape}")
-    if not np.all(np.isfinite(probs)):
-        raise MalformedPmfError("non-finite probability entry")
-    if np.any(probs < 0.0):
-        raise MalformedPmfError("negative probability entry")
-    total = float(probs.sum())
-    if not (1.0 - _SUM_TOLERANCE) <= total <= (1.0 + _SUM_TOLERANCE):
-        raise MalformedPmfError(f"probabilities sum to {total:.6f}, outside tolerance")
-    return probs / total
+    return normalize_pmfs(probs[np.newaxis])[0]
+
+
+def normalize_pmfs(rows) -> np.ndarray:
+    """``normalize_pmf`` of every row of an (n, 131) array, in one pass.
+
+    The first bad row raises the error ``normalize_pmf`` raises for it, with
+    the row's index in ``MalformedPmfError.row``. Row sums and quotients are
+    bit-identical to the one-row computation.
+    """
+    probs = np.asarray(rows, dtype=float)
+    if probs.ndim != 2 or probs.shape[1] != N_BINS:
+        raise MalformedPmfError(f"expected (n, {N_BINS}) probabilities, got shape {probs.shape}")
+    totals = probs.sum(axis=1)
+    signed = (probs >= 0.0).all(axis=1)  # false for nan; an inf makes the sum inf
+    massed = ((1.0 - _SUM_TOLERANCE) <= totals) & (totals <= (1.0 + _SUM_TOLERANCE))
+    bad = ~(signed & massed)
+    if bad.any():
+        i = int(bad.argmax())
+        if not np.isfinite(probs[i]).all():
+            reason = "non-finite probability entry"
+        elif not signed[i]:
+            reason = "negative probability entry"
+        else:
+            reason = f"probabilities sum to {float(totals[i]):.6f}, outside tolerance"
+        raise MalformedPmfError(reason, row=i)
+    return probs / totals[:, np.newaxis]
 
 
 def linear_pool(pmfs, weights) -> np.ndarray:

@@ -10,7 +10,6 @@ what an uninterrupted run would have written.
 
 from __future__ import annotations
 
-import csv
 import json
 import logging
 import math
@@ -33,12 +32,15 @@ from .epiweek import Epiweek
 from .panel import (
     Panel,
     ForecastDataError,
+    format_probs,
     ingest_flusight_tree,
     load_panel,
     parse_component_csv,
     parse_population_csv,
+    parse_prob_rows,
     parse_state_ili_csv,
     parse_truth_csv,
+    read_prob_records,
     truth_from_state_ili,
     write_panel,
 )
@@ -156,6 +158,8 @@ class RunConfig:
             raise ConfigError(f"targets {bad} outside 1..4")
         if not self.targets:
             raise ConfigError("at least one target is required")
+        if len(set(self.targets)) != len(self.targets):
+            raise ConfigError(f"duplicate targets in {list(self.targets)}")
         if not (math.isfinite(self.delta) and self.delta >= 0.0):
             raise ConfigError(f"delta must be finite and >= 0, got {self.delta}")
         if not self.phi_grid:
@@ -269,7 +273,7 @@ def _write_week(
     lines = [",".join(["region", "target"] + [f"bin_{i}" for i in range(1, N_BINS + 1)])]
     for run in runs:
         if run.pmf is not None:
-            lines.append(",".join([run.region, str(run.target)] + [repr(float(v)) for v in run.pmf]))
+            lines.append(f"{run.region},{run.target},{format_probs(run.pmf)}")
     _atomic_write(csv_path, "\n".join(lines) + "\n")
     payload = {
         "variant": variant,
@@ -299,20 +303,30 @@ def _load_week(
         # possibly inside a number that still parses.
         if not text.endswith("\n"):
             raise CorruptArtifactError(f"corrupt week file {csv_path}: truncated")
-        for line_no, row in enumerate(csv.reader(text.splitlines()), start=1):
-            if line_no == 1 or not row:
-                continue
+
+        def convert(records) -> None:
+            records = [r for r in records if r[0] != 1]  # the header
+            for line_no, n_fields, _, _ in records:
+                if n_fields != N_BINS + 2:
+                    raise CorruptArtifactError(
+                        f"corrupt week file {csv_path}, line {line_no}: {n_fields} fields"
+                    )
             try:
-                if len(row) != N_BINS + 2:
-                    raise ValueError(f"{len(row)} fields")
-                pmf = np.array([float(v) for v in row[2:]])
-                key = (row[0], int(row[1]))
+                probs = parse_prob_rows([r[3] for r in records], [r[0] for r in records], "line")
             except ValueError as exc:
-                raise CorruptArtifactError(
-                    f"corrupt week file {csv_path}, line {line_no}: {exc}"
-                ) from None
-            pmf.setflags(write=False)
-            pmfs[key] = pmf
+                raise CorruptArtifactError(f"corrupt week file {csv_path}, {exc}") from None
+            keys = []
+            for line_no, _, head, _ in records:
+                try:
+                    keys.append((head[0], int(head[1])))
+                except ValueError as exc:
+                    raise CorruptArtifactError(
+                        f"corrupt week file {csv_path}, line {line_no}: {exc}"
+                    ) from None
+            probs.setflags(write=False)
+            pmfs.update(zip(keys, probs))
+
+        read_prob_records(text.splitlines(), 2, 1, convert)
     try:
         payload = json.loads(json_path.read_text())
         runs = [

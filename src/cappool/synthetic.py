@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from .epiweek import season_length, season_weeks
-from .panel import ForecastKey, TruthTable
-from .pmf import N_BINS, gaussian_pmf
+from .panel import ForecastKey, TruthTable, write_component_csv
+from .pmf import gaussian_pmf
 
 __all__ = ["ModelSpec", "synthetic_archive", "write_synthetic_archive", "DEFAULT_MODELS"]
 
@@ -110,16 +110,7 @@ def write_synthetic_archive(directory, **kwargs) -> tuple[Path, Path]:
     fragment, truth = synthetic_archive(**kwargs)
     forecasts_path = directory / "forecasts.csv"
     with open(forecasts_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["region", "target", "model_id", "issue_epiweek"]
-            + [f"bin_{i}" for i in range(1, N_BINS + 1)]
-        )
-        for key in sorted(fragment):
-            writer.writerow(
-                [key.region, key.target, key.model_id, str(key.issue)]
-                + [repr(float(v)) for v in fragment[key]]
-            )
+        write_component_csv(fh, fragment)
     truth_path = directory / "truth.csv"
     with open(truth_path, "w", newline="") as fh:
         writer = csv.writer(fh)

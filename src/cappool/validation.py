@@ -6,7 +6,7 @@ import inspect
 
 import numpy as np
 
-from .pmf import N_BINS, normalize_pmf
+from .pmf import N_BINS, normalize_pmfs
 
 __all__ = ["check_forecast_array", "check_truths", "ParamsMixin"]
 
@@ -28,8 +28,7 @@ def check_forecast_array(F) -> tuple[np.ndarray, np.ndarray]:
     if partial.any():
         j, c = np.argwhere(partial)[0]
         raise ValueError(f"forecast ({j}, {c}) mixes NaN and finite entries")
-    for j, c in np.argwhere(available):
-        out[j, c] = normalize_pmf(arr[j, c])
+    out[available] = normalize_pmfs(arr[available])
     return out, available
 
 

@@ -2,18 +2,25 @@
 
 Each function here computes, one cell at a time from dicts, what the package
 computes with array indexing: the per-pair log-score correlation, the
-truth-bin masses of a forecast stack, and a season's score window and weight
-fit mass matrices. Property tests require exact equality between the two.
+truth-bin masses of a forecast stack, a season's score window and weight
+fit mass matrices, and the threshold clustering. The per-value CSV codec
+(``csv.reader``/``csv.writer`` with ``float``/``repr`` of each probability)
+is the reference for the bulk one. Property tests require exact equality
+between the two.
 """
 
 from __future__ import annotations
 
+import csv
 import math
+from pathlib import Path
 
 import numpy as np
 
-from cappool.epiweek import season_length, season_weeks
-from cappool.pmf import bin_index
+from cappool.clustering import Clustering
+from cappool.epiweek import Epiweek, season_length, season_weeks
+from cappool.panel import ForecastDataError, ForecastKey, _parse_target, canonical_region
+from cappool.pmf import N_BINS, MalformedPmfError, bin_index
 from cappool.scoring import LOG_SCORE_FLOOR
 from cappool.validation import check_forecast_array, check_truths
 
@@ -200,3 +207,110 @@ class LoopedSeason:
             for col, m in enumerate(self.roster):
                 f[row, col] = hist["masses"][key].get(m, 0.0)
         return f
+
+
+def cluster_models(corr, phi: float, model_ids) -> Clustering:
+    """Greedy threshold partition, testing every member pair one at a time."""
+    model_ids = list(model_ids)
+    corr = np.asarray(corr, dtype=float)
+    order = sorted(range(len(model_ids)), key=model_ids.__getitem__)
+    ids = [model_ids[k] for k in order]
+    index = dict(zip(ids, order))
+    clusters: list[list[str]] = []
+    for m in ids:
+        for members in clusters:
+            if all(corr[index[m], index[j]] > phi for j in members):
+                members.append(m)
+                break
+        else:
+            clusters.append([m])
+    return Clustering(tuple(tuple(c) for c in clusters), phi)
+
+
+COMPONENT_HEADER = ["region", "target", "model_id", "issue_epiweek"] + [
+    f"bin_{i}" for i in range(1, N_BINS + 1)
+]
+
+
+def format_probs(pmf) -> str:
+    return ",".join([repr(float(v)) for v in pmf])
+
+
+def normalize_pmf(raw) -> np.ndarray:
+    """One pmf's checks and scaling, as ``normalize_pmfs`` applies them per row."""
+    probs = np.asarray(raw, dtype=float)
+    if probs.shape != (N_BINS,):
+        raise MalformedPmfError(f"expected {N_BINS} probabilities, got shape {probs.shape}")
+    if not np.all(np.isfinite(probs)):
+        raise MalformedPmfError("non-finite probability entry")
+    if np.any(probs < 0.0):
+        raise MalformedPmfError("negative probability entry")
+    total = float(probs.sum())
+    if not 0.9 <= total <= 1.1:
+        raise MalformedPmfError(f"probabilities sum to {total:.6f}, outside tolerance")
+    return probs / total
+
+
+def parse_component_csv(stream, renormalize: bool = True) -> dict[ForecastKey, np.ndarray]:
+    """The canonical forecast parser with ``csv.reader`` and ``float()`` per value."""
+    if isinstance(stream, (str, Path)):
+        with open(stream, newline="") as fh:
+            return parse_component_csv(fh, renormalize)
+    reader = csv.reader(stream)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ForecastDataError("empty forecast file: header row missing") from None
+    if [h.strip() for h in header] != COMPONENT_HEADER:
+        raise ForecastDataError("unexpected forecast header; expected canonical wide format")
+    fragment: dict[ForecastKey, np.ndarray] = {}
+    for row_no, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(COMPONENT_HEADER):
+            raise ForecastDataError(f"row {row_no}: expected {len(COMPONENT_HEADER)} fields")
+        try:
+            region = canonical_region(row[0])
+            target = _parse_target(row[1])
+            issue = Epiweek.parse(row[3])
+            probs = np.array([float(v) for v in row[4:]])
+            pmf = normalize_pmf(probs) if renormalize else probs
+        except ValueError as exc:
+            raise ForecastDataError(f"row {row_no}: {exc}") from None
+        model_id = row[2].strip()
+        if not model_id:
+            raise ForecastDataError(f"row {row_no}: empty model_id")
+        key = ForecastKey(region, target, model_id, issue)
+        if key in fragment:
+            raise ForecastDataError(f"row {row_no}: duplicate forecast for {key}")
+        fragment[key] = pmf
+    return fragment
+
+
+def write_component_csv(fh, entries) -> None:
+    """Season CSV rows as ``csv.writer`` writes them, keys in sorted order."""
+    writer = csv.writer(fh)
+    writer.writerow(COMPONENT_HEADER)
+    for key in sorted(entries):
+        writer.writerow(
+            [key.region, key.target, key.model_id, str(key.issue)]
+            + [repr(float(v)) for v in entries[key]]
+        )
+
+
+def parse_week_csv(text: str, name: str) -> dict[tuple[str, int], np.ndarray]:
+    """A week file's pooled pmfs by (region, target), one row at a time;
+    a bad row raises ValueError with the message the week loader gives."""
+    pmfs = {}
+    for line_no, row in enumerate(csv.reader(text.splitlines()), start=1):
+        if line_no == 1 or not row:
+            continue
+        try:
+            if len(row) != N_BINS + 2:
+                raise ValueError(f"{len(row)} fields")
+            pmf = np.array([float(v) for v in row[2:]])
+            key = (row[0], int(row[1]))
+        except ValueError as exc:
+            raise ValueError(f"corrupt week file {name}, line {line_no}: {exc}") from None
+        pmfs[key] = pmf
+    return pmfs

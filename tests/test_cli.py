@@ -40,6 +40,13 @@ class TestCliExitCodes:
         assert main(["replay", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "unknown config key" in capsys.readouterr().err
 
+    def test_duplicate_targets_rejected_before_ingest(self, run_setup, capsys):
+        cfg, out = run_setup
+        cfg.write_text(cfg.read_text().replace("targets = 1\n", "targets = 1,1\n"))
+        assert main(["replay", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "duplicate targets" in capsys.readouterr().err
+        assert not (out / "panel").exists()
+
     def test_report_on_empty_directory(self, tmp_path, capsys):
         assert main(["report", "--out", str(tmp_path)]) == 1
         assert "error" in capsys.readouterr().err

@@ -1,10 +1,29 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cappool.clustering import Clustering, cluster_models
 from cappool.ensembles import _masked_correlation
 
+import oracles
 from oracles import logscore_correlation_matrix
+
+
+@st.composite
+def correlation_problems(draw):
+    """A symmetric matrix with few distinct values (so thresholds land on
+    them), a threshold on or between them, and ids in a random order."""
+    n = draw(st.integers(0, 12))
+    levels = draw(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=4))
+    cells = draw(st.lists(st.sampled_from(levels), min_size=n * n, max_size=n * n))
+    raw = np.array(cells, dtype=float).reshape(n, n)
+    corr = np.triu(raw) + np.triu(raw, 1).T
+    if draw(st.booleans()):
+        np.fill_diagonal(corr, 1.0)
+    phi = draw(st.sampled_from(levels) | st.floats(0.0, 1.0))
+    ids = draw(st.permutations([f"m{k:02d}" for k in range(n)]))
+    return corr, max(phi, 0.0), ids
 
 
 class TestCorrelationMatrix:
@@ -106,6 +125,12 @@ class TestClusterModels:
         assert clustering.clusters == (("a",), ("b", "c"))
         sorted_corr = corr[np.ix_([1, 0, 2], [1, 0, 2])]
         assert cluster_models(sorted_corr, 0.5, ["a", "b", "c"]).clusters == clustering.clusters
+
+    @settings(max_examples=300, deadline=None)
+    @given(correlation_problems())
+    def test_matches_pairwise_oracle(self, problem):
+        corr, phi, ids = problem
+        assert cluster_models(corr, phi, ids) == oracles.cluster_models(corr, phi, ids)
 
     def test_threshold_one_never_joins(self):
         corr = np.ones((3, 3))

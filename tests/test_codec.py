@@ -1,0 +1,429 @@
+"""The bulk probability codec against the per-value csv/float/repr oracles.
+
+Formatting must match ``repr`` of each value, parsing must match ``float()``
+bit for bit, and a streamed, chunked parse must accept, reject and name rows
+exactly as the one-row-at-a-time ``csv.reader`` parser did.
+"""
+
+import csv
+import io
+import json
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from cappool.epiweek import Epiweek, season_weeks
+from cappool.panel import (
+    ForecastDataError,
+    ForecastKey,
+    Panel,
+    TruthTable,
+    format_probs,
+    load_panel,
+    parse_component_csv,
+    parse_prob_rows,
+    write_panel,
+)
+from cappool.pmf import N_BINS, normalize_pmfs
+from cappool.replay import CorruptArtifactError, _load_week
+
+import oracles
+
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e-300, 1 / 3, 2 / 3, 0.1, 1.0, 1e16, 1.7976931348623157e308]
+prob_rows = st.lists(st.floats() | st.sampled_from(SPECIAL), min_size=N_BINS, max_size=N_BINS)
+non_nan_rows = st.lists(
+    st.floats(allow_nan=False) | st.sampled_from(SPECIAL), min_size=N_BINS, max_size=N_BINS
+)
+
+# Tokens around which float() and np.loadtxt differ or agree only by luck:
+# underscores, non-ASCII digits and spaces, ASCII separators, comments, case.
+TOKEN_CHARS = "0123456789.eE+-_ \t\x0b\x0c\x1c\x1f\x00#infatyINFATYx١\xa0　"
+token = st.sampled_from(
+    ["1_0", "١", "\xa00.5", "1\x1c", "#1", "", " ", "Infinity", "-nan"]
+) | st.text(TOKEN_CHARS, max_size=6)
+
+
+def bits(a) -> bytes:
+    return np.ascontiguousarray(a, dtype=float).tobytes()
+
+
+def float_bits(values) -> bytes:
+    return b"".join(struct.pack("<d", v) for v in values)
+
+
+def oracle_rows(tails, row_nos):
+    """float() per field; the first bad row raises as the per-value parser did."""
+    out = []
+    for tail, row_no in zip(tails, row_nos):
+        try:
+            out.append([float(v) for v in tail.split(",")])
+        except ValueError as exc:
+            raise ForecastDataError(f"row {row_no}: {exc}") from None
+    return np.array(out, dtype=float).reshape(len(out), N_BINS)
+
+
+def outcome(fn, *args):
+    """(error type, message) if ``fn`` raises, else ("ok", result)."""
+    try:
+        return "ok", fn(*args)
+    except (ForecastDataError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestFormatProbs:
+    @settings(max_examples=50)
+    @given(prob_rows)
+    def test_matches_per_value_repr(self, row):
+        assert format_probs(np.array(row)) == oracles.format_probs(np.array(row))
+
+    def test_special_values(self):
+        pmf = np.array(SPECIAL + [0.0] * (N_BINS - len(SPECIAL)))
+        text = format_probs(pmf)
+        assert text == oracles.format_probs(pmf)
+        assert text.startswith("0.0,-0.0,5e-324,-5e-324,1e-300,0.3333333333333333,")
+
+    def test_float32_input_formats_like_float_of_each_value(self):
+        pmf = np.linspace(0, 1, N_BINS, dtype=np.float32)
+        assert format_probs(pmf) == oracles.format_probs(pmf)
+
+
+class TestParseProbRows:
+    @settings(max_examples=50)
+    @given(st.lists(non_nan_rows, min_size=1, max_size=2))
+    def test_round_trip_is_bit_exact(self, rows):
+        tails = [format_probs(np.array(r)) for r in rows]
+        parsed = parse_prob_rows(tails, range(len(rows)))
+        assert parsed.dtype == np.float64 and parsed.shape == (len(rows), N_BINS)
+        assert bits(parsed) == b"".join(float_bits(r) for r in rows)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.tuples(st.integers(0, N_BINS - 1), token), max_size=3),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    def test_odd_tokens_match_float(self, edits):
+        tails = []
+        for row_edits in edits:
+            fields = [repr(v) for v in np.linspace(0, 1, N_BINS).tolist()]
+            for col, tok in row_edits:
+                fields[col] = tok
+            tails.append(",".join(fields))
+        row_nos = [2 + 3 * i for i in range(len(tails))]
+        got = outcome(parse_prob_rows, tails, row_nos)
+        want = outcome(oracle_rows, tails, row_nos)
+        assert got[0] == want[0]
+        if got[0] == "ok":
+            assert bits(got[1]) == bits(want[1])
+        else:
+            assert got[1] == want[1]
+
+    def test_line_label(self):
+        tail = ",".join(["0.5", "x"] + ["0"] * (N_BINS - 2))
+        message = r"^line 7: could not convert string to float: 'x'$"
+        with pytest.raises(ForecastDataError, match=message):
+            parse_prob_rows([tail], [7], "line")
+
+    def test_list_tails_hold_fields_with_commas(self):
+        fields = ["0.5", "0.5\n"] + ["0"] * (N_BINS - 2)
+        assert parse_prob_rows([fields], [2])[0, 1] == 0.5
+        message = "row 2: could not convert string to float: '0,5'"
+        with pytest.raises(ForecastDataError, match=message):
+            parse_prob_rows([["0,5"] + ["0"] * (N_BINS - 1)], [2])
+
+
+class TestNormalizePmfs:
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 40))
+    def test_rows_match_one_at_a_time(self, seed, n):
+        rng = np.random.default_rng(seed)
+        rows = rng.dirichlet(np.full(N_BINS, 0.3), size=n) * rng.uniform(0.92, 1.08, size=(n, 1))
+        got = normalize_pmfs(rows)
+        assert bits(got) == b"".join(bits(oracles.normalize_pmf(r)) for r in rows)
+
+    @pytest.mark.parametrize(
+        "edit, reason",
+        [
+            (lambda r: r.__setitem__(3, np.nan), "non-finite probability entry"),
+            (lambda r: r.__setitem__(3, np.inf), "non-finite probability entry"),
+            (lambda r: r.__setitem__(3, -r[3]), "negative probability entry"),
+            (lambda r: r.__imul__(1.2), "probabilities sum to 1.200000, outside tolerance"),
+        ],
+    )
+    def test_first_bad_row_named(self, edit, reason):
+        rows = np.full((5, N_BINS), 1.0 / N_BINS)
+        edit(rows[2])
+        edit(rows[4])
+        with pytest.raises(ValueError, match=reason) as info:
+            normalize_pmfs(rows)
+        assert info.value.row == 2
+        with pytest.raises(ValueError, match=reason):
+            oracles.normalize_pmf(rows[2])
+
+
+# --- canonical forecast files -------------------------------------------------
+
+REGION_SPELLINGS = {
+    "Nat": ["Nat", "nat", "US National"],
+    "HHS1": ["HHS1", "hhs 1", "HHS Region 1"],
+    "HHS2": ["HHS2"],
+}
+MODEL_IDS = ["m1", "m2", "a,b", 'say "hi"', "x, \"y\"", "plain-model"]
+WEEKS = season_weeks(2010)[:20]
+KEY_SPACE = [
+    (region, target, model, week)
+    for region in REGION_SPELLINGS
+    for target in (1, 2, 3, 4)
+    for model in MODEL_IDS
+    for week in WEEKS
+]
+
+
+def _pmf_pool(rng, size=24):
+    pool = rng.dirichlet(np.full(N_BINS, 0.3), size=size)
+    pool[1, :5] = 0.0
+    pool[1] /= pool[1].sum()
+    pool[: size // 3] *= rng.uniform(0.93, 1.07, size=(size // 3, 1))  # renormalized on ingest
+    return [format_probs(p) for p in pool]
+
+
+def component_text(rng, n_rows: int, newline: str) -> tuple[str, list[list[str]]]:
+    """A random canonical file of distinct keys and its rows as field lists."""
+    pool = _pmf_pool(rng)
+    keys = [KEY_SPACE[i] for i in rng.choice(len(KEY_SPACE), size=n_rows, replace=False)]
+    rows = []
+    for region, target, model, week in keys:
+        spelling = REGION_SPELLINGS[region][int(rng.integers(len(REGION_SPELLINGS[region])))]
+        probs = pool[int(rng.integers(len(pool)))].split(",")
+        rows.append([spelling, str(target), model, str(week)] + probs)
+    return render(rng, rows, newline), rows
+
+
+def render(rng, rows, newline: str) -> str:
+    out = io.StringIO()
+    minimal = csv.writer(out, lineterminator=newline)
+    quote_all = csv.writer(out, lineterminator=newline, quoting=csv.QUOTE_ALL)
+    minimal.writerow(oracles.COMPONENT_HEADER)
+    for row in rows:
+        if rng.random() < 0.05:
+            out.write(newline)  # blank line
+        (quote_all if rng.random() < 0.05 else minimal).writerow(row)
+    return out.getvalue()
+
+
+def parse_both(text: str, renormalize: bool):
+    got = outcome(parse_component_csv, io.StringIO(text, newline=""), renormalize)
+    want = outcome(oracles.parse_component_csv, io.StringIO(text, newline=""), renormalize)
+    return got, want
+
+
+def assert_same(got, want):
+    assert got[0] == want[0], (got, want)
+    if got[0] == "ok":
+        assert list(got[1]) == list(want[1])
+        assert all(bits(got[1][k]) == bits(want[1][k]) for k in want[1])
+        assert all(not pmf.flags.writeable for pmf in got[1].values())
+    else:
+        assert got[1] == want[1]
+
+
+class TestParseComponentCsv:
+    @settings(max_examples=6, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([0, 1, 511, 512, 513, 1030]),
+        st.sampled_from(["\n", "\r\n"]),
+        st.booleans(),
+    )
+    def test_matches_csv_reader_parser(self, seed, n_rows, newline, renormalize):
+        text, _ = component_text(np.random.default_rng(seed), n_rows, newline)
+        assert_same(*parse_both(text, renormalize))
+
+    @pytest.mark.parametrize("n_rows", [0, 1, 511, 512, 513, 1030])
+    def test_row_counts(self, n_rows):
+        text, _ = component_text(np.random.default_rng(n_rows), n_rows, "\r\n")
+        got, want = parse_both(text, True)
+        assert got[0] == "ok" and len(got[1]) == n_rows
+        assert_same(got, want)
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.lists(
+            st.tuples(
+                st.integers(0, 699),
+                st.sampled_from(
+                    [
+                        "token", "fields+", "fields-", "duplicate", "region", "week", "model",
+                        "sum", "negative", "underscore", "comma", "newline",
+                    ]
+                ),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+        st.sampled_from(["\n", "\r\n"]),
+    )
+    def test_errors_name_the_first_bad_row(self, seed, edits, newline):
+        rng = np.random.default_rng(seed)
+        _, rows = component_text(rng, 700, newline)  # two chunks
+        for at, kind in edits:
+            row = rows[at]
+            if kind == "token":
+                row[4 + int(rng.integers(N_BINS))] = "0.0x"
+            elif kind == "fields+":
+                row.append("0.0")
+            elif kind == "fields-":
+                del row[-1]
+            elif kind == "duplicate":
+                row[:4] = rows[int(rng.integers(at))][:4] if at else row[:4]
+            elif kind == "region":
+                row[0] = "Mars"
+            elif kind == "week":
+                row[3] = "201099"
+            elif kind == "model":
+                row[2] = "  "
+            elif kind == "sum":
+                row[4:] = [repr(v * 1.5) for v in map(float, row[4:])]
+            elif kind == "negative":
+                row[5] = "-" + row[5].lstrip("-")
+            elif kind == "underscore":
+                row[6] = "0_0"
+            elif kind == "comma":
+                row[7] = row[7].replace(".", ",")  # quoted, as "0,25"
+            elif kind == "newline":
+                row[8] += "\n"  # quoted; float() strips it
+        text = render(rng, rows, newline)
+        for renormalize in (True, False):
+            assert_same(*parse_both(text, renormalize))
+
+    def test_bad_row_after_first_chunk(self):
+        _, rows = component_text(np.random.default_rng(3), 700, "\n")
+        rows[650][4 + 7] = "x"
+        rows[600][0] = "Mars"  # an earlier bad row of another kind wins
+        text = render(np.random.default_rng(4), rows, "\n")
+        got, want = parse_both(text, True)
+        assert got == want
+        assert got[1].startswith("row ") and "Mars" in got[1]
+
+    def test_unreadable_line_after_bad_row(self):
+        header = ",".join(oracles.COMPONENT_HEADER)
+        good = ",".join(["Nat", "1", "m", "201040"] + ["0"] * (N_BINS - 1) + ["1.0"])
+        bad = good.replace("201040", "2010x0")
+        text = header + "\n" + bad + "\n" + "a,b\rc\n"
+        with pytest.raises(ForecastDataError, match="row 2"):
+            parse_component_csv(io.StringIO(text))
+        with pytest.raises(csv.Error):
+            parse_component_csv(io.StringIO(header + "\n" + good + "\n" + "a,b\rc\n"))
+        with pytest.raises(csv.Error):
+            oracles.parse_component_csv(io.StringIO(header + "\n" + good + "\n" + "a,b\rc\n"))
+
+    def test_field_over_csv_size_limit_rejected_as_before(self):
+        header = ",".join(oracles.COMPONENT_HEADER)
+        model = "m" * (csv.field_size_limit() + 1)
+        row = ",".join(["Nat", "1", model, "201040"] + ["0"] * (N_BINS - 1) + ["1.0"])
+        for parse in (parse_component_csv, oracles.parse_component_csv):
+            with pytest.raises(csv.Error):
+                parse(io.StringIO(header + "\n" + row + "\n"))
+
+    def test_file_path_and_stream_agree(self, tmp_path):
+        text, _ = component_text(np.random.default_rng(8), 600, "\r\n")
+        path = tmp_path / "forecasts.csv"
+        path.write_bytes(text.encode())
+        assert_same(("ok", parse_component_csv(path)), ("ok", oracles.parse_component_csv(path)))
+
+
+class TestWritePanel:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.lists(
+            st.text(alphabet='ab ,"\r\n\xe9', min_size=1, max_size=6).filter(
+                lambda m: m.strip() == m
+            ),
+            min_size=1,
+            max_size=4,
+            unique=True,
+        ),
+        st.integers(0, 2**32 - 1),
+    )
+    @example(models=["a\rb", "c\nd", "e,f", 'g"h', "i\r\nj", "k"], seed=0)
+    def test_bytes_match_csv_writer_and_reload(self, tmp_path_factory, models, seed):
+        rng = np.random.default_rng(seed)
+        entries = {}
+        for model in models:
+            for week in WEEKS[:3]:
+                pmf = rng.dirichlet(np.full(N_BINS, 0.3))
+                pmf.setflags(write=False)
+                entries[ForecastKey("Nat", 1, model, week)] = pmf
+        panel = Panel(entries, TruthTable({("Nat", Epiweek(2010, 41)): 1.5}))
+        directory = tmp_path_factory.mktemp("panel")
+        write_panel(panel, directory)
+        expected = io.StringIO(newline="")
+        oracles.write_component_csv(expected, entries)
+        with open(directory / "season-2010.csv", newline="") as fh:
+            assert fh.read() == expected.getvalue()
+        loaded = load_panel(directory)
+        assert loaded == panel
+        assert all(bits(loaded.entries[k]) == bits(entries[k]) for k in entries)
+
+
+class TestWeekCsv:
+    STRATA = [("Nat", 1), ("HHS1", 1), ("Nat", 2)]
+
+    def _text(self):
+        header = ",".join(["region", "target"] + [f"bin_{i}" for i in range(1, N_BINS + 1)])
+        rows = [f"{r},{t},{format_probs(np.full(N_BINS, 1.0 / N_BINS))}" for r, t in self.STRATA]
+        return "\n".join([header] + rows) + "\n"
+
+    def _write(self, tmp_path, text):
+        week = Epiweek(2010, 41)
+        base = tmp_path / "runs" / "equal" / "2010"
+        base.mkdir(parents=True, exist_ok=True)
+        (base / f"week-{week}.csv").write_text(text)
+        runs = [
+            {
+                "region": region, "target": target, "issue_week": week.to_int(), "week_index": 2,
+                "has_pmf": False, "weights": None, "entropy": None, "phi": None, "clusters": None,
+                "leaders": None, "n_clusters": None, "missing_models": [], "note": "",
+            }
+            for region, target in self.STRATA
+        ]
+        (base / f"week-{week}.json").write_text(json.dumps({"runs": runs, "scores": []}))
+        return base / f"week-{week}.csv", week
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda lines: None,
+            lambda lines: lines.__setitem__(2, lines[2].replace("0.007", "0.0x7", 1)),
+            lambda lines: lines.__setitem__(3, lines[3] + ",0.1"),
+            lambda lines: lines.__setitem__(2, lines[2].replace(",1,", ",one,", 1)),
+            lambda lines: lines.__setitem__(1, lines[1].replace("0.007", "0_007", 1)),
+            lambda lines: lines.insert(2, ""),
+            lambda lines: lines.__setitem__(0, '"region' + lines[0]),
+        ],
+    )
+    def test_matches_row_at_a_time_loader(self, tmp_path, edit):
+        lines = self._text().split("\n")
+        edit(lines)
+        text = "\n".join(lines)
+        path, week = self._write(tmp_path, text)
+        try:
+            want = ("ok", oracles.parse_week_csv(text, str(path)))
+        except ValueError as exc:
+            want = ("error", str(exc))
+        try:
+            runs, _ = _load_week(tmp_path, "equal", 2010, week)
+            got = ("ok", {(r.region, r.target): r.pmf for r in runs if r.pmf is not None})
+        except CorruptArtifactError as exc:
+            got = ("error", str(exc))
+        assert got[0] == want[0]
+        if got[0] == "ok":
+            assert got[1].keys() == want[1].keys()
+            assert all(bits(got[1][k]) == bits(want[1][k]) for k in want[1])
+        else:
+            assert got[1] == want[1]

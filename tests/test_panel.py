@@ -232,6 +232,52 @@ class TestPanel:
         for pa, pb in zip(a, b):
             assert pa.read_bytes() == pb.read_bytes()
 
+    def _corrupt_stored_row(self, tmp_path, edit):
+        """Write the panel, apply ``edit`` to one stored row's probabilities
+        and return the season file and that row's key."""
+        panel = self._small_panel()
+        write_panel(panel, tmp_path / "panel")
+        path = tmp_path / "panel" / "season-2010.csv"
+        with open(path, newline="") as fh:
+            lines = fh.read().split("\r\n")
+        fields = lines[5].split(",")
+        probs = [float(v) for v in fields[4:]]
+        edit(probs)
+        lines[5] = ",".join(fields[:4] + [repr(v) for v in probs])
+        with open(path, "w", newline="") as fh:
+            fh.write("\r\n".join(lines))
+        key = ForecastKey(fields[0], int(fields[1]), fields[2], Epiweek.parse(fields[3]))
+        return path, key
+
+    def test_stored_nan_rejected(self, tmp_path):
+        def edit(probs):
+            probs[40] = float("nan")
+
+        path, key = self._corrupt_stored_row(tmp_path, edit)
+        with pytest.raises(ForecastDataError) as info:
+            load_panel(tmp_path / "panel")
+        assert str(info.value) == f"{path}: stored pmf for {key} has a non-finite entry"
+
+    def test_stored_negative_entry_rejected(self, tmp_path):
+        def edit(probs):
+            j = int(np.argmin(probs[:-1]))  # moving 0.5 off the smallest bin leaves it negative
+            probs[j] -= 0.5
+            probs[j + 1] += 0.5
+
+        path, key = self._corrupt_stored_row(tmp_path, edit)
+        with pytest.raises(ForecastDataError) as info:
+            load_panel(tmp_path / "panel")
+        assert str(info.value) == f"{path}: stored pmf for {key} has a negative entry"
+
+    def test_stored_sum_off_rejected(self, tmp_path):
+        def edit(probs):
+            probs[0] += 0.01
+
+        path, key = self._corrupt_stored_row(tmp_path, edit)
+        with pytest.raises(ForecastDataError, match="sums to 1.01") as info:
+            load_panel(tmp_path / "panel")
+        assert str(info.value).startswith(f"{path}: stored pmf for {key} sums to ")
+
     def test_load_missing_season_rejected(self, tmp_path):
         panel = self._small_panel()
         write_panel(panel, tmp_path / "panel")

@@ -83,6 +83,7 @@ class TestRunConfig:
             "phi_grid = 0.0,-0.1,0.5\n",
             "phi_grid = 0.0,nan\n",
             "variants = equal,cap-equal,equal\n",
+            "targets = 1,1\n",
         ],
     )
     def test_bad_value_rejected(self, text):

@@ -74,6 +74,7 @@ from .scoring import (
     LOG_SCORE_FLOOR,
     ScoreRecord,
     brier_integral,
+    brier_matrix,
     brier_score,
     floored_log,
     kl_divergence,

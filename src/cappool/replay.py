@@ -15,6 +15,7 @@ import logging
 import math
 import os
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -260,6 +261,107 @@ def _score_to_json(record: ScoreRecord) -> dict:
     }
 
 
+# Week JSON bundles are emitted for their fixed schema directly, byte for
+# byte as json.dumps(payload, indent=1, sort_keys=True) writes them: with an
+# indent, json.dumps falls back to its pure-Python encoder. Strings go through
+# json's C ``encode_basestring_ascii``, as json.dumps would send them.
+
+
+def _json_scalar(value) -> str:
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == math.inf:
+            return "Infinity"
+        if value == -math.inf:
+            return "-Infinity"
+        return float.__repr__(value)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _json_list(items, depth: int) -> str:
+    """A list of scalars, or None, whose items are indented by ``depth``."""
+    if items is None:
+        return "null"
+    if not items:
+        return "[]"
+    pad = "\n" + " " * depth
+    return "[" + pad + ("," + pad).join(map(_json_scalar, items)) + "\n" + " " * (depth - 1) + "]"
+
+
+def _run_json_text(item: dict) -> str:
+    clusters = item["clusters"]
+    if clusters:
+        clusters = "[\n    " + ",\n    ".join(_json_list(c, 5) for c in clusters) + "\n   ]"
+    else:
+        clusters = _json_list(clusters, 4)
+    weights = item["weights"]
+    if weights:
+        weights = "{\n    " + ",\n    ".join(
+            f"{encode_basestring_ascii(k)}: {_json_scalar(v)}" for k, v in sorted(weights.items())
+        ) + "\n   }"
+    else:
+        weights = "{}"
+    return (
+        "{\n"
+        f'   "clusters": {clusters},\n'
+        f'   "entropy": {_json_scalar(item["entropy"])},\n'
+        f'   "has_pmf": {_json_scalar(item["has_pmf"])},\n'
+        f'   "issue_week": {_json_scalar(item["issue_week"])},\n'
+        f'   "leaders": {_json_list(item["leaders"], 4)},\n'
+        f'   "missing_models": {_json_list(item["missing_models"], 4)},\n'
+        f'   "n_clusters": {_json_scalar(item["n_clusters"])},\n'
+        f'   "note": {_json_scalar(item["note"])},\n'
+        f'   "phi": {_json_scalar(item["phi"])},\n'
+        f'   "region": {_json_scalar(item["region"])},\n'
+        f'   "target": {_json_scalar(item["target"])},\n'
+        f'   "week_index": {_json_scalar(item["week_index"])},\n'
+        f'   "weights": {weights}\n'
+        "  }"
+    )
+
+
+def _score_json_text(item: dict) -> str:
+    return (
+        "{\n"
+        f'   "brier_integral": {_json_scalar(item["brier_integral"])},\n'
+        f'   "issue_week": {_json_scalar(item["issue_week"])},\n'
+        f'   "log_score": {_json_scalar(item["log_score"])},\n'
+        f'   "pit": {_json_scalar(item["pit"])},\n'
+        f'   "region": {_json_scalar(item["region"])},\n'
+        f'   "target": {_json_scalar(item["target"])},\n'
+        f'   "target_week": {_json_scalar(item["target_week"])}\n'
+        "  }"
+    )
+
+
+def _json_items(texts: list[str]) -> str:
+    return "[\n  " + ",\n  ".join(texts) + "\n ]" if texts else "[]"
+
+
+def _week_json(payload: dict) -> str:
+    """The week bundle as ``json.dumps(payload, indent=1, sort_keys=True)``."""
+    return (
+        "{\n"
+        f' "issue_week": {_json_scalar(payload["issue_week"])},\n'
+        f' "runs": {_json_items([_run_json_text(r) for r in payload["runs"]])},\n'
+        f' "scores": {_json_items([_score_json_text(s) for s in payload["scores"]])},\n'
+        f' "season": {_json_scalar(payload["season"])},\n'
+        f' "variant": {_json_scalar(payload["variant"])}\n'
+        "}"
+    )
+
+
 def _write_week(
     out_dir: Path,
     variant: str,
@@ -282,7 +384,7 @@ def _write_week(
         "runs": [_run_to_json(r) for r in runs],
         "scores": [_score_to_json(s) for s in scores],
     }
-    _atomic_write(json_path, json.dumps(payload, indent=1, sort_keys=True) + "\n")
+    _atomic_write(json_path, _week_json(payload) + "\n")
 
 
 def _load_week(

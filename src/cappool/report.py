@@ -18,7 +18,7 @@ from .ensembles import EnsembleRun
 from .epiweek import Epiweek, season_of
 from .panel import TruthTable, parse_truth_csv
 from .replay import load_run_artifacts
-from .scoring import BRIER_THRESHOLDS, ScoreRecord, brier_score, pit_calibration_auc
+from .scoring import BRIER_THRESHOLDS, ScoreRecord, brier_matrix, pit_calibration_auc
 
 __all__ = ["ReportBundle", "emit_report", "write_report"]
 
@@ -120,8 +120,24 @@ def emit_report(
 
     peaks: dict[tuple[str, int], Epiweek | None] = {}
     for variant in variants:
+        variant_scores = [s for s in scores if s.variant == variant]
+        # One Brier row per scored record with a pooled pmf and a realized
+        # truth, in score order; each group sums its own rows.
+        brier_targets, pmfs, truth_values = [], [], []
+        for s in variant_scores:
+            run = runs_by_key.get((variant, s.region, s.target, s.issue_week))
+            if run is None or run.pmf is None:
+                continue
+            truth_value = truth.wili(s.region, Epiweek.from_int(s.target_week))
+            if truth_value is None:
+                continue
+            brier_targets.append(s.target)
+            pmfs.append(run.pmf)
+            truth_values.append(truth_value)
+        brier = brier_matrix(pmfs, truth_values, strict_orientation=strict_brier)
+        brier_targets = np.array(brier_targets)
         for group in _groups(targets):
-            subset = [s for s in scores if s.variant == variant and _in_group(s, group)]
+            subset = [s for s in variant_scores if _in_group(s, group)]
             if not subset:
                 continue
             logs = np.array([s.log_score for s in subset])
@@ -132,29 +148,14 @@ def emit_report(
                 [variant, group] + [repr(float(q)) for q in qs] + [len(subset)]
             )
             # Empirical CDF of PIT values on a fixed grid.
-            sorted_pits = np.sort(pits)
-            for x in _PIT_GRID:
-                cdf = float(np.searchsorted(sorted_pits, x, side="right")) / len(sorted_pits)
-                pit_rows.append([variant, group, x, repr(cdf)])
-            # Mean Brier score per cutpoint, recomputed from the pooled pmfs.
-            acc = np.zeros(BRIER_THRESHOLDS.size)
-            count = 0
-            for s in subset:
-                run = runs_by_key.get((variant, s.region, s.target, s.issue_week))
-                if run is None or run.pmf is None:
-                    continue
-                truth_value = truth.wili(s.region, Epiweek.from_int(s.target_week))
-                if truth_value is None:
-                    continue
-                acc += np.array(
-                    [
-                        brier_score(run.pmf, truth_value, float(x), strict_orientation=strict_brier)
-                        for x in BRIER_THRESHOLDS
-                    ]
-                )
-                count += 1
-            if count:
-                for x, value in zip(BRIER_THRESHOLDS, acc / count):
+            at_or_below = np.searchsorted(np.sort(pits), _PIT_GRID, side="right")
+            for x, count in zip(_PIT_GRID, at_or_below):
+                pit_rows.append([variant, group, x, repr(float(count) / len(pits))])
+            # Mean Brier score per cutpoint. Summing rows down axis 0 adds
+            # them one after another, as a running total would.
+            rows = brier if group == _GROUP_ALL else brier[brier_targets == group]
+            if len(rows):
+                for x, value in zip(BRIER_THRESHOLDS, rows.sum(axis=0) / len(rows)):
                     brier_rows.append([variant, group, repr(float(x)), repr(float(value))])
             # Log score by weeks from the regional peak of the issue week.
             buckets: dict[int, list[float]] = {}

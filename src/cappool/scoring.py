@@ -21,6 +21,7 @@ __all__ = [
     "log_score",
     "pit_value",
     "brier_score",
+    "brier_matrix",
     "brier_integral",
     "pit_calibration_auc",
     "kl_divergence",
@@ -63,8 +64,12 @@ def log_score(pmf, truth: float) -> float:
 
 
 def pit_value(pmf, truth: float) -> float:
-    """Cumulative probability through the realized bin, inclusive."""
-    return float(np.asarray(pmf)[: bin_index(truth) + 1].sum())
+    """Cumulative probability through the realized bin, inclusive.
+
+    A pooled pmf can sum to a hair above 1, so a truth in the top bin would
+    otherwise give a PIT above 1; the value is clamped to 1.
+    """
+    return min(float(np.asarray(pmf)[: bin_index(truth) + 1].sum()), 1.0)
 
 
 def _cdf_at_threshold(pmf, x: float) -> float:
@@ -90,6 +95,38 @@ def brier_score(pmf, truth: float, x: float, strict_orientation: bool = False) -
     f = _cdf_at_threshold(pmf, x)
     event = (x < truth) if strict_orientation else (truth <= x)
     return (f - float(event)) ** 2
+
+
+def brier_matrix(pmfs, truths, strict_orientation: bool = False) -> np.ndarray:
+    """Brier scores of many forecasts at every cutpoint, as an (n, 101) array.
+
+    Cell ``[i, k]`` equals ``brier_score(pmfs[i], truths[i],
+    BRIER_THRESHOLDS[k], strict_orientation)`` bit for bit, and a truth
+    outside [0, 100] raises the same ValueError, naming the first such truth.
+
+    Two details keep the bits. Each CDF column is ``P[:, :k].sum(axis=1)``
+    over a C-contiguous stack, which adds every row in the order
+    ``pmf[:k].sum()`` does; a ``cumsum`` adds in another order. And the
+    scalar ``(f - e) ** 2`` on Python floats calls the C library's ``pow``,
+    which is not always correctly rounded, so it can differ in the last bit
+    from ``d * d``, which ``np.square`` and ``np.power`` compute. The square
+    here is ``np.float_power(d, 2.0)``, which calls the same ``pow``.
+    """
+    values = np.asarray(truths, dtype=float)
+    bad = np.flatnonzero(~((values >= 0.0) & (values <= 100.0)))
+    if bad.size:
+        raise ValueError(f"percent ILI {truths[bad[0]]} outside [0, 100]")
+    if not len(pmfs):
+        return np.empty((0, BRIER_THRESHOLDS.size))
+    stack = np.stack([np.asarray(p, dtype=float) for p in pmfs])
+    cdf = np.empty((len(stack), BRIER_THRESHOLDS.size))
+    for k in range(BRIER_THRESHOLDS.size):
+        cdf[:, k] = stack[:, :k].sum(axis=1)
+    if strict_orientation:
+        event = BRIER_THRESHOLDS[None, :] < values[:, None]
+    else:
+        event = values[:, None] <= BRIER_THRESHOLDS[None, :]
+    return np.float_power(cdf - event.astype(float), 2.0)
 
 
 def brier_integral(pmf, truth: float, strict_orientation: bool = False) -> float:

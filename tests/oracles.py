@@ -5,7 +5,9 @@ computes with array indexing: the per-pair log-score correlation, the
 truth-bin masses of a forecast stack, a season's score window and weight
 fit mass matrices, and the threshold clustering. The per-value CSV codec
 (``csv.reader``/``csv.writer`` with ``float``/``repr`` of each probability)
-is the reference for the bulk one. Property tests require exact equality
+is the reference for the bulk one, and the report's Brier table built from
+one ``brier_score`` call per (record, cutpoint) is the reference for the
+one-matrix-per-variant table. Property tests require exact equality
 between the two.
 """
 
@@ -21,7 +23,7 @@ from cappool.clustering import Clustering
 from cappool.epiweek import Epiweek, season_length, season_weeks
 from cappool.panel import ForecastDataError, ForecastKey, _parse_target, canonical_region
 from cappool.pmf import N_BINS, MalformedPmfError, bin_index
-from cappool.scoring import LOG_SCORE_FLOOR
+from cappool.scoring import BRIER_THRESHOLDS, LOG_SCORE_FLOOR, brier_score
 from cappool.validation import check_forecast_array, check_truths
 
 
@@ -314,3 +316,34 @@ def parse_week_csv(text: str, name: str) -> dict[tuple[str, int], np.ndarray]:
             raise ValueError(f"corrupt week file {name}, line {line_no}: {exc}") from None
         pmfs[key] = pmf
     return pmfs
+
+
+def brier_by_threshold_rows(runs, scores, truth, strict_brier: bool = False) -> list[list]:
+    """The report's ``brier_by_threshold`` table, one ``brier_score`` call
+    per (score record, group, cutpoint), summed into a running total."""
+    runs_by_key = {(r.variant, r.region, r.target, r.issue_week): r for r in runs}
+    targets = sorted({s.target for s in scores})
+    rows = [["variant", "target", "threshold", "mean_brier"]]
+    for variant in sorted({s.variant for s in scores}):
+        for group in targets + ["all"]:
+            subset = [s for s in scores if s.variant == variant and group in ("all", s.target)]
+            acc = np.zeros(BRIER_THRESHOLDS.size)
+            count = 0
+            for s in subset:
+                run = runs_by_key.get((variant, s.region, s.target, s.issue_week))
+                if run is None or run.pmf is None:
+                    continue
+                truth_value = truth.wili(s.region, Epiweek.from_int(s.target_week))
+                if truth_value is None:
+                    continue
+                acc += np.array(
+                    [
+                        brier_score(run.pmf, truth_value, float(x), strict_orientation=strict_brier)
+                        for x in BRIER_THRESHOLDS
+                    ]
+                )
+                count += 1
+            if count:
+                for x, value in zip(BRIER_THRESHOLDS, acc / count):
+                    rows.append([variant, group, repr(float(x)), repr(float(value))])
+    return rows

@@ -2,12 +2,14 @@
 
 Formatting must match ``repr`` of each value, parsing must match ``float()``
 bit for bit, and a streamed, chunked parse must accept, reject and name rows
-exactly as the one-row-at-a-time ``csv.reader`` parser did.
+exactly as the one-row-at-a-time ``csv.reader`` parser did. Week JSON
+bundles must match ``json.dumps(payload, indent=1, sort_keys=True)``.
 """
 
 import csv
 import io
 import json
+import math
 import struct
 
 import numpy as np
@@ -15,6 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cappool.ensembles import EnsembleRun
 from cappool.epiweek import Epiweek, season_weeks
 from cappool.panel import (
     ForecastDataError,
@@ -28,7 +31,15 @@ from cappool.panel import (
     write_panel,
 )
 from cappool.pmf import N_BINS, normalize_pmfs
-from cappool.replay import CorruptArtifactError, _load_week
+from cappool.replay import (
+    CorruptArtifactError,
+    _load_week,
+    _run_to_json,
+    _score_to_json,
+    _week_json,
+    _write_week,
+)
+from cappool.scoring import ScoreRecord
 
 import oracles
 
@@ -427,3 +438,80 @@ class TestWeekCsv:
             assert all(bits(got[1][k]) == bits(want[1][k]) for k in want[1])
         else:
             assert got[1] == want[1]
+
+
+# Ids and notes with quotes, backslashes, control and non-ASCII characters.
+json_text = st.text(max_size=6) | st.sampled_from(['say "hi"', "a\\b", "\u00e9t\u00e9", "\u4e2d", "\n\t", ""])
+json_floats = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1 / 3])
+ensemble_runs = st.builds(
+    EnsembleRun,
+    variant=st.just("equal"),
+    season=st.just(2010),
+    region=json_text,
+    target=st.integers(1, 4),
+    issue_week=st.integers(201040, 201120),
+    week_index=st.integers(1, 33),
+    pmf=st.none() | st.just(np.full(N_BINS, 1.0 / N_BINS)),
+    weights=st.dictionaries(json_text, json_floats, max_size=4),
+    entropy=st.none() | json_floats,
+    phi=st.none() | json_floats,
+    clusters=st.none() | st.lists(st.lists(json_text, max_size=3).map(tuple), max_size=3).map(tuple),
+    leaders=st.none() | st.lists(st.none() | json_text, max_size=3).map(tuple),
+    n_clusters=st.none() | st.integers(0, 20),
+    missing_models=st.lists(json_text, max_size=3).map(tuple),
+    note=json_text,
+)
+score_records = st.builds(
+    ScoreRecord,
+    variant=st.just("equal"),
+    region=json_text,
+    target=st.integers(1, 4),
+    issue_week=st.integers(201040, 201120),
+    target_week=st.integers(201040, 201120),
+    log_score=json_floats,
+    pit=json_floats,
+    brier_integral=json_floats,
+)
+
+
+class TestWeekJson:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        variant=json_text,
+        season=st.integers(2000, 2030),
+        issue_week=st.integers(200040, 203052),
+        runs=st.lists(ensemble_runs, max_size=4),
+        scores=st.lists(score_records, max_size=4),
+    )
+    def test_matches_json_dumps(self, variant, season, issue_week, runs, scores):
+        payload = {
+            "variant": variant,
+            "season": season,
+            "issue_week": issue_week,
+            "runs": [_run_to_json(r) for r in runs],
+            "scores": [_score_to_json(s) for s in scores],
+        }
+        assert _week_json(payload) == json.dumps(payload, indent=1, sort_keys=True)
+
+    def test_written_week_file(self, tmp_path):
+        week = Epiweek(2010, 41)
+        run = EnsembleRun(
+            variant="cap-equal", season=2010, region="Nat", target=1, issue_week=week.to_int(),
+            week_index=2, pmf=np.full(N_BINS, 1.0 / N_BINS), weights={"c2": 0.25, "c1": 0.75},
+            entropy=0.5, phi=0.4, clusters=(("m1", "m2"), ("m3",)), leaders=("m2", None),
+            n_clusters=2, missing_models=("m4",), note="",
+        )
+        score = ScoreRecord("cap-equal", "Nat", 1, week.to_int(), week.add_weeks(1).to_int(), -1.5, 0.25, 0.125)
+        _write_week(tmp_path, "cap-equal", 2010, week, [run], [score])
+        payload = {
+            "variant": "cap-equal",
+            "season": 2010,
+            "issue_week": week.to_int(),
+            "runs": [_run_to_json(run)],
+            "scores": [_score_to_json(score)],
+        }
+        text = (tmp_path / "runs" / "cap-equal" / "2010" / f"week-{week}.json").read_text()
+        assert text == json.dumps(payload, indent=1, sort_keys=True) + "\n"
+        runs, scores = _load_week(tmp_path, "cap-equal", 2010, week)
+        assert scores == [score]
+        assert runs[0].clusters == run.clusters and runs[0].weights == run.weights

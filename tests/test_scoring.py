@@ -1,10 +1,14 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cappool.pmf import N_BINS, gaussian_pmf
 from cappool.scoring import (
+    BRIER_THRESHOLDS,
     kl_divergence,
     log_score,
     median_log_score,
@@ -12,10 +16,11 @@ from cappool.scoring import (
     pit_calibration_auc,
     pit_value,
     brier_integral,
+    brier_matrix,
     brier_score,
 )
 
-from conftest import point_mass, random_pmf
+from conftest import EDGE_TRUTHS, pmf_rows, point_mass, random_pmf
 
 UNIFORM = np.full(N_BINS, 1.0 / N_BINS)
 
@@ -67,6 +72,13 @@ class TestPitValue:
         values = [pit_value(pmf, t) for t in np.linspace(0, 14, 100)]
         assert all(b >= a - 1e-15 for a, b in zip(values, values[1:]))
 
+    def test_mass_above_one_clamped(self):
+        # A pooled pmf may sum to a hair above 1; a top-bin truth takes it all.
+        pmf = UNIFORM * (1.0 + 2.0**-50)
+        assert float(pmf.sum()) > 1.0
+        assert pit_value(pmf, 13.0) == 1.0
+        assert pit_value(pmf, 20.0) == 1.0
+
 
 class TestBrierScore:
     def test_perfect(self):
@@ -89,6 +101,39 @@ class TestBrierScore:
             brier_score(UNIFORM, 5.0, 5.05)
         with pytest.raises(ValueError):
             brier_score(UNIFORM, 5.0, 10.1)
+
+
+brier_truths = st.sampled_from(EDGE_TRUTHS) | st.floats(0.0, 100.0)
+
+
+def scalar_brier_rows(pmfs, truths, strict: bool) -> np.ndarray:
+    return np.array(
+        [[brier_score(p, t, float(x), strict) for x in BRIER_THRESHOLDS] for p, t in zip(pmfs, truths)]
+    )
+
+
+class TestBrierMatrix:
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), truths=st.lists(brier_truths, min_size=1, max_size=140))
+    @example(seed=0, truths=[10.0])
+    @example(seed=1, truths=EDGE_TRUTHS * 14)
+    def test_equals_scalar_brier_score_bit_for_bit(self, seed, truths):
+        pmfs = pmf_rows(seed, len(truths))
+        for strict in (False, True):
+            got = brier_matrix(pmfs, truths, strict_orientation=strict)
+            want = scalar_brier_rows(pmfs, truths, strict)
+            assert got.shape == (len(truths), BRIER_THRESHOLDS.size)
+            assert got.tobytes() == want.tobytes()
+
+    def test_empty(self):
+        assert brier_matrix([], []).shape == (0, BRIER_THRESHOLDS.size)
+
+    @pytest.mark.parametrize("bad", [-0.1, 100.5, math.nan])
+    def test_truth_outside_range_raises_scalar_message(self, bad):
+        with pytest.raises(ValueError) as scalar:
+            brier_score(UNIFORM, bad, 5.0)
+        with pytest.raises(ValueError, match=re.escape(str(scalar.value))):
+            brier_matrix([UNIFORM, UNIFORM], [5.0, bad])
 
 
 class TestBrierIntegral:

@@ -75,28 +75,28 @@ class ClusterForecast:
     members_missing: frozenset[str]
 
 
+def _leader_key(medians, model: str) -> tuple:
+    """The one leader order: scored models by descending median, then
+    unscored ones (no median); ties and unscored models in id order."""
+    median = medians.get(model)
+    return (median is None, 0.0 if median is None else -median, model)
+
+
 def aggregate_cluster(members, medians, current) -> ClusterForecast:
     """Follow-the-leader aggregation of one cluster.
 
     ``medians`` maps model ids to their median historical log score (models
-    with no scored history are absent). The leader is the scored member with
-    the highest median (ties to the lower id); if it has no current forecast
-    the next-best submitted member stands in. Unscored members are eligible
-    only after every scored member, in id order.
+    with no scored history are absent). The leader is the member with a
+    current forecast that comes first in ``_leader_key`` order.
     """
     members = tuple(members)
     if not members:
         raise ValueError("empty cluster")
-    scored = sorted(
-        (m for m in members if medians.get(m) is not None),
-        key=lambda m: (-medians[m], m),
-    )
-    unscored = sorted(m for m in members if medians.get(m) is None)
     missing = frozenset(m for m in members if m not in current)
-    for m in scored + unscored:
-        if m in current:
-            return ClusterForecast(members, m, current[m], missing)
-    return ClusterForecast(members, None, None, missing)
+    leader = min(
+        (m for m in members if m in current), key=lambda m: _leader_key(medians, m), default=None
+    )
+    return ClusterForecast(members, leader, None if leader is None else current[leader], missing)
 
 
 def percent_entropy(weights) -> float:
@@ -293,7 +293,6 @@ class SeasonData:
                     self.history.prior(key, self.roster),
                 )
         self._corr_cache: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-        self._median_cache: dict[tuple, dict[str, float]] = {}
         self._preference_cache: dict[tuple, np.ndarray] = {}
         self._cluster_cache: dict[tuple, Clustering] = {}
 
@@ -302,34 +301,22 @@ class SeasonData:
 
     # -- score windows -------------------------------------------------
 
-    def medians(self, stratum: tuple[str, int], t: int) -> dict[str, float]:
-        """Median historical log score per model, as known at week t."""
-        cached = self._median_cache.get((stratum, t))
-        if cached is not None:
-            return cached
-        sd = self.strata[stratum]
-        k = sd.window_size(t)
-        out: dict[str, float] = {}
-        if k:
-            window = sd.S[:, :k]
-            counts = (~np.isnan(window)).sum(axis=1)
-            for idx, m in enumerate(self.roster):
-                if counts[idx]:
-                    row = window[idx]
-                    out[m] = float(np.median(row[~np.isnan(row)]))
-        self._median_cache[(stratum, t)] = out
-        return out
-
     def preference(self, stratum: tuple[str, int], t: int) -> np.ndarray:
         """Each roster model's place in the leader preference order as of
-        week t (0 is the first choice): scored models by descending median,
-        then unscored ones, ties and unscored models in id order."""
+        week t (0 is the first choice): ``_leader_key`` over the median of
+        each model's scores in the window known at t."""
         cached = self._preference_cache.get((stratum, t))
         if cached is None:
-            med = self.medians(stratum, t)
-            order = sorted(self.roster, key=lambda m: (m not in med, -med.get(m, 0.0), m))
+            sd = self.strata[stratum]
+            window = sd.S[:, : sd.window_size(t)]
+            med = {
+                m: float(np.median(row[~np.isnan(row)]))
+                for m, row in zip(self.roster, window)
+                if not np.isnan(row).all()
+            }
+            order = sorted(range(len(self.roster)), key=lambda c: _leader_key(med, self.roster[c]))
             cached = np.empty(len(self.roster), dtype=np.intp)
-            cached[[self.index[m] for m in order]] = np.arange(len(order))
+            cached[order] = np.arange(len(order))
             self._preference_cache[(stratum, t)] = cached
         return cached
 
@@ -361,34 +348,33 @@ class SeasonData:
         self._cluster_cache[(stratum, t, phi)] = clustering
         return clustering
 
-    # -- cluster forecasts ---------------------------------------------
+    # -- cluster leaders -------------------------------------------------
 
-    def cluster_forecasts(
-        self, stratum: tuple[str, int], t: int, clustering: Clustering
-    ) -> list[ClusterForecast]:
+    def leaders(self, stratum: tuple[str, int], clustering: Clustering, weeks) -> np.ndarray:
+        """Roster index of each cluster's leader at each of ``weeks``, shape
+        (weeks, clusters): its member that submitted that week and comes
+        first in that week's preference order, or -1 when none submitted."""
         sd = self.strata[stratum]
-        med = self.medians(stratum, t)
-        return [aggregate_cluster(c, med, sd.pmfs[t]) for c in clustering.clusters]
+        weeks = np.asarray(weeks, dtype=np.intp)
+        n_models = len(self.roster)
+        members = np.zeros((clustering.n_clusters, n_models), dtype=bool)
+        for c, cluster in enumerate(clustering.clusters):
+            members[c, [self.index[m] for m in cluster]] = True
+        place = np.array([self.preference(stratum, j) for j in weeks.tolist()], dtype=np.intp)
+        eligible = members & sd.sub[weeks][:, None, :]
+        rank = np.where(eligible, place.reshape(len(weeks), 1, n_models), n_models)
+        return np.where(eligible.any(axis=2), rank.argmin(axis=2), -1)
 
     def cluster_mass_matrix(
         self, stratum: tuple[str, int], clustering: Clustering, t: int
     ) -> np.ndarray:
         """Truth-bin mass each current cluster would have scored at past
-        weeks, replaying each week's leader choice from its own history."""
+        weeks under each week's own leader (0 when it had none)."""
         sd = self.strata[stratum]
         obs = sd.scored_weeks(t)
-        n_models = len(self.roster)
-        members = np.zeros((clustering.n_clusters, n_models), dtype=bool)
-        for c, cluster in enumerate(clustering.clusters):
-            members[c, [self.index[m] for m in cluster]] = True
-        place = np.array([self.preference(stratum, j) for j in obs.tolist()], dtype=np.intp)
-        # A cluster's leader at week j is its submitting member placed first
-        # in week j's preference order; clusters with none score 0.
-        eligible = members & sd.sub[obs][:, None, :]
-        rank = np.where(eligible, place.reshape(len(obs), 1, n_models), n_models)
-        leader = rank.argmin(axis=2)
+        leader = self.leaders(stratum, clustering, obs)
         mass = np.take_along_axis(sd.mass[obs], leader, axis=1)
-        return np.where(eligible.any(axis=2), mass, 0.0)
+        return np.where(leader >= 0, mass, 0.0)
 
     def model_mass_matrix(self, stratum: tuple[str, int], t: int) -> np.ndarray:
         """Truth-bin mass per roster model at past scored weeks (0 when
@@ -525,9 +511,9 @@ class CapVariant(_VariantBase):
     resulting ensemble log scores; clustering itself is per stratum.
 
     A replayed week's scores use only data known at that week, so each
-    (stratum, week) is replayed once per season and kept as a score row.
-    The rows and the cluster-weight fits belong to one ``SeasonData`` and
-    are dropped when another one arrives.
+    (stratum, week) is replayed once per season and kept as a score row,
+    and each week's pick is kept too. The rows, picks and cluster-weight
+    fits belong to one ``SeasonData`` and are dropped when another arrives.
     """
 
     def __init__(self, pooling: str = "equal", phi_grid=DEFAULT_PHI_GRID, delta: float = 5.0):
@@ -542,6 +528,8 @@ class CapVariant(_VariantBase):
         # (stratum, week) -> replayed log score per grid phi, or None when
         # nobody submitted that week.
         self._rows: dict[tuple, list[float] | None] = {}
+        # week -> the threshold select_phi picked for it.
+        self._picks: dict[int, float] = {}
         # (stratum, week, partition) -> fitted cluster weights. Distinct
         # thresholds often give one partition, and the fit depends only on it.
         self._fits: dict[tuple, np.ndarray] = {}
@@ -552,7 +540,7 @@ class CapVariant(_VariantBase):
 
     def _use_season(self, data: SeasonData) -> None:
         if data is not self._season:
-            self._season, self._rows, self._fits = data, {}, {}
+            self._season, self._rows, self._picks, self._fits = data, {}, {}, {}
 
     # -- pooling over cluster forecasts --------------------------------
 
@@ -578,16 +566,17 @@ class CapVariant(_VariantBase):
         stratum,
         t: int,
         phi: float,
-    ) -> tuple[np.ndarray, Clustering, list[ClusterForecast], np.ndarray]:
-        """Pool week t's cluster forecasts; t must have a submission, so the
-        submitter's cluster always has a forecast."""
+    ) -> tuple[np.ndarray, Clustering, np.ndarray, np.ndarray]:
+        """Pool week t's cluster leaders (-1 for none); t must have a
+        submission, so the submitter's cluster always has a leader."""
         clustering = data.clusters(stratum, t, phi)
-        forecasts = data.cluster_forecasts(stratum, t, clustering)
+        leaders = data.leaders(stratum, clustering, [t])[0]
         fitted = self._cluster_weights(data, stratum, t, clustering)
-        present = [i for i, cf in enumerate(forecasts) if cf.pmf is not None]
+        present = np.flatnonzero(leaders >= 0)
         w = renormalized(fitted, present)
-        pmf = linear_pool([forecasts[i].pmf for i in present], w)
-        return pmf, clustering, forecasts, w
+        cell = data.strata[stratum].pmfs[t]
+        pmf = linear_pool([cell[data.roster[c]] for c in leaders[present].tolist()], w)
+        return pmf, clustering, leaders, w
 
     # -- threshold selection -------------------------------------------
 
@@ -639,13 +628,16 @@ class CapVariant(_VariantBase):
         Weeks scored by t that have no score row yet are replayed first. The
         mean is taken over the rows of every week scored by t that had a
         submission, strata in ``stratum_keys()`` order and weeks ascending,
-        so calls made out of order or repeated give the same answer.
+        so calls made out of order or repeated give the same answer. The
+        pick is kept, so the week's other strata only look it up.
         """
         if len(self.phi_grid) == 1:
             return self.phi_grid[0]
         if t == 1:
             return _INITIAL_PHI
         self._use_season(data)
+        if t in self._picks:
+            return self._picks[t]
         scored = [
             (stratum, j)
             for stratum in data.stratum_keys()
@@ -653,10 +645,9 @@ class CapVariant(_VariantBase):
         ]
         self._replay(data, [key for key in scored if key not in self._rows])
         rows = [row for key in scored if (row := self._rows[key]) is not None]
-        if not rows:
-            return _INITIAL_PHI
         means = [np.mean(scores) for scores in np.array(rows).T]
-        return self.phi_grid[int(np.argmax(means))]
+        self._picks[t] = self.phi_grid[int(np.argmax(means))] if rows else _INITIAL_PHI
+        return self._picks[t]
 
     # -- weekly run ------------------------------------------------------
 
@@ -667,8 +658,8 @@ class CapVariant(_VariantBase):
                 self.name, data, stratum, t,
                 pmf=None, weights={}, entropy=None, phi=phi, note=_NO_FORECASTS,
             )
-        pmf, clustering, forecasts, w = self._pool(data, stratum, t, phi)
-        present = [i for i, cf in enumerate(forecasts) if cf.pmf is not None]
+        pmf, clustering, leaders, w = self._pool(data, stratum, t, phi)
+        present = np.flatnonzero(leaders >= 0).tolist()
         return _run(
             self.name, data, stratum, t,
             pmf=pmf,
@@ -676,7 +667,7 @@ class CapVariant(_VariantBase):
             entropy=percent_entropy(w),
             phi=phi,
             clusters=clustering.clusters,
-            leaders=tuple(cf.leader for cf in forecasts),
+            leaders=tuple(data.roster[c] if c >= 0 else None for c in leaders.tolist()),
             n_clusters=clustering.n_clusters,
         )
 

@@ -14,7 +14,7 @@ import json
 import logging
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -48,7 +48,15 @@ from .panel import (
 from .pmf import N_BINS
 from .scoring import ScoreRecord, brier_integral, log_score, pit_value
 
-__all__ = ["ConfigError", "CorruptArtifactError", "RunConfig", "ingest", "replay", "load_run_artifacts"]
+__all__ = [
+    "ConfigError",
+    "ConfigMismatchError",
+    "CorruptArtifactError",
+    "RunConfig",
+    "ingest",
+    "replay",
+    "load_run_artifacts",
+]
 
 _log = logging.getLogger("cappool")
 
@@ -59,6 +67,11 @@ class ConfigError(ValueError):
 
 class CorruptArtifactError(ValueError):
     """A persisted week artifact cannot be read back; the message names it."""
+
+
+class ConfigMismatchError(ValueError):
+    """A run directory was made under a different config; the message names
+    the first field that differs."""
 
 
 _CONFIG_KEYS = {
@@ -506,10 +519,11 @@ def replay(config: RunConfig, out_dir) -> None:
     """Replay all configured seasons for all configured variants."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if config.source_text:
-        cfg_path = out_dir / "run.cfg"
-        if not cfg_path.exists():
-            _atomic_write(cfg_path, config.source_text)
+    cfg_path = out_dir / "run.cfg"
+    if cfg_path.exists():
+        _check_recorded_config(cfg_path, config)
+    elif config.source_text:
+        _atomic_write(cfg_path, config.source_text)
     panel_dir = _panel_dir(out_dir)
     if not panel_dir.exists():
         ingest(config, out_dir)
@@ -534,6 +548,25 @@ def replay(config: RunConfig, out_dir) -> None:
         if season in config.seasons:
             _replay_season_runs(data, variants, config, out_dir)
         history.absorb(data)
+
+
+def _check_recorded_config(cfg_path: Path, config: RunConfig) -> None:
+    """Refuse to add to a run directory whose ``run.cfg`` records another
+    config. ``seed`` is not compared: replay never reads it, and
+    ``replay --seed`` overrides it without rewriting ``run.cfg``."""
+    try:
+        recorded = RunConfig.load(cfg_path)
+    except ConfigError as exc:
+        raise CorruptArtifactError(f"{cfg_path}: {exc}") from None
+    for f in fields(RunConfig):
+        if f.name in ("seed", "source_text"):
+            continue
+        old, new = getattr(recorded, f.name), getattr(config, f.name)
+        if old != new:
+            raise ConfigMismatchError(
+                f"{cfg_path} records {f.name} = {old!r} but this config has {new!r}; "
+                "replay into a fresh run directory"
+            )
 
 
 def _replay_season_runs(

@@ -3,12 +3,12 @@
 Each function here computes, one cell at a time from dicts, what the package
 computes with array indexing: the per-pair log-score correlation, the
 truth-bin masses of a forecast stack, a season's score window and weight
-fit mass matrices, and the threshold clustering. The per-value CSV codec
-(``csv.reader``/``csv.writer`` with ``float``/``repr`` of each probability)
-is the reference for the bulk one, and the report's Brier table built from
-one ``brier_score`` call per (record, cutpoint) is the reference for the
-one-matrix-per-variant table. Property tests require exact equality
-between the two.
+fit mass matrices, the follow-the-leader choice, and the threshold
+clustering. The per-value CSV codec (``csv.reader``/``csv.writer`` with
+``float``/``repr`` of each probability) is the reference for the bulk one,
+and the report's Brier table built from one ``brier_score`` call per
+(record, cutpoint) is the reference for the one-matrix-per-variant table.
+Property tests require exact equality between the two.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from cappool.clustering import Clustering
+from cappool.ensembles import ClusterForecast
 from cappool.epiweek import Epiweek, season_length, season_weeks
 from cappool.panel import ForecastDataError, ForecastKey, _parse_target, canonical_region
 from cappool.pmf import N_BINS, MalformedPmfError, bin_index
@@ -175,6 +176,17 @@ class LoopedSeason:
         scored = sorted((m for m in self.roster if m in med), key=lambda m: (-med[m], m))
         return scored + sorted(m for m in self.roster if m not in med)
 
+    def leaders(self, stratum, clustering, t: int) -> list[int]:
+        """Roster index of each cluster's first-ranked member that submitted
+        at week t, or -1 when none did."""
+        submitted = self.strata[stratum].submitted[t]
+        order = [m for m in self.ranking(stratum, t) if m in submitted]
+        out = []
+        for members in clustering.clusters:
+            first = next((m for m in order if m in members), None)
+            out.append(-1 if first is None else self.roster.index(first))
+        return out
+
     def _obs(self, stratum, t: int) -> list[int]:
         sd = self.strata[stratum]
         return [j for j in range(1, t) if j + sd.target <= t and sd.truth_target[j] is not None]
@@ -209,6 +221,25 @@ class LoopedSeason:
             for col, m in enumerate(self.roster):
                 f[row, col] = hist["masses"][key].get(m, 0.0)
         return f
+
+
+def aggregate_cluster(members, medians, current) -> ClusterForecast:
+    """Follow-the-leader aggregation: the scored members by descending
+    median (ties to the lower id), then the unscored ones in id order; the
+    first with a current forecast leads."""
+    members = tuple(members)
+    if not members:
+        raise ValueError("empty cluster")
+    scored = sorted(
+        (m for m in members if medians.get(m) is not None),
+        key=lambda m: (-medians[m], m),
+    )
+    unscored = sorted(m for m in members if medians.get(m) is None)
+    missing = frozenset(m for m in members if m not in current)
+    for m in scored + unscored:
+        if m in current:
+            return ClusterForecast(members, m, current[m], missing)
+    return ClusterForecast(members, None, None, missing)
 
 
 def cluster_models(corr, phi: float, model_ids) -> Clustering:

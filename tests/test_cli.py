@@ -71,6 +71,20 @@ class TestCliWorkflow:
         assert (out / "reports" / "summary.csv").exists()
         capsys.readouterr()
 
+    def test_replay_with_changed_config_fails_and_keeps_weeks(self, run_setup, capsys):
+        cfg, out = run_setup
+        text = cfg.read_text()
+        cfg.write_text(text.replace("phi_grid = 0.0,0.5", "phi_grid = 0.9"))
+        assert main(["replay", "--config", str(cfg), "--out", str(out)]) == 0
+        weeks = {p: p.read_bytes() for p in sorted(out.glob("runs/*/*/week-*"))}
+        assert weeks
+        cfg.write_text(text.replace("phi_grid = 0.0,0.5", "phi_grid = 0.0"))
+        capsys.readouterr()
+        assert main(["replay", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "phi_grid" in err and "run.cfg" in err
+        assert {p: p.read_bytes() for p in sorted(out.glob("runs/*/*/week-*"))} == weeks
+
     def test_replay_ingests_when_needed(self, run_setup, capsys):
         cfg, out = run_setup
         assert main(["replay", "--config", str(cfg), "--out", str(out)]) == 0

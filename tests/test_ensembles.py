@@ -455,6 +455,28 @@ class TestScoreRows:
         assert pooled and max(pooled.values()) == 1
 
 
+class TestOnePickPerWeek:
+    @pytest.mark.parametrize("pooling", ["equal", "adaptive"])
+    def test_week_runs_averages_the_grid_once(self, pooling, monkeypatch):
+        data = _synthetic_season()
+        assert len(data.strata) >= 3
+        replays = []
+        original = CapVariant._replay
+
+        def counting_replay(self, data, weeks):
+            replays.append(list(weeks))
+            return original(self, data, weeks)
+
+        monkeypatch.setattr(CapVariant, "_replay", counting_replay)
+        cap = CapVariant(pooling, phi_grid=PREFETCH_GRID)
+        for t in range(2, 8):
+            replays.clear()
+            runs = cap.week_runs(data, t)
+            assert len(runs) == len(data.strata)
+            assert len({run.phi for run in runs}) == 1
+            assert len(replays) == 1, t
+
+
 class TestMakeVariant:
     def test_names(self):
         for name in ("cap-equal", "cap-adaptive", "equal", "static", "adaptive"):

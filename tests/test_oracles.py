@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cappool.clustering import Clustering
-from cappool.ensembles import HistoryStore, SeasonData
+from cappool.ensembles import HistoryStore, SeasonData, aggregate_cluster
 from cappool.epiweek import season_weeks
 from cappool.panel import ForecastKey, Panel, TruthTable
 from cappool.pmf import N_BINS
@@ -103,6 +103,44 @@ class TestDenseBuildersMatchOracle:
                     data.cluster_mass_matrix(stratum, clustering, t),
                     looped.cluster_mass_matrix(stratum, clustering, t),
                 )
+
+
+class TestLeaderRuleMatchesOracle:
+    @settings(max_examples=20, deadline=None)
+    @given(two_seasons())
+    def test_leaders_equal_first_ranked_submitter(self, seasons):
+        # Partitions of the whole roster, so clusters whose members have no
+        # history and no forecast this week occur too.
+        prior_panel, panel, targets, rng = seasons
+        history, looped_history = HistoryStore(), oracles.LoopedHistory()
+        history.absorb(SeasonData(prior_panel, 2009, targets))
+        looped_history.absorb(oracles.LoopedSeason(prior_panel, 2009, targets, looped_history))
+        data = SeasonData(panel, 2010, targets, history)
+        looped = oracles.LoopedSeason(panel, 2010, targets, looped_history)
+
+        for stratum in data.strata:
+            for t in range(1, data.n_weeks + 1):
+                clustering = _random_partition(rng, sorted(data.roster))
+                leaders = data.leaders(stratum, clustering, [t])
+                assert leaders.shape == (1, clustering.n_clusters)
+                assert leaders[0].tolist() == looped.leaders(stratum, clustering, t)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.sampled_from("abcdef"), min_size=1, max_size=6, unique=True),
+        st.dictionaries(
+            st.sampled_from("abcdefg"), st.sampled_from([None, -9.0, -2.5, -2.5, -1.0, 0.0])
+        ),
+        st.sets(st.sampled_from("abcdefg")),
+    )
+    def test_aggregate_cluster_equals_looped_oracle(self, members, medians, submitted):
+        current = {m: np.full(N_BINS, 1.0 / N_BINS) for m in sorted(submitted)}
+        got = aggregate_cluster(members, medians, current)
+        want = oracles.aggregate_cluster(members, medians, current)
+        assert (got.members, got.leader, got.members_missing) == (
+            want.members, want.leader, want.members_missing,
+        )
+        assert got.pmf is want.pmf
 
 
 class TestTruthBinMassesMatchOracle:

@@ -11,6 +11,7 @@ import pytest
 from cappool.epiweek import Epiweek
 from cappool.replay import (
     ConfigError,
+    ConfigMismatchError,
     CorruptArtifactError,
     RunConfig,
     load_run_artifacts,
@@ -176,6 +177,58 @@ def _tree_bytes(root: Path) -> dict[str, bytes]:
         for p in sorted(root.rglob("*"))
         if p.is_file()
     }
+
+
+@pytest.fixture(scope="module")
+def cap_run(tmp_path_factory):
+    """A replayed one-stratum cap-equal run pinned at phi = 0.9."""
+    root = tmp_path_factory.mktemp("cap_run")
+    data_dir = root / "data"
+    write_synthetic_archive(data_dir, seasons=(2010,), regions=("Nat",), targets=(1,), seed=5)
+    overrides = {"targets": "1", "variants": "cap-equal", "phi_grid": "0.9"}
+    out = root / "run"
+    replay(RunConfig.parse(_config_text(data_dir, **overrides)), out)
+    return data_dir, overrides, out
+
+
+class TestRecordedConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("phi_grid", "0.0"),
+            ("delta", "1.0"),
+            ("variants", "cap-equal,equal"),
+            ("forecasts", None),
+        ],
+    )
+    def test_changed_config_is_refused(self, cap_run, tmp_path, field, value):
+        data_dir, overrides, out = cap_run
+        if field == "forecasts":
+            value = str(tmp_path / "forecasts.csv")
+            shutil.copy(data_dir / "forecasts.csv", value)
+        run = tmp_path / "run"
+        shutil.copytree(out, run)
+        before = _tree_bytes(run)
+        config = RunConfig.parse(_config_text(data_dir, **{**overrides, field: value}))
+        with pytest.raises(ConfigMismatchError, match=f"records {field} = "):
+            replay(config, run)
+        assert _tree_bytes(run) == before
+
+    def test_changed_seed_is_accepted(self, cap_run, tmp_path):
+        data_dir, overrides, out = cap_run
+        run = tmp_path / "run"
+        shutil.copytree(out, run)
+        before = _tree_bytes(run)
+        replay(RunConfig.parse(_config_text(data_dir, **overrides, seed="3")), run)
+        assert _tree_bytes(run) == before
+
+    def test_unreadable_recorded_config_is_corrupt(self, cap_run, tmp_path):
+        data_dir, overrides, _ = cap_run
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "run.cfg").write_text("phi = 0.5\n")
+        with pytest.raises(CorruptArtifactError, match="run.cfg"):
+            replay(RunConfig.parse(_config_text(data_dir, **overrides)), run)
 
 
 class TestDeterminismAndResume:

@@ -17,14 +17,13 @@ import numpy as np
 from .diagnostics import (
     likelihood_surface,
     restart_dispersion,
-    cluster_trajectory,
     variance_vs_kl_curve,
 )
 from .ensembles import HistoryStore, SeasonData
 from .panel import ForecastDataError, load_panel, parse_truth_csv
 from .pmf import N_BINS, gaussian_pmf
 from .replay import ConfigError, RunConfig, ingest, load_run_artifacts, replay
-from .report import write_report
+from .report import trajectory_table, write_report
 
 __all__ = ["main"]
 
@@ -181,20 +180,7 @@ def _cmd_trajectory(args) -> int:
     truth = parse_truth_csv(Path(args.out) / "panel" / "truth.csv")
     diag = _diag_dir(args.out)
     with open(diag / "trajectory.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["variant", "weeks_from_peak", "mean_clusters", "mean_entropy", "n"])
-        for variant in sorted({r.variant for r in runs}):
-            subset = [r for r in runs if r.variant == variant and r.n_clusters is not None]
-            for point in cluster_trajectory(subset, truth):
-                writer.writerow(
-                    [
-                        variant,
-                        point.weeks_from_peak,
-                        repr(point.mean_clusters),
-                        repr(point.mean_entropy),
-                        point.n,
-                    ]
-                )
+        csv.writer(fh).writerows(trajectory_table(runs, truth, sorted({r.variant for r in runs})))
     print(f"wrote {diag / 'trajectory.csv'}")
     return 0
 

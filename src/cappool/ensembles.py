@@ -292,9 +292,10 @@ class SeasonData:
                     panel, region, target, self.weeks, self.index,
                     self.history.prior(key, self.roster),
                 )
-        self._corr_cache: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+        self._corr_cache: dict[tuple, tuple[list[str], np.ndarray]] = {}
         self._preference_cache: dict[tuple, np.ndarray] = {}
         self._cluster_cache: dict[tuple, Clustering] = {}
+        self._members_cache: dict[tuple, np.ndarray] = {}
 
     def stratum_keys(self) -> list[tuple[str, int]]:
         return sorted(self.strata, key=stratum_sort_key)
@@ -320,33 +321,28 @@ class SeasonData:
             self._preference_cache[(stratum, t)] = cached
         return cached
 
-    def correlation(self, stratum: tuple[str, int], t: int) -> tuple[np.ndarray, np.ndarray]:
+    def correlation(self, stratum: tuple[str, int], t: int) -> tuple[list[str], np.ndarray]:
+        """Week t's clustering universe (models with scored history in the
+        window known at t or a submission at t, in id order) and their
+        correlation submatrix."""
         cached = self._corr_cache.get((stratum, t))
         if cached is None:
             sd = self.strata[stratum]
-            cached = _masked_correlation(sd.S[:, : sd.window_size(t)])
+            window = sd.S[:, : sd.window_size(t)]
+            corr, _ = _masked_correlation(window)
+            eligible = (~np.isnan(window)).any(axis=1) | sd.sub[t]
+            sel = sorted(np.flatnonzero(eligible).tolist(), key=self.roster.__getitem__)
+            cached = ([self.roster[c] for c in sel], corr[np.ix_(sel, sel)])
             self._corr_cache[(stratum, t)] = cached
         return cached
 
-    def clustering_universe(self, stratum: tuple[str, int], t: int) -> list[str]:
-        """Models eligible for this week's partition: any scored history in
-        the window, or a submission this week."""
-        sd = self.strata[stratum]
-        window = sd.S[:, : sd.window_size(t)]
-        eligible = (~np.isnan(window)).any(axis=1) | sd.sub[t]
-        return sorted(m for m, keep in zip(self.roster, eligible.tolist()) if keep)
-
     def clusters(self, stratum: tuple[str, int], t: int, phi: float) -> Clustering:
         cached = self._cluster_cache.get((stratum, t, phi))
-        if cached is not None:
-            return cached
-        ids = self.clustering_universe(stratum, t)
-        corr, _ = self.correlation(stratum, t)
-        sel = [self.index[m] for m in ids]
-        sub = corr[np.ix_(sel, sel)]
-        clustering = cluster_models(sub, phi, ids)
-        self._cluster_cache[(stratum, t, phi)] = clustering
-        return clustering
+        if cached is None:
+            ids, sub = self.correlation(stratum, t)
+            cached = cluster_models(sub, phi, ids)
+            self._cluster_cache[(stratum, t, phi)] = cached
+        return cached
 
     # -- cluster leaders -------------------------------------------------
 
@@ -357,9 +353,12 @@ class SeasonData:
         sd = self.strata[stratum]
         weeks = np.asarray(weeks, dtype=np.intp)
         n_models = len(self.roster)
-        members = np.zeros((clustering.n_clusters, n_models), dtype=bool)
-        for c, cluster in enumerate(clustering.clusters):
-            members[c, [self.index[m] for m in cluster]] = True
+        members = self._members_cache.get(clustering.clusters)
+        if members is None:
+            members = np.zeros((clustering.n_clusters, n_models), dtype=bool)
+            for c, cluster in enumerate(clustering.clusters):
+                members[c, [self.index[m] for m in cluster]] = True
+            self._members_cache[clustering.clusters] = members
         place = np.array([self.preference(stratum, j) for j in weeks.tolist()], dtype=np.intp)
         eligible = members & sd.sub[weeks][:, None, :]
         rank = np.where(eligible, place.reshape(len(weeks), 1, n_models), n_models)
@@ -521,8 +520,8 @@ class CapVariant(_VariantBase):
             raise ValueError(f"unknown pooling {pooling!r}")
         self.pooling = pooling
         self.phi_grid = tuple(sorted(float(p) for p in phi_grid))
-        if not self.phi_grid:
-            raise ValueError("empty phi candidate grid")
+        if not self.phi_grid or len(set(self.phi_grid)) < len(self.phi_grid):
+            raise ValueError(f"phi grid {list(self.phi_grid)} is empty or has duplicates")
         self.delta = delta
         self._season: SeasonData | None = None
         # (stratum, week) -> replayed log score per grid phi, or None when
@@ -544,22 +543,6 @@ class CapVariant(_VariantBase):
 
     # -- pooling over cluster forecasts --------------------------------
 
-    def _cluster_weights(
-        self, data: SeasonData, stratum, t: int, clustering: Clustering
-    ) -> np.ndarray:
-        k = clustering.n_clusters
-        if self.pooling == "equal" or t == 1:
-            return np.full(k, 1.0 / k)
-        self._use_season(data)
-        key = (stratum, t, clustering.clusters)
-        if key not in self._fits:
-            prior = AdaptivePrior(t, data.n_weeks, self.delta)
-            f = data.cluster_mass_matrix(stratum, clustering, t)
-            fit = em_pool_weights(f, alpha=prior.concentration)
-            _warn_unconverged(self.name, data, stratum, f"week {t}", fit)
-            self._fits[key] = fit.weights
-        return self._fits[key]
-
     def _pool(
         self,
         data: SeasonData,
@@ -568,10 +551,21 @@ class CapVariant(_VariantBase):
         phi: float,
     ) -> tuple[np.ndarray, Clustering, np.ndarray, np.ndarray]:
         """Pool week t's cluster leaders (-1 for none); t must have a
-        submission, so the submitter's cluster always has a leader."""
+        submission, so the submitter's cluster always has a leader. Adaptive
+        weights not already batch-fitted by ``_replay`` are fitted here."""
         clustering = data.clusters(stratum, t, phi)
         leaders = data.leaders(stratum, clustering, [t])[0]
-        fitted = self._cluster_weights(data, stratum, t, clustering)
+        if self.pooling == "equal" or t == 1:
+            fitted = np.full(clustering.n_clusters, 1.0 / clustering.n_clusters)
+        else:
+            self._use_season(data)
+            key = (stratum, t, clustering.clusters)
+            if key not in self._fits:
+                alpha = AdaptivePrior(t, data.n_weeks, self.delta).concentration
+                fit = em_pool_weights(data.cluster_mass_matrix(stratum, clustering, t), alpha=alpha)
+                _warn_unconverged(self.name, data, stratum, f"week {t}", fit)
+                self._fits[key] = fit.weights
+            fitted = self._fits[key]
         present = np.flatnonzero(leaders >= 0)
         w = renormalized(fitted, present)
         cell = data.strata[stratum].pmfs[t]
@@ -583,39 +577,40 @@ class CapVariant(_VariantBase):
     def _replay(self, data: SeasonData, weeks) -> None:
         """Replay each (stratum, week) in ``weeks`` and store its score row:
         every grid phi's replayed log score, pooling each distinct partition
-        once.
+        once at its first phi.
 
-        With adaptive pooling the cluster-weight fits these replays need and
-        no published week already fitted are solved first, together, in one
-        ``em_pool_weights_batch`` call.
-        """
-        if self.pooling == "adaptive":
-            pending: dict[tuple, tuple[np.ndarray, float]] = {}
-            for stratum, j in weeks:
-                if j == 1 or not data.strata[stratum].pmfs[j]:
-                    continue
+        With adaptive pooling, the fits these partitions need that no
+        published week made are solved first, in walk order, in one
+        ``em_pool_weights_batch`` call."""
+        walked = []
+        pending: dict[tuple, tuple[np.ndarray, float]] = {}
+        for stratum, j in weeks:
+            if not data.strata[stratum].pmfs[j]:
+                self._rows[stratum, j] = None
+                continue
+            partitions = [data.clusters(stratum, j, phi) for phi in self.phi_grid]
+            first: dict[tuple, Clustering] = {}
+            for clustering in partitions:
+                first.setdefault(clustering.clusters, clustering)
+            walked.append((stratum, j, partitions, first))
+            if self.pooling == "adaptive" and j > 1:
                 alpha = AdaptivePrior(j, data.n_weeks, self.delta).concentration
-                for phi in self.phi_grid:
-                    clustering = data.clusters(stratum, j, phi)
-                    key = (stratum, j, clustering.clusters)
-                    if key not in pending and key not in self._fits:
-                        pending[key] = (data.cluster_mass_matrix(stratum, clustering, j), alpha)
+                for partition, clustering in first.items():
+                    if (stratum, j, partition) not in self._fits:
+                        f = data.cluster_mass_matrix(stratum, clustering, j)
+                        pending[stratum, j, partition] = (f, alpha)
+        if pending:
             fits = em_pool_weights_batch(list(pending.values()))
             for key, fit in zip(pending, fits):
                 _warn_unconverged(self.name, data, key[0], f"week {key[1]}", fit)
                 self._fits[key] = fit.weights
-        for stratum, j in weeks:
-            sd = data.strata[stratum]
-            if not sd.pmfs[j]:
-                self._rows[stratum, j] = None
-                continue
-            partitions = [data.clusters(stratum, j, phi).clusters for phi in self.phi_grid]
-            scores: dict[tuple, float] = {}
-            for phi, partition in zip(self.phi_grid, partitions):
-                if partition not in scores:
-                    pmf = self._pool(data, stratum, j, phi)[0]
-                    scores[partition] = log_score(pmf, sd.truth_target[j])
-            self._rows[stratum, j] = [scores[partition] for partition in partitions]
+        for stratum, j, partitions, first in walked:
+            truth = data.strata[stratum].truth_target[j]
+            scores = {
+                partition: log_score(self._pool(data, stratum, j, clustering.phi)[0], truth)
+                for partition, clustering in first.items()
+            }
+            self._rows[stratum, j] = [scores[c.clusters] for c in partitions]
 
     def select_phi(self, data: SeasonData, t: int) -> float:
         """Threshold for week t: 1/2 on week one, afterwards the candidate

@@ -74,22 +74,6 @@ class ConfigMismatchError(ValueError):
     the first field that differs."""
 
 
-_CONFIG_KEYS = {
-    "forecasts",
-    "flusight_dir",
-    "truth",
-    "state_ili",
-    "populations",
-    "seasons",
-    "targets",
-    "variants",
-    "phi_grid",
-    "delta",
-    "seed",
-    "brier_mode",
-}
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Replay settings parsed from a flat key = value file."""
@@ -174,15 +158,22 @@ class RunConfig:
             raise ConfigError("at least one target is required")
         if len(set(self.targets)) != len(self.targets):
             raise ConfigError(f"duplicate targets in {list(self.targets)}")
+        if len(set(self.seasons)) != len(self.seasons):
+            raise ConfigError(f"duplicate seasons in {list(self.seasons)}")
         if not (math.isfinite(self.delta) and self.delta >= 0.0):
             raise ConfigError(f"delta must be finite and >= 0, got {self.delta}")
         if not self.phi_grid:
             raise ConfigError("phi_grid must not be empty")
+        if len(set(self.phi_grid)) != len(self.phi_grid):
+            raise ConfigError(f"duplicate phi_grid values in {list(self.phi_grid)}")
         bad = [p for p in self.phi_grid if not (math.isfinite(p) and p >= 0.0)]
         if bad:
             raise ConfigError(f"phi_grid values {bad} are not finite and >= 0")
         if self.brier_mode not in ("standard", "strict"):
             raise ConfigError(f"unknown brier_mode {self.brier_mode!r}")
+
+
+_CONFIG_KEYS = frozenset(f.name for f in fields(RunConfig)) - {"source_text"}
 
 
 def _panel_dir(out_dir: Path) -> Path:

@@ -20,7 +20,7 @@ from .panel import TruthTable, parse_truth_csv
 from .replay import load_run_artifacts
 from .scoring import BRIER_THRESHOLDS, ScoreRecord, brier_matrix, pit_calibration_auc
 
-__all__ = ["ReportBundle", "emit_report", "write_report"]
+__all__ = ["ReportBundle", "emit_report", "trajectory_table", "write_report"]
 
 _GROUP_ALL = "all"
 
@@ -57,6 +57,24 @@ def _groups(targets) -> list:
 
 def _in_group(record, group) -> bool:
     return group == _GROUP_ALL or record.target == group
+
+
+def trajectory_table(runs: list[EnsembleRun], truth: TruthTable, variants) -> list[list]:
+    """The ``trajectory`` table, header first: mean cluster count and
+    entropy by weeks from peak for each of ``variants`` with cap runs."""
+    rows = [["variant", "weeks_from_peak", "mean_clusters", "mean_entropy", "n"]]
+    for variant in variants:
+        for point in cluster_trajectory([r for r in runs if r.variant == variant], truth):
+            rows.append(
+                [
+                    variant,
+                    point.weeks_from_peak,
+                    repr(point.mean_clusters),
+                    repr(point.mean_entropy),
+                    point.n,
+                ]
+            )
+    return rows
 
 
 def emit_report(
@@ -193,29 +211,13 @@ def emit_report(
                 ]
             )
 
-    trajectory_rows = [["variant", "weeks_from_peak", "mean_clusters", "mean_entropy", "n"]]
-    for variant in variants:
-        cap_runs = [r for r in runs if r.variant == variant and r.n_clusters is not None]
-        if not cap_runs:
-            continue
-        for point in cluster_trajectory(cap_runs, truth):
-            trajectory_rows.append(
-                [
-                    variant,
-                    point.weeks_from_peak,
-                    repr(point.mean_clusters),
-                    repr(point.mean_entropy),
-                    point.n,
-                ]
-            )
-
     return ReportBundle(
         scores=score_rows,
         logscore_quantiles=quantile_rows,
         pit_cdf=pit_rows,
         brier_by_threshold=brier_rows,
         logscore_by_offset=offset_rows,
-        trajectory=trajectory_rows,
+        trajectory=trajectory_table(runs, truth, variants),
         summary=summary_rows,
     )
 

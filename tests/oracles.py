@@ -4,7 +4,9 @@ Each function here computes, one cell at a time from dicts, what the package
 computes with array indexing: the per-pair log-score correlation, the
 truth-bin masses of a forecast stack, a season's score window and weight
 fit mass matrices, the follow-the-leader choice, and the threshold
-clustering. The per-value CSV codec (``csv.reader``/``csv.writer`` with
+clustering. The clustering universe picked by id and cut from the
+full-roster correlation with ``np.ix_`` is the reference for the cached
+(ids, submatrix) pair. The per-value CSV codec (``csv.reader``/``csv.writer`` with
 ``float``/``repr`` of each probability) is the reference for the bulk one,
 and the report's Brier table built from one ``brier_score`` call per
 (record, cutpoint) is the reference for the one-matrix-per-variant table.
@@ -20,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from cappool.clustering import Clustering
-from cappool.ensembles import ClusterForecast
+from cappool.ensembles import ClusterForecast, _masked_correlation
 from cappool.epiweek import Epiweek, season_length, season_weeks
 from cappool.panel import ForecastDataError, ForecastKey, _parse_target, canonical_region
 from cappool.pmf import N_BINS, MalformedPmfError, bin_index
@@ -221,6 +223,20 @@ class LoopedSeason:
             for col, m in enumerate(self.roster):
                 f[row, col] = hist["masses"][key].get(m, 0.0)
         return f
+
+
+def clustering_universe(data, stratum, t: int) -> tuple[list[str], np.ndarray]:
+    """Week t's clustering universe and correlation submatrix by the rule
+    ``SeasonData.clusters`` applied on every call before the pair was cached:
+    the ids with scored history in the window or a submission at t, sorted,
+    then the full-roster correlation indexed with ``np.ix_``."""
+    sd = data.strata[stratum]
+    window = sd.S[:, : sd.window_size(t)]
+    eligible = (~np.isnan(window)).any(axis=1) | sd.sub[t]
+    ids = sorted(m for m, keep in zip(data.roster, eligible.tolist()) if keep)
+    corr, _ = _masked_correlation(window)
+    sel = [data.index[m] for m in ids]
+    return ids, corr[np.ix_(sel, sel)]
 
 
 def aggregate_cluster(members, medians, current) -> ClusterForecast:

@@ -47,6 +47,22 @@ class TestCliExitCodes:
         assert "duplicate targets" in capsys.readouterr().err
         assert not (out / "panel").exists()
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("phi_grid = 0.3,0.3\n", "duplicate phi_grid"),
+            ("seasons = 2010,2010\n", "duplicate seasons"),
+        ],
+    )
+    def test_duplicate_values_rejected_before_ingest(self, run_setup, capsys, line, message):
+        cfg, out = run_setup
+        key = line.split(" ")[0]
+        text = "".join(l for l in cfg.read_text().splitlines(True) if not l.startswith(key))
+        cfg.write_text(text + line)
+        assert main(["replay", "--config", str(cfg), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "panel").exists()
+
     def test_report_on_empty_directory(self, tmp_path, capsys):
         assert main(["report", "--out", str(tmp_path)]) == 1
         assert "error" in capsys.readouterr().err
@@ -196,6 +212,16 @@ class TestCliDiagnose:
             rows = list(csv.DictReader(fh))
         assert rows
         assert {r["variant"] for r in rows} == {"cap-equal"}
+
+    def test_trajectory_equals_the_report_table(self, run_setup, capsys):
+        cfg, out = run_setup
+        assert main(["replay", "--config", str(cfg), "--out", str(out)]) == 0
+        assert main(["report", "--out", str(out)]) == 0
+        assert main(["diagnose", "trajectory", "--out", str(out)]) == 0
+        capsys.readouterr()
+        diagnosed = (out / "diagnostics" / "trajectory.csv").read_bytes()
+        assert diagnosed.count(b"\n") > 1
+        assert diagnosed == (out / "reports" / "trajectory.csv").read_bytes()
 
     def test_surface_demo(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -130,6 +130,12 @@ class TestSelectPhi:
         data = SeasonData(panel, 2010, (1,))
         assert CapVariant("equal", phi_grid=(1.0,)).select_phi(data, 1) == 1.0
 
+    @pytest.mark.parametrize("grid", [(0.3, 0.3), (0.1, 0.3, 0.30), ()])
+    def test_empty_or_duplicate_grid_is_refused(self, grid):
+        # A repeated candidate would un-pin a single threshold at week one.
+        with pytest.raises(ValueError, match="empty or has duplicates"):
+            CapVariant("equal", phi_grid=grid)
+
     def test_no_scorable_data_falls_back_to_half(self):
         design = {"a": {1: soft_mass(10, 0.5), 2: soft_mass(10, 0.5)}}
         panel = _mini_panel(design, [None, None])
@@ -381,6 +387,40 @@ class TestWeightPrefetch:
         monkeypatch.setattr(ensembles, "em_pool_weights_batch", solo_batch)
         _, unbatched = self._replay(_synthetic_season())
         assert [run.phi for run in runs] == [run.phi for run in unbatched]
+
+    def test_batch_holds_each_new_partition_once_in_walk_order(self, monkeypatch):
+        # Strata in stratum_keys() order, weeks ascending, each week's
+        # partitions in the order of their first phi; a fitted key never
+        # comes back in a later batch.
+        batches = []
+
+        def spy_batch(problems):
+            batches.append(list(problems))
+            return pool.em_pool_weights_batch(problems)
+
+        monkeypatch.setattr(ensembles, "em_pool_weights_batch", spy_batch)
+        data = _synthetic_season()
+        cap = CapVariant("adaptive", phi_grid=PREFETCH_GRID)
+        fitted: list[tuple] = []
+        for call, t in enumerate((8, 14), start=1):
+            expected = []
+            for stratum in data.stratum_keys():
+                sd = data.strata[stratum]
+                for j in sd.scored_weeks(t).tolist():
+                    if j == 1 or not sd.pmfs[j]:
+                        continue
+                    for phi in PREFETCH_GRID:
+                        key = (stratum, j, data.clusters(stratum, j, phi).clusters)
+                        if key not in fitted and key not in expected:
+                            expected.append(key)
+            cap.select_phi(data, t)
+            assert len(batches) == call and expected
+            assert list(cap._fits)[len(fitted):] == expected
+            for (stratum, j, partition), (f, alpha) in zip(expected, batches[-1], strict=True):
+                want = data.cluster_mass_matrix(stratum, Clustering(partition, 0.0), j)
+                assert np.array_equal(f, want)
+                assert alpha == AdaptivePrior(j, data.n_weeks, cap.delta).concentration
+            fitted += expected
 
     def test_unconverged_fits_are_logged(self, monkeypatch, caplog):
         unconverged = {"solo": 0, "batch": 0}

@@ -95,7 +95,7 @@ class TestDenseBuildersMatchOracle:
                 assert np.array_equal(
                     data.model_mass_matrix(stratum, t), looped.model_mass_matrix(stratum, t)
                 )
-                universe = data.clustering_universe(stratum, t)
+                universe, _ = data.correlation(stratum, t)
                 if not universe:
                     continue
                 clustering = _random_partition(rng, universe)
@@ -103,6 +103,33 @@ class TestDenseBuildersMatchOracle:
                     data.cluster_mass_matrix(stratum, clustering, t),
                     looped.cluster_mass_matrix(stratum, clustering, t),
                 )
+
+
+def _seasons(seasons):
+    """The current season's dense data and its looped oracle, each with the
+    prior season absorbed."""
+    prior_panel, panel, targets, _ = seasons
+    history, looped_history = HistoryStore(), oracles.LoopedHistory()
+    history.absorb(SeasonData(prior_panel, 2009, targets))
+    looped_history.absorb(oracles.LoopedSeason(prior_panel, 2009, targets, looped_history))
+    return SeasonData(panel, 2010, targets, history), oracles.LoopedSeason(
+        panel, 2010, targets, looped_history
+    )
+
+
+class TestCorrelationMatchesOracle:
+    @settings(max_examples=20, deadline=None)
+    @given(two_seasons())
+    def test_universe_and_submatrix_equal_the_ix_rule(self, seasons):
+        data, _ = _seasons(seasons)
+        for stratum in data.strata:
+            for t in range(1, data.n_weeks + 1):
+                ids, sub = data.correlation(stratum, t)
+                want_ids, want_sub = oracles.clustering_universe(data, stratum, t)
+                assert ids == want_ids
+                assert sub.shape == (len(ids), len(ids))
+                assert np.array_equal(sub, want_sub)
+                assert data.correlation(stratum, t)[1] is sub
 
 
 class TestLeaderRuleMatchesOracle:
@@ -124,6 +151,28 @@ class TestLeaderRuleMatchesOracle:
                 leaders = data.leaders(stratum, clustering, [t])
                 assert leaders.shape == (1, clustering.n_clusters)
                 assert leaders[0].tolist() == looped.leaders(stratum, clustering, t)
+
+    @settings(max_examples=20, deadline=None)
+    @given(two_seasons())
+    def test_membership_follows_the_partition_not_the_threshold(self, seasons):
+        # An equal partition under another threshold gives equal leaders; a
+        # different partition, even one with as many clusters, never reads
+        # a membership cached for another.
+        data, looped = _seasons(seasons)
+        rng, ids = seasons[3], sorted(data.roster)
+        for stratum in data.strata:
+            for t in range(1, data.n_weeks + 1):
+                first = _random_partition(rng, ids)
+                clusterings = [
+                    first,
+                    Clustering(first.clusters, 0.7),
+                    Clustering(first.clusters[::-1], 0.0),
+                    _random_partition(rng, ids),
+                ]
+                got = [data.leaders(stratum, c, [t])[0].tolist() for c in clusterings]
+                assert got[0] == got[1]
+                for clustering, leaders in zip(clusterings, got):
+                    assert leaders == looped.leaders(stratum, clustering, t)
 
     @settings(max_examples=200, deadline=None)
     @given(

@@ -3,6 +3,7 @@ import json
 import logging
 import re
 import shutil
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -72,6 +73,15 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             RunConfig.parse("targets = 0,1\n")
 
+    def test_every_field_but_the_source_text_is_a_key(self):
+        # A known key repeated fails as a duplicate, an unknown one earlier.
+        for key in {f.name for f in fields(RunConfig)} - {"source_text"}:
+            with pytest.raises(ConfigError) as info:
+                RunConfig.parse(f"{key} = 1\n{key} = 1\n")
+            assert "duplicate config key" in str(info.value)
+        with pytest.raises(ConfigError, match="unknown config key"):
+            RunConfig.parse("source_text = x\n")
+
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError):
             RunConfig.parse("delta = 1\ndelta = 2\n")
@@ -85,6 +95,9 @@ class TestRunConfig:
             "phi_grid = 0.0,nan\n",
             "variants = equal,cap-equal,equal\n",
             "targets = 1,1\n",
+            "phi_grid = 0.3,0.3\n",
+            "phi_grid = 0.1,0.3,0.30\n",
+            "seasons = 2010,2011,2010\n",
         ],
     )
     def test_bad_value_rejected(self, text):

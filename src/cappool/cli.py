@@ -7,7 +7,6 @@ under the run directory given by --out.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import sys
 from pathlib import Path
@@ -20,10 +19,10 @@ from .diagnostics import (
     variance_vs_kl_curve,
 )
 from .ensembles import HistoryStore, SeasonData
-from .panel import ForecastDataError, load_panel, parse_truth_csv
+from .panel import ForecastDataError, load_panel, panel_dir, parse_truth_csv, truth_path
 from .pmf import N_BINS, gaussian_pmf
 from .replay import ConfigError, RunConfig, ingest, load_run_artifacts, replay
-from .report import trajectory_table, write_report
+from .report import trajectory_table, write_report, write_table
 
 __all__ = ["main"]
 
@@ -80,10 +79,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _diag_dir(out: str) -> Path:
-    path = Path(out) / "diagnostics"
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+def _diag_path(out: str, name: str) -> Path:
+    return Path(out) / "diagnostics" / name
 
 
 def _demo_redundant_fit(seed: int):
@@ -106,7 +103,7 @@ def _demo_redundant_fit(seed: int):
 
 
 def _panel_fit_inputs(out: str, region: str, target: int, season: int):
-    panel = load_panel(Path(out) / "panel", seasons=[season])
+    panel = load_panel(panel_dir(out), seasons=[season])
     data = SeasonData(panel, season, (target,), HistoryStore())
     sd = data.strata[(region, target)]
     rows = []
@@ -134,30 +131,22 @@ def _cmd_restarts(args) -> int:
         F, y = _demo_redundant_fit(args.seed)
         names = ["dup_a", "dup_b", "distinct"]
     report = restart_dispersion(F, y, n_restarts=args.n, seed=args.seed)
-    diag = _diag_dir(args.out)
-    with open(diag / "restarts.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["restart"]
-            + [f"init_{m}" for m in names]
-            + [f"weight_{m}" for m in names]
-            + ["log_likelihood"]
+    columns = [f"{kind}_{m}" for kind in ("init", "weight") for m in names]
+    draws = [["restart", *columns, "log_likelihood"]]
+    for idx, draw in enumerate(report.draws):
+        draws.append(
+            [idx]
+            + [repr(float(v)) for v in draw.init_weights]
+            + [repr(float(v)) for v in draw.weights]
+            + [repr(draw.log_likelihood)]
         )
-        for idx, draw in enumerate(report.draws):
-            writer.writerow(
-                [idx]
-                + [repr(float(v)) for v in draw.init_weights]
-                + [repr(float(v)) for v in draw.weights]
-                + [repr(draw.log_likelihood)]
-            )
-    with open(diag / "restarts_summary.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["model", "weight_std"])
-        for m, v in zip(names, report.weight_std):
-            writer.writerow([m, repr(float(v))])
-        writer.writerow(["likelihood_spread", repr(report.likelihood_spread)])
-        writer.writerow(["degenerate", str(report.degenerate).lower()])
-    print(f"wrote {diag / 'restarts.csv'} ({args.n} restarts)")
+    summary = [["model", "weight_std"]]
+    summary += [[m, repr(float(v))] for m, v in zip(names, report.weight_std)]
+    summary.append(["likelihood_spread", repr(report.likelihood_spread)])
+    summary.append(["degenerate", str(report.degenerate).lower()])
+    path = write_table(_diag_path(args.out, "restarts.csv"), draws)
+    write_table(_diag_path(args.out, "restarts_summary.csv"), summary)
+    print(f"wrote {path} ({args.n} restarts)")
     return 0
 
 
@@ -165,36 +154,26 @@ def _cmd_variance_kl(args) -> int:
     steps = int(round((args.stop - args.start) / args.step))
     grid = [args.start + k * args.step for k in range(steps + 1)]
     rows = variance_vs_kl_curve(grid, sigma=args.sigma, base_mean=args.start)
-    diag = _diag_dir(args.out)
-    with open(diag / "variance_kl.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["mean", "kl", "variance"])
-        for mu, kl, var in rows:
-            writer.writerow([repr(mu), repr(kl), repr(var)])
-    print(f"wrote {diag / 'variance_kl.csv'}")
+    table = [["mean", "kl", "variance"]]
+    table += [[repr(mu), repr(kl), repr(var)] for mu, kl, var in rows]
+    print(f"wrote {write_table(_diag_path(args.out, 'variance_kl.csv'), table)}")
     return 0
 
 
 def _cmd_trajectory(args) -> int:
     runs, _ = load_run_artifacts(args.out)
-    truth = parse_truth_csv(Path(args.out) / "panel" / "truth.csv")
-    diag = _diag_dir(args.out)
-    with open(diag / "trajectory.csv", "w", newline="") as fh:
-        csv.writer(fh).writerows(trajectory_table(runs, truth, sorted({r.variant for r in runs})))
-    print(f"wrote {diag / 'trajectory.csv'}")
+    truth = parse_truth_csv(truth_path(panel_dir(args.out)))
+    table = trajectory_table(runs, truth, sorted({r.variant for r in runs}))
+    print(f"wrote {write_table(_diag_path(args.out, 'trajectory.csv'), table)}")
     return 0
 
 
 def _cmd_surface(args) -> int:
     F, y = _demo_redundant_fit(args.seed)
     rows = likelihood_surface(F, y, resolution=args.resolution)
-    diag = _diag_dir(args.out)
-    with open(diag / "surface.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["w1", "w2", "log_likelihood"])
-        for w1, w2, ll in rows:
-            writer.writerow([repr(w1), repr(w2), repr(ll)])
-    print(f"wrote {diag / 'surface.csv'}")
+    table = [["w1", "w2", "log_likelihood"]]
+    table += [[repr(w1), repr(w2), repr(ll)] for w1, w2, ll in rows]
+    print(f"wrote {write_table(_diag_path(args.out, 'surface.csv'), table)}")
     return 0
 
 
@@ -205,49 +184,32 @@ def _cmd_phi_trace(args) -> int:
         subset = [r for r in subset if r.variant == args.variant]
     if not subset:
         raise FileNotFoundError("no cluster-aggregate-pool runs found in this run directory")
-    reports = Path(args.out) / "reports"
-    reports.mkdir(parents=True, exist_ok=True)
-    path = reports / "phi_trace.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
+    table = [
+        ["variant", "season", "issue_week", "region", "target", "phi", "n_clusters", "entropy",
+         "clusters", "leaders"]
+    ]
+    for r in sorted(subset, key=lambda r: (r.variant, r.issue_week, r.region, r.target)):
+        clusters = ";".join("|".join(c) for c in r.clusters) if r.clusters is not None else ""
+        leaders = (
+            ";".join(m if m is not None else "-" for m in r.leaders)
+            if r.leaders is not None
+            else ""
+        )
+        table.append(
             [
-                "variant",
-                "season",
-                "issue_week",
-                "region",
-                "target",
-                "phi",
-                "n_clusters",
-                "entropy",
-                "clusters",
-                "leaders",
+                r.variant,
+                r.season,
+                r.issue_week,
+                r.region,
+                r.target,
+                repr(r.phi),
+                r.n_clusters if r.n_clusters is not None else "",
+                repr(r.entropy) if r.entropy is not None else "",
+                clusters,
+                leaders,
             ]
         )
-        for r in sorted(subset, key=lambda r: (r.variant, r.issue_week, r.region, r.target)):
-            clusters = (
-                ";".join("|".join(c) for c in r.clusters) if r.clusters is not None else ""
-            )
-            leaders = (
-                ";".join(m if m is not None else "-" for m in r.leaders)
-                if r.leaders is not None
-                else ""
-            )
-            writer.writerow(
-                [
-                    r.variant,
-                    r.season,
-                    r.issue_week,
-                    r.region,
-                    r.target,
-                    repr(r.phi),
-                    r.n_clusters if r.n_clusters is not None else "",
-                    repr(r.entropy) if r.entropy is not None else "",
-                    clusters,
-                    leaders,
-                ]
-            )
-    print(f"wrote {path}")
+    print(f"wrote {write_table(Path(args.out) / 'reports' / 'phi_trace.csv', table)}")
     return 0
 
 
@@ -271,7 +233,7 @@ def main(argv=None) -> int:
             print(f"replay complete under {args.out}")
             return 0
         if args.command == "report":
-            report_dir = write_report(args.out, strict_brier=_strict_brier(args.out))
+            report_dir = write_report(args.out)
             print(f"wrote reports under {report_dir}")
             return 0
         if args.command == "diagnose":
@@ -291,13 +253,6 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     raise AssertionError("unreachable")
-
-
-def _strict_brier(out: str) -> bool:
-    cfg_path = Path(out) / "run.cfg"
-    if cfg_path.exists():
-        return RunConfig.load(cfg_path).brier_mode == "strict"
-    return False
 
 
 if __name__ == "__main__":

@@ -293,33 +293,45 @@ class SeasonData:
                     self.history.prior(key, self.roster),
                 )
         self._corr_cache: dict[tuple, tuple[list[str], np.ndarray]] = {}
-        self._preference_cache: dict[tuple, np.ndarray] = {}
+        self._place_cache: dict[tuple, np.ndarray] = {}
         self._cluster_cache: dict[tuple, Clustering] = {}
         self._members_cache: dict[tuple, np.ndarray] = {}
 
     def stratum_keys(self) -> list[tuple[str, int]]:
         return sorted(self.strata, key=stratum_sort_key)
 
+    def week(self, t: int) -> Epiweek:
+        """The epiweek of week index t (1-based), which may run past the
+        season's end."""
+        if t <= self.n_weeks:
+            return self.weeks[t - 1]
+        return self.weeks[-1].add_weeks(t - self.n_weeks)
+
     # -- score windows -------------------------------------------------
 
-    def preference(self, stratum: tuple[str, int], t: int) -> np.ndarray:
-        """Each roster model's place in the leader preference order as of
-        week t (0 is the first choice): ``_leader_key`` over the median of
-        each model's scores in the window known at t."""
-        cached = self._preference_cache.get((stratum, t))
-        if cached is None:
+    def places(self, stratum: tuple[str, int]) -> np.ndarray:
+        """Each roster model's place in the leader preference order at each
+        week, shape (weeks + 1, roster), 0 the first choice: ``_leader_key``
+        over the median of each model's scores in the window known at that
+        week. A week whose window did not grow copies the row before it."""
+        table = self._place_cache.get(stratum)
+        if table is None:
             sd = self.strata[stratum]
-            window = sd.S[:, : sd.window_size(t)]
-            med = {
-                m: float(np.median(row[~np.isnan(row)]))
-                for m, row in zip(self.roster, window)
-                if not np.isnan(row).all()
-            }
-            order = sorted(range(len(self.roster)), key=lambda c: _leader_key(med, self.roster[c]))
-            cached = np.empty(len(self.roster), dtype=np.intp)
-            cached[order] = np.arange(len(order))
-            self._preference_cache[(stratum, t)] = cached
-        return cached
+            table = np.empty((self.n_weeks + 1, len(self.roster)), dtype=np.intp)
+            for t in range(self.n_weeks + 1):
+                size = sd.window_size(t)
+                if t and size == sd.window_size(t - 1):
+                    table[t] = table[t - 1]
+                    continue
+                med = {
+                    m: float(np.median(row[~np.isnan(row)]))
+                    for m, row in zip(self.roster, sd.S[:, :size])
+                    if not np.isnan(row).all()
+                }
+                order = sorted(self.roster, key=lambda m: _leader_key(med, m))
+                table[t, [self.index[m] for m in order]] = np.arange(len(order))
+            self._place_cache[stratum] = table
+        return table
 
     def correlation(self, stratum: tuple[str, int], t: int) -> tuple[list[str], np.ndarray]:
         """Week t's clustering universe (models with scored history in the
@@ -349,7 +361,7 @@ class SeasonData:
     def leaders(self, stratum: tuple[str, int], clustering: Clustering, weeks) -> np.ndarray:
         """Roster index of each cluster's leader at each of ``weeks``, shape
         (weeks, clusters): its member that submitted that week and comes
-        first in that week's preference order, or -1 when none submitted."""
+        first in that week's ``places`` row, or -1 when none submitted."""
         sd = self.strata[stratum]
         weeks = np.asarray(weeks, dtype=np.intp)
         n_models = len(self.roster)
@@ -359,9 +371,8 @@ class SeasonData:
             for c, cluster in enumerate(clustering.clusters):
                 members[c, [self.index[m] for m in cluster]] = True
             self._members_cache[clustering.clusters] = members
-        place = np.array([self.preference(stratum, j) for j in weeks.tolist()], dtype=np.intp)
         eligible = members & sd.sub[weeks][:, None, :]
-        rank = np.where(eligible, place.reshape(len(weeks), 1, n_models), n_models)
+        rank = np.where(eligible, self.places(stratum)[weeks][:, None, :], n_models)
         return np.where(eligible.any(axis=2), rank.argmin(axis=2), -1)
 
     def cluster_mass_matrix(
@@ -404,7 +415,7 @@ def _run(variant: str, data: SeasonData, stratum, t: int, **fields) -> EnsembleR
         season=data.season,
         region=region,
         target=target,
-        issue_week=data.weeks[t - 1].to_int(),
+        issue_week=data.week(t).to_int(),
         week_index=t,
         missing_models=data.strata[stratum].missing(t),
         **fields,

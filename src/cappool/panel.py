@@ -43,6 +43,9 @@ __all__ = [
     "truth_from_state_ili",
     "write_component_csv",
     "write_panel",
+    "panel_dir",
+    "stored_seasons",
+    "truth_path",
     "load_panel",
 ]
 
@@ -543,6 +546,28 @@ def _season_sidecar(directory: Path, season: int) -> Path:
     return directory / f"season-{season}.json"
 
 
+def _truth_csv(directory: Path) -> Path:
+    return directory / "truth.csv"
+
+
+def panel_dir(out_dir) -> Path:
+    """The persisted panel of a run directory."""
+    return Path(out_dir) / "panel"
+
+
+def stored_seasons(directory) -> list[int]:
+    """The seasons a persisted panel holds forecasts for, ascending."""
+    return sorted(int(p.stem.split("-")[1]) for p in Path(directory).glob("season-*.csv"))
+
+
+def truth_path(directory) -> Path:
+    """The truth table of a persisted panel; ForecastDataError if absent."""
+    path = _truth_csv(Path(directory))
+    if not path.exists():
+        raise ForecastDataError(f"no truth table at {path}")
+    return path
+
+
 _NEEDS_QUOTES = re.compile('[,"\r\n]')
 
 
@@ -600,7 +625,7 @@ def write_panel(panel: Panel, directory) -> None:
             json.dumps(sidecar, indent=1, sort_keys=True) + "\n"
         )
 
-    with open(directory / "truth.csv", "w", newline="") as fh:
+    with open(_truth_csv(directory), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["region", "epiweek", "wili"])
         for (region, week), value in panel.truth.items():
@@ -635,24 +660,20 @@ def load_panel(directory, seasons=None) -> Panel:
     negative entry, or a sum more than 1e-6 from 1, is rejected.
     """
     directory = Path(directory)
-    truth_path = directory / "truth.csv"
-    if not truth_path.exists():
-        raise ForecastDataError(f"no truth table at {truth_path}")
-    truth = parse_truth_csv(truth_path)
+    truth = parse_truth_csv(truth_path(directory))
     entries: dict[ForecastKey, np.ndarray] = {}
     rosters: list[tuple[str, ...]] = []
-    paths = sorted(directory.glob("season-*.csv"))
+    found = stored_seasons(directory)
     if seasons is not None:
         wanted = {int(s) for s in seasons}
-        paths = [p for p in paths if int(p.stem.split("-")[1]) in wanted]
-        found = {int(p.stem.split("-")[1]) for p in paths}
-        if found != wanted:
-            raise ForecastDataError(f"panel missing seasons {sorted(wanted - found)}")
-    for path in paths:
+        if not wanted <= set(found):
+            raise ForecastDataError(f"panel missing seasons {sorted(wanted - set(found))}")
+        found = [s for s in found if s in wanted]
+    for season in found:
+        path = _season_csv(directory, season)
         fragment = parse_component_csv(path, renormalize=False)
         _check_stored(path, fragment)
         entries.update(fragment)
-        season = int(path.stem.split("-")[1])
         sidecar = json.loads(_season_sidecar(directory, season).read_text())
         rosters.append(tuple(sidecar["roster"]))
     if rosters and len(set(rosters)) != 1:

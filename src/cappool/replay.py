@@ -36,12 +36,14 @@ from .panel import (
     format_probs,
     ingest_flusight_tree,
     load_panel,
+    panel_dir,
     parse_component_csv,
     parse_population_csv,
     parse_prob_rows,
     parse_state_ili_csv,
     parse_truth_csv,
     read_prob_records,
+    stored_seasons,
     truth_from_state_ili,
     write_panel,
 )
@@ -55,6 +57,7 @@ __all__ = [
     "RunConfig",
     "ingest",
     "replay",
+    "recorded_config",
     "load_run_artifacts",
 ]
 
@@ -176,8 +179,20 @@ class RunConfig:
 _CONFIG_KEYS = frozenset(f.name for f in fields(RunConfig)) - {"source_text"}
 
 
-def _panel_dir(out_dir: Path) -> Path:
-    return out_dir / "panel"
+def _config_path(out_dir) -> Path:
+    return Path(out_dir) / "run.cfg"
+
+
+def recorded_config(out_dir) -> RunConfig | None:
+    """The config recorded in a run directory's ``run.cfg``, or None when
+    there is none. An unparsable file raises CorruptArtifactError naming it."""
+    path = _config_path(out_dir)
+    if not path.exists():
+        return None
+    try:
+        return RunConfig.load(path)
+    except ConfigError as exc:
+        raise CorruptArtifactError(f"{path}: {exc}") from None
 
 
 def ingest(config: RunConfig, out_dir) -> Path:
@@ -200,8 +215,8 @@ def ingest(config: RunConfig, out_dir) -> Path:
     else:
         raise ForecastDataError("no truth source configured")
     panel = Panel.assemble(fragments, truth)
-    write_panel(panel, _panel_dir(out_dir))
-    return _panel_dir(out_dir)
+    write_panel(panel, panel_dir(out_dir))
+    return panel_dir(out_dir)
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -473,10 +488,7 @@ def _score_runs_targeting(
 ) -> list[ScoreRecord]:
     """Score every stored run whose target week realizes at week index t."""
     records = []
-    week_int = (
-        data.weeks[t - 1].to_int() if t <= data.n_weeks
-        else data.weeks[-1].add_weeks(t - data.n_weeks).to_int()
-    )
+    week_int = data.week(t).to_int()
     for target in sorted(targets):
         j = t - target
         if j < 1 or j not in season_runs:
@@ -508,19 +520,20 @@ def _score_runs_targeting(
 
 def replay(config: RunConfig, out_dir) -> None:
     """Replay all configured seasons for all configured variants."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    cfg_path = out_dir / "run.cfg"
-    if cfg_path.exists():
-        _check_recorded_config(cfg_path, config)
-    elif config.source_text:
-        _atomic_write(cfg_path, config.source_text)
-    panel_dir = _panel_dir(out_dir)
-    if not panel_dir.exists():
-        ingest(config, out_dir)
-    available = sorted(int(p.stem.split("-")[1]) for p in panel_dir.glob("season-*.csv"))
+    # Refused before the run directory is touched, so it is not recorded there.
     if not config.seasons:
         raise ConfigError("no seasons configured")
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    recorded = recorded_config(out_dir)
+    if recorded is not None:
+        _check_recorded_config(recorded, config, _config_path(out_dir))
+    elif config.source_text:
+        _atomic_write(_config_path(out_dir), config.source_text)
+    stored = panel_dir(out_dir)
+    if not stored.exists():
+        ingest(config, out_dir)
+    available = stored_seasons(stored)
     missing = set(config.seasons) - set(available)
     if missing:
         raise ForecastDataError(f"panel has no data for seasons {sorted(missing)}")
@@ -534,21 +547,16 @@ def replay(config: RunConfig, out_dir) -> None:
     for season in available:
         if season > last:
             break
-        panel = load_panel(panel_dir, seasons=[season])
-        data = SeasonData(panel, season, config.targets, history)
+        data = SeasonData(load_panel(stored, seasons=[season]), season, config.targets, history)
         if season in config.seasons:
             _replay_season_runs(data, variants, config, out_dir)
         history.absorb(data)
 
 
-def _check_recorded_config(cfg_path: Path, config: RunConfig) -> None:
+def _check_recorded_config(recorded: RunConfig, config: RunConfig, cfg_path: Path) -> None:
     """Refuse to add to a run directory whose ``run.cfg`` records another
     config. ``seed`` is not compared: replay never reads it, and
     ``replay --seed`` overrides it without rewriting ``run.cfg``."""
-    try:
-        recorded = RunConfig.load(cfg_path)
-    except ConfigError as exc:
-        raise CorruptArtifactError(f"{cfg_path}: {exc}") from None
     for f in fields(RunConfig):
         if f.name in ("seed", "source_text"):
             continue
@@ -569,11 +577,7 @@ def _replay_season_runs(
         season_runs: dict[int, dict[tuple[str, int], EnsembleRun]] = {}
         for t in range(1, data.n_weeks + horizon + 1):
             in_season = t <= data.n_weeks
-            week = (
-                data.weeks[t - 1]
-                if in_season
-                else data.weeks[-1].add_weeks(t - data.n_weeks)
-            )
+            week = data.week(t)
             try:
                 cached = _load_week(out_dir, variant.name, data.season, week)
             except CorruptArtifactError as exc:

@@ -3,6 +3,7 @@
 Reports are pure functions of the persisted artifacts plus the truth table;
 regenerating them never changes run outputs. Aggregates are offered both
 per week-ahead target and pooled over all targets, keyed consistently.
+Every report and diagnostic table is written by ``write_table``.
 """
 
 from __future__ import annotations
@@ -16,11 +17,11 @@ import numpy as np
 from .diagnostics import cluster_trajectory, peak_week
 from .ensembles import EnsembleRun
 from .epiweek import Epiweek, season_of
-from .panel import TruthTable, parse_truth_csv
-from .replay import load_run_artifacts
+from .panel import TruthTable, panel_dir, parse_truth_csv, truth_path
+from .replay import load_run_artifacts, recorded_config
 from .scoring import BRIER_THRESHOLDS, ScoreRecord, brier_matrix, pit_calibration_auc
 
-__all__ = ["ReportBundle", "emit_report", "trajectory_table", "write_report"]
+__all__ = ["ReportBundle", "emit_report", "trajectory_table", "write_report", "write_table"]
 
 _GROUP_ALL = "all"
 
@@ -222,18 +223,23 @@ def emit_report(
     )
 
 
-def write_report(out_dir, strict_brier: bool = False) -> Path:
-    """Generate all report CSVs for a completed run directory."""
+def write_table(path: Path, rows) -> Path:
+    """Write a table, header first, as CSV at ``path``, making its directory."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    return path
+
+
+def write_report(out_dir) -> Path:
+    """Generate all report CSVs for a completed run directory, with Brier
+    scores in the orientation its ``run.cfg`` records (standard without one)."""
     out_dir = Path(out_dir)
+    config = recorded_config(out_dir)
     runs, scores = load_run_artifacts(out_dir)
-    truth_path = out_dir / "panel" / "truth.csv"
-    if not truth_path.exists():
-        raise FileNotFoundError(f"no truth table at {truth_path}")
-    truth = parse_truth_csv(truth_path)
-    bundle = emit_report(runs, scores, truth, strict_brier=strict_brier)
+    truth = parse_truth_csv(truth_path(panel_dir(out_dir)))
+    strict = config is not None and config.brier_mode == "strict"
     report_dir = out_dir / "reports"
-    report_dir.mkdir(parents=True, exist_ok=True)
-    for name, rows in bundle.tables().items():
-        with open(report_dir / f"{name}.csv", "w", newline="") as fh:
-            csv.writer(fh).writerows(rows)
+    for name, rows in emit_report(runs, scores, truth, strict_brier=strict).tables().items():
+        write_table(report_dir / f"{name}.csv", rows)
     return report_dir

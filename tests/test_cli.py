@@ -63,6 +63,35 @@ class TestCliExitCodes:
         assert message in capsys.readouterr().err
         assert not (out / "panel").exists()
 
+    def test_config_without_seasons_writes_nothing(self, run_setup, capsys):
+        # A refused config must not record itself, or the corrected one
+        # would then mismatch the directory's run.cfg.
+        cfg, out = run_setup
+        text = cfg.read_text()
+        cfg.write_text(text.replace("seasons = 2010\n", ""))
+        assert main(["replay", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "no seasons configured" in capsys.readouterr().err
+        assert not out.exists()
+        cfg.write_text(text)
+        assert main(["replay", "--config", str(cfg), "--out", str(out)]) == 0
+        capsys.readouterr()
+
+    def test_report_with_unreadable_run_cfg(self, run_setup, capsys):
+        cfg, out = run_setup
+        assert main(["replay", "--config", str(cfg), "--out", str(out)]) == 0
+        (out / "run.cfg").write_text("phi = 0.5\n")
+        capsys.readouterr()
+        assert main(["report", "--out", str(out)]) == 1
+        assert str(out / "run.cfg") in capsys.readouterr().err
+
+    def test_trajectory_without_truth_table(self, run_setup, capsys):
+        cfg, out = run_setup
+        assert main(["replay", "--config", str(cfg), "--out", str(out)]) == 0
+        (out / "panel" / "truth.csv").unlink()
+        capsys.readouterr()
+        assert main(["diagnose", "trajectory", "--out", str(out)]) == 1
+        assert f"no truth table at {out / 'panel' / 'truth.csv'}" in capsys.readouterr().err
+
     def test_report_on_empty_directory(self, tmp_path, capsys):
         assert main(["report", "--out", str(tmp_path)]) == 1
         assert "error" in capsys.readouterr().err

@@ -281,6 +281,15 @@ class TestCapPipeline:
         assert run.weights == {}
 
 
+def test_week_index_runs_past_the_season_end():
+    truths = [1.0, 2.0]
+    data = SeasonData(_mini_panel({"a": {1: soft_mass(10, 0.5)}}, truths), 2010, (1,))
+    weeks = season_weeks(2010)
+    assert [data.week(t) for t in range(1, data.n_weeks + 1)] == weeks
+    assert data.week(data.n_weeks + 3) == weeks[-1].add_weeks(3)
+    assert data.week(data.n_weeks + 1) == weeks[-1].add_weeks(1)
+
+
 class TestComparators:
     def _panel(self):
         truths = [1.0, 2.0, 1.5, 3.0]

@@ -154,6 +154,20 @@ class TestLeaderRuleMatchesOracle:
 
     @settings(max_examples=20, deadline=None)
     @given(two_seasons())
+    def test_one_call_over_many_weeks_equals_each_week_alone(self, seasons):
+        # Weeks out of order and repeated each read their own place row.
+        data, looped = _seasons(seasons)
+        rng, ids = seasons[3], sorted(data.roster)
+        for stratum in data.strata:
+            clustering = _random_partition(rng, ids)
+            weeks = rng.integers(1, data.n_weeks + 1, 2 * data.n_weeks).tolist()
+            got = data.leaders(stratum, clustering, weeks)
+            assert got.shape == (len(weeks), clustering.n_clusters)
+            for row, t in zip(got.tolist(), weeks):
+                assert row == looped.leaders(stratum, clustering, t)
+
+    @settings(max_examples=20, deadline=None)
+    @given(two_seasons())
     def test_membership_follows_the_partition_not_the_threshold(self, seasons):
         # An equal partition under another threshold gives equal leaders; a
         # different partition, even one with as many clusters, never reads

@@ -2,6 +2,7 @@
 
 import csv
 import re
+import shutil
 
 import numpy as np
 import pytest
@@ -10,8 +11,9 @@ from hypothesis import strategies as st
 
 from cappool.ensembles import EnsembleRun
 from cappool.epiweek import Epiweek
-from cappool.panel import TruthTable
-from cappool.replay import RunConfig, load_run_artifacts, replay
+from cappool.cli import main
+from cappool.panel import ForecastDataError, TruthTable, parse_truth_csv
+from cappool.replay import CorruptArtifactError, RunConfig, load_run_artifacts, replay
 from cappool.report import emit_report, write_report
 from cappool.scoring import ScoreRecord, brier_score
 from cappool.synthetic import write_synthetic_archive
@@ -108,6 +110,74 @@ class TestBrierByThreshold:
             brier_score(runs[0].pmf, bad, 5.0)
         with pytest.raises(ValueError, match=re.escape(str(scalar.value))):
             emit_report(runs, scores, truth)
+
+
+@pytest.fixture(scope="module")
+def strict_run(tmp_path_factory):
+    """A replayed run directory whose run.cfg records ``brier_mode = strict``."""
+    root = tmp_path_factory.mktemp("strict_run")
+    data_dir = root / "data"
+    write_synthetic_archive(data_dir, seasons=(2010,), regions=("Nat",), targets=(1,), seed=5)
+    config = RunConfig.parse(
+        f"forecasts = {data_dir / 'forecasts.csv'}\n"
+        f"truth = {data_dir / 'truth.csv'}\n"
+        "seasons = 2010\ntargets = 1\nvariants = equal\nbrier_mode = strict\n"
+    )
+    out = root / "run"
+    replay(config, out)
+    return out
+
+
+def _copy(run, tmp_path):
+    copy = tmp_path / "run"
+    shutil.copytree(run, copy)
+    return copy
+
+
+def _read_tables(report_dir) -> dict[str, list[list[str]]]:
+    tables = {}
+    for path in sorted(report_dir.glob("*.csv")):
+        with open(path, newline="") as fh:
+            tables[path.stem] = list(csv.reader(fh))
+    return tables
+
+
+def _emitted(out, strict: bool) -> dict[str, list[list[str]]]:
+    runs, scores = load_run_artifacts(out)
+    truth = parse_truth_csv(out / "panel" / "truth.csv")
+    bundle = emit_report(runs, scores, truth, strict_brier=strict)
+    return {name: [[str(v) for v in row] for row in rows] for name, rows in bundle.tables().items()}
+
+
+class TestRecordedBrierMode:
+    def test_strict_run_reports_alike_from_library_and_cli(self, strict_run, tmp_path, capsys):
+        out = _copy(strict_run, tmp_path)
+        library = _read_tables(write_report(out))
+        shutil.rmtree(out / "reports")
+        assert main(["report", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert _read_tables(out / "reports") == library
+        assert library == _emitted(out, strict=True)
+        assert library["brier_by_threshold"] != _emitted(out, strict=False)["brier_by_threshold"]
+
+    def test_directory_without_run_cfg_reports_standard(self, strict_run, tmp_path):
+        out = _copy(strict_run, tmp_path)
+        (out / "run.cfg").unlink()
+        assert _read_tables(write_report(out)) == _emitted(out, strict=False)
+
+    def test_unreadable_run_cfg_is_corrupt(self, strict_run, tmp_path):
+        out = _copy(strict_run, tmp_path)
+        (out / "run.cfg").write_text("phi = 0.5\n")
+        with pytest.raises(CorruptArtifactError, match=re.escape(str(out / "run.cfg"))):
+            write_report(out)
+        assert not (out / "reports").exists()
+
+    def test_missing_truth_table(self, strict_run, tmp_path):
+        out = _copy(strict_run, tmp_path)
+        path = out / "panel" / "truth.csv"
+        path.unlink()
+        with pytest.raises(ForecastDataError, match=re.escape(f"no truth table at {path}")):
+            write_report(out)
 
 
 def test_report_with_top_bin_truths(tmp_path):

@@ -63,8 +63,6 @@ from .pool import (
     WeightFit,
     em_pool_weights,
     em_pool_weights_batch,
-    fit_adaptive_weights,
-    fit_static_weights,
     renormalized,
 )
 from .replay import RunConfig, ingest, replay

@@ -15,6 +15,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -230,8 +231,8 @@ class _StratumData:
         return self.n_prior + len(self.scored_weeks(t))
 
     def missing(self, t: int) -> tuple[str, ...]:
-        """Roster models without a forecast at week t."""
-        return tuple(sorted(set(self.roster) - self.pmfs[t].keys()))
+        """Roster models without a forecast at week t, in roster (id) order."""
+        return tuple(self.roster[c] for c in np.flatnonzero(~self.sub[t]).tolist())
 
 
 def _masked_correlation(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -407,8 +408,27 @@ def _warn_unconverged(variant: str, data: SeasonData, stratum, fitted_for: str, 
         )
 
 
-def _run(variant: str, data: SeasonData, stratum, t: int, **fields) -> EnsembleRun:
-    """An ``EnsembleRun`` for (stratum, week t) with the header fields filled in."""
+def _pooled_run(
+    variant: str, data: SeasonData, stratum, t: int, units, fitted, keys, **fields
+) -> EnsembleRun:
+    """Week t's run pooling the forecasts of the present ``units``.
+
+    ``units`` gives each pooled unit's roster index, or -1 when the unit has
+    no forecast at t; ``fitted`` is each unit's weight and ``keys`` its name
+    in the run's weights. The weights are renormalized over the present
+    units. With no unit present this is the "no forecasts submitted" run.
+    """
+    present = np.flatnonzero(np.asarray(units) >= 0)
+    if present.size:
+        w = renormalized(fitted, present)
+        cell = data.strata[stratum].pmfs[t]
+        fields.update(
+            pmf=linear_pool([cell[data.roster[c]] for c in units[present].tolist()], w),
+            weights={keys[i]: float(v) for i, v in zip(present.tolist(), w)},
+            entropy=percent_entropy(w),
+        )
+    else:
+        fields.update(pmf=None, weights={}, entropy=None, note=_NO_FORECASTS)
     region, target = stratum
     return EnsembleRun(
         variant=variant,
@@ -426,6 +446,11 @@ class _VariantBase:
     """A weekly ensemble recipe; subclasses fill in the pooling."""
 
     name: str
+    delta: float  # tempering strength of the adaptive fits
+
+    def __init__(self) -> None:
+        # Weight fits kept for reuse, under a key each variant chooses.
+        self._fits: dict[tuple, np.ndarray] = {}
 
     def week_runs(self, data: SeasonData, t: int) -> list[EnsembleRun]:
         return [self.run_stratum(data, stratum, t) for stratum in data.stratum_keys()]
@@ -433,41 +458,59 @@ class _VariantBase:
     def run_stratum(self, data: SeasonData, stratum, t: int) -> EnsembleRun:
         raise NotImplementedError
 
+    def _alpha(self, data: SeasonData, t: int | None) -> float | None:
+        """Dirichlet concentration of the weight fit for week t: flat for a
+        fit on prior seasons (t None), the tempering ``AdaptivePrior``
+        within the season, and None at week one, when nothing is scored yet
+        and the weights are equal without a fit."""
+        if t is None:
+            return 1.0
+        return None if t == 1 else AdaptivePrior(t, data.n_weeks, self.delta).concentration
 
-def _model_pool_run(
-    variant: str,
-    data: SeasonData,
-    stratum,
-    t: int,
-    fitted: np.ndarray,
-) -> EnsembleRun:
-    """Pool component forecasts under fitted per-model weights, renormalized
-    over this week's submitters."""
-    cell = data.strata[stratum].pmfs[t]
-    if not cell:
-        return _run(
-            variant, data, stratum, t, pmf=None, weights={}, entropy=None, note=_NO_FORECASTS
-        )
-    w = renormalized(fitted, [data.index[m] for m in cell])
-    return _run(
-        variant, data, stratum, t,
-        pmf=linear_pool(list(cell.values()), w),
-        weights={m: float(v) for m, v in zip(cell, w)},
-        entropy=percent_entropy(w),
-    )
+    def _fitted(
+        self, data: SeasonData, stratum, t: int | None, n_units: int, masses, key=None
+    ) -> np.ndarray:
+        """Pool weights of ``n_units`` units for week t (None: the season
+        start): equal at week one, else the EM fit of the mass matrix
+        ``masses()`` under ``_alpha``, logged when it did not converge. A fit
+        made under a ``key`` is kept in ``_fits`` and reused."""
+        alpha = self._alpha(data, t)
+        if alpha is None:
+            return np.full(n_units, 1.0 / n_units)
+        if key in self._fits:
+            return self._fits[key]
+        fit = em_pool_weights(masses(), alpha=alpha)
+        fitted_for = "prior seasons" if t is None else f"week {t}"
+        _warn_unconverged(self.name, data, stratum, fitted_for, fit)
+        if key is not None:
+            self._fits[key] = fit.weights
+        return fit.weights
 
 
-class EqualVariant(_VariantBase):
+class _ModelPool(_VariantBase):
+    """Pools the components that submitted this week under per-roster-model
+    weights from ``weights``."""
+
+    def weights(self, data: SeasonData, stratum, t: int) -> np.ndarray:
+        raise NotImplementedError
+
+    def run_stratum(self, data: SeasonData, stratum, t: int) -> EnsembleRun:
+        fitted = self.weights(data, stratum, t)
+        units = np.flatnonzero(data.strata[stratum].sub[t])
+        ids = [data.roster[c] for c in units.tolist()]
+        return _pooled_run(self.name, data, stratum, t, units, fitted[units], ids)
+
+
+class EqualVariant(_ModelPool):
     """Equal weights over every component that submitted this week."""
 
     name = "equal"
 
-    def run_stratum(self, data: SeasonData, stratum, t: int) -> EnsembleRun:
-        equal = np.full(len(data.roster), 1.0 / max(len(data.roster), 1))
-        return _model_pool_run(self.name, data, stratum, t, equal)
+    def weights(self, data: SeasonData, stratum, t: int) -> np.ndarray:
+        return np.full(len(data.roster), 1.0 / max(len(data.roster), 1))
 
 
-class StaticVariant(_VariantBase):
+class StaticVariant(_ModelPool):
     """Weights fit once per season on all prior seasons, then frozen.
 
     With no prior seasons the fit degenerates to equal weights.
@@ -475,42 +518,24 @@ class StaticVariant(_VariantBase):
 
     name = "static"
 
-    def __init__(self) -> None:
-        self._weights: dict[tuple[str, int], np.ndarray] = {}
-
-    def season_weights(self, data: SeasonData, stratum) -> np.ndarray:
-        cached = self._weights.get((data.season, *stratum))
-        if cached is None:
-            fit = em_pool_weights(data.prior_mass_matrix(stratum))
-            _warn_unconverged(self.name, data, stratum, "prior seasons", fit)
-            cached = fit.weights
-            self._weights[(data.season, *stratum)] = cached
-        return cached
-
-    def run_stratum(self, data: SeasonData, stratum, t: int) -> EnsembleRun:
-        return _model_pool_run(self.name, data, stratum, t, self.season_weights(data, stratum))
+    def weights(self, data: SeasonData, stratum, t: int) -> np.ndarray:
+        masses = partial(data.prior_mass_matrix, stratum)
+        return self._fitted(data, stratum, None, len(data.roster), masses, (data.season, *stratum))
 
 
-class AdaptiveVariant(_VariantBase):
+class AdaptiveVariant(_ModelPool):
     """Weights refit each week on the season so far, tempered toward equal
     by a Dirichlet penalty that relaxes as the season ages."""
 
     name = "adaptive"
 
     def __init__(self, delta: float = 5.0) -> None:
+        super().__init__()
         self.delta = delta
 
-    def week_weights(self, data: SeasonData, stratum, t: int) -> np.ndarray:
-        n = len(data.roster)
-        if t == 1:
-            return np.full(n, 1.0 / n)
-        prior = AdaptivePrior(t, data.n_weeks, self.delta)
-        fit = em_pool_weights(data.model_mass_matrix(stratum, t), alpha=prior.concentration)
-        _warn_unconverged(self.name, data, stratum, f"week {t}", fit)
-        return fit.weights
-
-    def run_stratum(self, data: SeasonData, stratum, t: int) -> EnsembleRun:
-        return _model_pool_run(self.name, data, stratum, t, self.week_weights(data, stratum, t))
+    def weights(self, data: SeasonData, stratum, t: int) -> np.ndarray:
+        masses = partial(data.model_mass_matrix, stratum, t)
+        return self._fitted(data, stratum, t, len(data.roster), masses)
 
 
 class CapVariant(_VariantBase):
@@ -529,6 +554,7 @@ class CapVariant(_VariantBase):
     def __init__(self, pooling: str = "equal", phi_grid=DEFAULT_PHI_GRID, delta: float = 5.0):
         if pooling not in ("equal", "adaptive"):
             raise ValueError(f"unknown pooling {pooling!r}")
+        super().__init__()
         self.pooling = pooling
         self.phi_grid = tuple(sorted(float(p) for p in phi_grid))
         if not self.phi_grid or len(set(self.phi_grid)) < len(self.phi_grid):
@@ -540,9 +566,9 @@ class CapVariant(_VariantBase):
         self._rows: dict[tuple, list[float] | None] = {}
         # week -> the threshold select_phi picked for it.
         self._picks: dict[int, float] = {}
-        # (stratum, week, partition) -> fitted cluster weights. Distinct
-        # thresholds often give one partition, and the fit depends only on it.
-        self._fits: dict[tuple, np.ndarray] = {}
+        # _fits keys the fitted cluster weights by (stratum, week, partition).
+        # Distinct thresholds often give one partition, and a fit depends
+        # only on it.
 
     @property
     def name(self) -> str:
@@ -554,34 +580,27 @@ class CapVariant(_VariantBase):
 
     # -- pooling over cluster forecasts --------------------------------
 
-    def _pool(
-        self,
-        data: SeasonData,
-        stratum,
-        t: int,
-        phi: float,
-    ) -> tuple[np.ndarray, Clustering, np.ndarray, np.ndarray]:
-        """Pool week t's cluster leaders (-1 for none); t must have a
-        submission, so the submitter's cluster always has a leader. Adaptive
-        weights not already batch-fitted by ``_replay`` are fitted here."""
+    def _pool(self, data: SeasonData, stratum, t: int, phi: float) -> EnsembleRun:
+        """Week t's run pooling the cluster leaders at threshold phi; its pmf
+        is what a replay scores. t must have a submission, so the
+        submitter's cluster always has a leader. Adaptive weights not
+        already batch-fitted by ``_replay`` are fitted here."""
         clustering = data.clusters(stratum, t, phi)
         leaders = data.leaders(stratum, clustering, [t])[0]
-        if self.pooling == "equal" or t == 1:
-            fitted = np.full(clustering.n_clusters, 1.0 / clustering.n_clusters)
+        n = clustering.n_clusters
+        if self.pooling == "equal":
+            fitted = np.full(n, 1.0 / n)
         else:
             self._use_season(data)
-            key = (stratum, t, clustering.clusters)
-            if key not in self._fits:
-                alpha = AdaptivePrior(t, data.n_weeks, self.delta).concentration
-                fit = em_pool_weights(data.cluster_mass_matrix(stratum, clustering, t), alpha=alpha)
-                _warn_unconverged(self.name, data, stratum, f"week {t}", fit)
-                self._fits[key] = fit.weights
-            fitted = self._fits[key]
-        present = np.flatnonzero(leaders >= 0)
-        w = renormalized(fitted, present)
-        cell = data.strata[stratum].pmfs[t]
-        pmf = linear_pool([cell[data.roster[c]] for c in leaders[present].tolist()], w)
-        return pmf, clustering, leaders, w
+            masses = partial(data.cluster_mass_matrix, stratum, clustering, t)
+            fitted = self._fitted(data, stratum, t, n, masses, (stratum, t, clustering.clusters))
+        return _pooled_run(
+            self.name, data, stratum, t, leaders, fitted, [f"c{i + 1}" for i in range(n)],
+            phi=phi,
+            clusters=clustering.clusters,
+            leaders=tuple(data.roster[c] if c >= 0 else None for c in leaders.tolist()),
+            n_clusters=n,
+        )
 
     # -- threshold selection -------------------------------------------
 
@@ -596,7 +615,7 @@ class CapVariant(_VariantBase):
         walked = []
         pending: dict[tuple, tuple[np.ndarray, float]] = {}
         for stratum, j in weeks:
-            if not data.strata[stratum].pmfs[j]:
+            if not data.strata[stratum].sub[j].any():
                 self._rows[stratum, j] = None
                 continue
             partitions = [data.clusters(stratum, j, phi) for phi in self.phi_grid]
@@ -604,8 +623,7 @@ class CapVariant(_VariantBase):
             for clustering in partitions:
                 first.setdefault(clustering.clusters, clustering)
             walked.append((stratum, j, partitions, first))
-            if self.pooling == "adaptive" and j > 1:
-                alpha = AdaptivePrior(j, data.n_weeks, self.delta).concentration
+            if self.pooling == "adaptive" and (alpha := self._alpha(data, j)) is not None:
                 for partition, clustering in first.items():
                     if (stratum, j, partition) not in self._fits:
                         f = data.cluster_mass_matrix(stratum, clustering, j)
@@ -618,7 +636,7 @@ class CapVariant(_VariantBase):
         for stratum, j, partitions, first in walked:
             truth = data.strata[stratum].truth_target[j]
             scores = {
-                partition: log_score(self._pool(data, stratum, j, clustering.phi)[0], truth)
+                partition: log_score(self._pool(data, stratum, j, clustering.phi).pmf, truth)
                 for partition, clustering in first.items()
             }
             self._rows[stratum, j] = [scores[c.clusters] for c in partitions]
@@ -659,23 +677,9 @@ class CapVariant(_VariantBase):
 
     def run_stratum(self, data: SeasonData, stratum, t: int) -> EnsembleRun:
         phi = self.select_phi(data, t)
-        if not data.strata[stratum].pmfs[t]:
-            return _run(
-                self.name, data, stratum, t,
-                pmf=None, weights={}, entropy=None, phi=phi, note=_NO_FORECASTS,
-            )
-        pmf, clustering, leaders, w = self._pool(data, stratum, t, phi)
-        present = np.flatnonzero(leaders >= 0).tolist()
-        return _run(
-            self.name, data, stratum, t,
-            pmf=pmf,
-            weights={f"c{i + 1}": float(v) for i, v in zip(present, w)},
-            entropy=percent_entropy(w),
-            phi=phi,
-            clusters=clustering.clusters,
-            leaders=tuple(data.roster[c] if c >= 0 else None for c in leaders.tolist()),
-            n_clusters=clustering.n_clusters,
-        )
+        if data.strata[stratum].sub[t].any():
+            return self._pool(data, stratum, t, phi)
+        return _pooled_run(self.name, data, stratum, t, units=[], fitted=[], keys=[], phi=phi)
 
 
 def make_variant(name: str, phi_grid=DEFAULT_PHI_GRID, delta: float = 5.0) -> _VariantBase:

@@ -555,9 +555,20 @@ def panel_dir(out_dir) -> Path:
     return Path(out_dir) / "panel"
 
 
+_SEASON_CSV = re.compile(r"season-([1-9][0-9]*)\.csv")
+
+
 def stored_seasons(directory) -> list[int]:
-    """The seasons a persisted panel holds forecasts for, ascending."""
-    return sorted(int(p.stem.split("-")[1]) for p in Path(directory).glob("season-*.csv"))
+    """The seasons a persisted panel holds forecasts for, ascending. Any
+    ``season-*.csv`` not named ``season-<year>.csv`` raises
+    ForecastDataError naming it."""
+    seasons = []
+    for path in Path(directory).glob("season-*.csv"):
+        match = _SEASON_CSV.fullmatch(path.name)
+        if match is None:
+            raise ForecastDataError(f"{path}: not a season file (expected season-<year>.csv)")
+        seasons.append(int(match[1]))
+    return sorted(seasons)
 
 
 def truth_path(directory) -> Path:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pmf import bin_index
+from .pmf import bin_index, linear_pool
 from .validation import ParamsMixin, check_forecast_array, check_truths
 
 __all__ = [
@@ -22,8 +22,6 @@ __all__ = [
     "em_pool_weights",
     "em_pool_weights_batch",
     "truth_bin_masses",
-    "fit_static_weights",
-    "fit_adaptive_weights",
     "renormalized",
     "EqualPool",
     "StaticPool",
@@ -72,13 +70,7 @@ class AdaptivePrior:
         return 1.0 + self.delta * max(frac, 0.0)
 
 
-def em_pool_weights(
-    f,
-    alpha: float = 1.0,
-    init=None,
-    tol: float = EM_TOL,
-    max_iter: int = EM_MAX_ITER,
-) -> WeightFit:
+def em_pool_weights(f, alpha: float = 1.0, init=None, max_iter: int = EM_MAX_ITER) -> WeightFit:
     """EM fixed point for mixture weights on the simplex.
 
     ``f[j, c]`` is the probability component c placed on the bin realized at
@@ -86,10 +78,12 @@ def em_pool_weights(
     every component has zero mass are dropped; if nothing remains the
     likelihood is degenerate and equal weights are returned with a flag.
 
-    The (penalized, for alpha > 1) objective is checked to be non-decreasing
-    at every iteration. This is ``em_pool_weights_batch`` on one problem.
+    The fit converges once no weight moves by ``EM_TOL`` or more in an
+    iteration; after ``max_iter`` iterations it stops unconverged. The
+    (penalized, for alpha > 1) objective is checked to be non-decreasing at
+    every iteration. This is ``em_pool_weights_batch`` on one problem.
     """
-    return em_pool_weights_batch([(f, alpha)], tol=tol, max_iter=max_iter, inits=[init])[0]
+    return em_pool_weights_batch([(f, alpha)], max_iter=max_iter, inits=[init])[0]
 
 
 def _denominators(F: np.ndarray, pi: np.ndarray, row_pad) -> np.ndarray:
@@ -106,9 +100,7 @@ def _objectives(denom: np.ndarray, pi: np.ndarray, alpha_m1, shift) -> np.ndarra
     return obj
 
 
-def em_pool_weights_batch(
-    problems, tol: float = EM_TOL, max_iter: int = EM_MAX_ITER, inits=None
-) -> list[WeightFit]:
+def em_pool_weights_batch(problems, max_iter: int = EM_MAX_ITER, inits=None) -> list[WeightFit]:
     """``em_pool_weights`` for many ``(f, alpha)`` problems in one EM loop.
 
     ``inits`` optionally gives each problem's start (None: equal weights).
@@ -200,7 +192,7 @@ def em_pool_weights_batch(
                 f"EM objective decreased for problem {owner[r]} at iteration {n_iter}: "
                 f"{obj[r, 0]} -> {new_obj[r, 0]}"
             )
-        done = np.maximum.reduce(np.abs(new_pi - pi), axis=2) < tol
+        done = np.maximum.reduce(np.abs(new_pi - pi), axis=2) < EM_TOL
         pi, denom, obj = new_pi, new_denom, new_obj
         n_done = np.count_nonzero(done)
         if n_done:
@@ -233,29 +225,6 @@ def truth_bin_masses(F, y) -> np.ndarray:
     return np.where(available, arr[np.arange(bins.size), :, bins], 0.0)
 
 
-def fit_static_weights(F, y, tol: float = EM_TOL, max_iter: int = EM_MAX_ITER) -> WeightFit:
-    """Season-start weights: maximum-likelihood fit on past observations.
-
-    With no past observations at all (a first season) this is the equal
-    weighting, returned as a degenerate fit.
-    """
-    return em_pool_weights(truth_bin_masses(F, y), alpha=1.0, tol=tol, max_iter=max_iter)
-
-
-def fit_adaptive_weights(
-    F, y, prior: AdaptivePrior, tol: float = EM_TOL, max_iter: int = EM_MAX_ITER
-) -> WeightFit:
-    """Within-season weights under the tempering Dirichlet prior.
-
-    Week one always returns equal weights; later weeks run the penalized EM
-    on observations scored so far.
-    """
-    f = truth_bin_masses(F, y)
-    if prior.week_index == 1:
-        f = f[:0]  # nothing is scored yet: the degenerate equal fit
-    return em_pool_weights(f, alpha=prior.concentration, tol=tol, max_iter=max_iter)
-
-
 def renormalized(weights, present) -> np.ndarray:
     """The weights of the ``present`` components (an index list or mask),
     rescaled to sum to 1; equal over them when they carry no weight at all."""
@@ -269,7 +238,7 @@ def _pool_rows(arr: np.ndarray, available: np.ndarray, weights: np.ndarray) -> n
     for j in range(arr.shape[0]):
         idx = np.flatnonzero(available[j])
         if idx.size:
-            out[j] = renormalized(weights, idx) @ arr[j, idx]
+            out[j] = linear_pool(arr[j, idx], renormalized(weights, idx))
     return out
 
 
@@ -293,13 +262,12 @@ class StaticPool(ParamsMixin):
     # Maximum likelihood is the penalized fit under a flat Dirichlet prior.
     concentration = 1.0
 
-    def __init__(self, tol: float = EM_TOL, max_iter: int = EM_MAX_ITER):
-        self.tol = tol
+    def __init__(self, max_iter: int = EM_MAX_ITER):
         self.max_iter = max_iter
 
     def fit(self, F, y):
         result = em_pool_weights(
-            truth_bin_masses(F, y), alpha=self.concentration, tol=self.tol, max_iter=self.max_iter
+            truth_bin_masses(F, y), alpha=self.concentration, max_iter=self.max_iter
         )
         self.weights_ = result.weights
         self.n_iter_ = result.n_iter
@@ -318,8 +286,6 @@ class StaticPool(ParamsMixin):
 class AdaptivePool(StaticPool):
     """Linear pool with Dirichlet-penalized weights, refit as weeks accrue."""
 
-    def __init__(
-        self, concentration: float = 1.0, tol: float = EM_TOL, max_iter: int = EM_MAX_ITER
-    ):
-        super().__init__(tol=tol, max_iter=max_iter)
+    def __init__(self, concentration: float = 1.0, max_iter: int = EM_MAX_ITER):
+        super().__init__(max_iter=max_iter)
         self.concentration = concentration

@@ -360,6 +360,27 @@ def _synthetic_season(seed: int = 5) -> SeasonData:
 PREFETCH_GRID = tuple(round(0.1 * k, 1) for k in range(10))
 
 
+class TestWeekOne:
+    @pytest.mark.parametrize("name", ["adaptive", "cap-adaptive"])
+    def test_equal_weights_without_an_em_fit(self, name, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return pool.em_pool_weights(*args, **kwargs)
+
+        monkeypatch.setattr(ensembles, "em_pool_weights", counting)
+        data = _synthetic_season()
+        variant = make_variant(name, phi_grid=PREFETCH_GRID)
+        runs = [run for run in variant.week_runs(data, 1) if run.pmf is not None]
+        assert runs and not calls
+        for run in runs:
+            weights = list(run.weights.values())
+            assert np.allclose(weights, 1.0 / len(weights), rtol=0.0, atol=1e-15)
+        variant.week_runs(data, 2)
+        assert calls
+
+
 class TestWeightPrefetch:
     def _replay(self, data, weeks=None):
         cap = CapVariant("adaptive", phi_grid=PREFETCH_GRID)

@@ -18,6 +18,7 @@ from cappool.panel import (
     parse_population_csv,
     parse_state_ili_csv,
     parse_truth_csv,
+    stored_seasons,
     truth_from_state_ili,
     write_panel,
 )
@@ -283,6 +284,19 @@ class TestPanel:
         write_panel(panel, tmp_path / "panel")
         with pytest.raises(ForecastDataError):
             load_panel(tmp_path / "panel", seasons=[1999])
+
+    @pytest.mark.parametrize("name", ["season-x.csv", "season-2010-old.csv", "season-2011-bak.csv"])
+    def test_stray_season_file_rejected_by_name(self, tmp_path, name):
+        directory = tmp_path / "panel"
+        write_panel(self._small_panel(), directory)
+        assert stored_seasons(directory) == [2010]
+        stray = directory / name
+        stray.write_bytes((directory / "season-2010.csv").read_bytes())
+        with pytest.raises(ForecastDataError) as info:
+            stored_seasons(directory)
+        assert str(info.value).startswith(f"{stray}: not a season file")
+        with pytest.raises(ForecastDataError, match=name):
+            load_panel(directory)
 
     def test_off_season_forecast_rejected_at_persist(self, tmp_path):
         pmf = np.full(N_BINS, 1.0 / N_BINS)

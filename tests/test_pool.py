@@ -14,8 +14,6 @@ from cappool.pool import (
     StaticPool,
     em_pool_weights,
     em_pool_weights_batch,
-    fit_adaptive_weights,
-    fit_static_weights,
     truth_bin_masses,
 )
 
@@ -219,37 +217,32 @@ class TestAdaptivePrior:
 
 class TestFitFunctions:
     def test_static_no_data_equal_weights(self):
-        fit = fit_static_weights(np.empty((0, 7, N_BINS)), np.empty(0))
-        assert fit.degenerate
-        assert np.allclose(fit.weights, 1.0 / 7)
+        est = StaticPool().fit(np.empty((0, 7, N_BINS)), np.empty(0))
+        assert est.degenerate_
+        assert np.allclose(est.weights_, 1.0 / 7)
 
     def test_static_dominant(self):
         F, y = _dominant_fixture()
-        assert fit_static_weights(F, y).weights[0] >= 0.999
-
-    def test_adaptive_week_one_equal(self):
-        F, y = _dominant_fixture()
-        prior = AdaptivePrior(week_index=1, season_weeks=33)
-        assert np.allclose(fit_adaptive_weights(F, y, prior).weights, 0.5)
+        assert StaticPool().fit(F, y).weights_[0] >= 0.999
 
     def test_adaptive_flat_prior_matches_static(self):
         F, y = _dominant_fixture()
-        prior = AdaptivePrior(week_index=33, season_weeks=33)
-        assert np.allclose(
-            fit_adaptive_weights(F, y, prior).weights, fit_static_weights(F, y).weights
-        )
+        flat = AdaptivePrior(week_index=33, season_weeks=33).concentration
+        adaptive = AdaptivePool(concentration=flat).fit(F, y).weights_
+        assert np.allclose(adaptive, StaticPool().fit(F, y).weights_)
+        assert np.allclose(adaptive, em_pool_weights(truth_bin_masses(F, y), alpha=flat).weights)
 
     def test_single_model(self):
         F = _stack([[point_mass(10)]] * 3)
-        fit = fit_static_weights(F, np.full(3, 1.0))
-        assert fit.weights[0] == 1.0
+        assert StaticPool().fit(F, np.full(3, 1.0)).weights_[0] == 1.0
+        assert em_pool_weights(truth_bin_masses(F, np.full(3, 1.0))).weights[0] == 1.0
 
 
 class TestEstimators:
     def test_get_set_params_roundtrip(self):
-        est = AdaptivePool(concentration=2.5, tol=1e-6, max_iter=500)
+        est = AdaptivePool(concentration=2.5, max_iter=500)
         params = est.get_params()
-        assert params == {"concentration": 2.5, "tol": 1e-6, "max_iter": 500}
+        assert params == {"concentration": 2.5, "max_iter": 500}
         clone = AdaptivePool(**params)
         assert clone.get_params() == params
         est.set_params(concentration=3.0)

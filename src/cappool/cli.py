@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from .diagnostics import (
     restart_dispersion,
     variance_vs_kl_curve,
 )
-from .ensembles import HistoryStore, SeasonData
+from .ensembles import SeasonData
 from .panel import ForecastDataError, load_panel, panel_dir, parse_truth_csv, truth_path
 from .pmf import N_BINS, gaussian_pmf
 from .replay import ConfigError, RunConfig, ingest, load_run_artifacts, replay
@@ -103,23 +104,15 @@ def _demo_redundant_fit(seed: int):
 
 
 def _panel_fit_inputs(out: str, region: str, target: int, season: int):
-    panel = load_panel(panel_dir(out), seasons=[season])
-    data = SeasonData(panel, season, (target,), HistoryStore())
+    data = SeasonData(load_panel(panel_dir(out), seasons=[season]), season, (target,))
+    if (region, target) not in data.strata:
+        raise ForecastDataError(f"no forecasts for {region} target {target} in {season}")
     sd = data.strata[(region, target)]
-    rows = []
-    truths = []
-    for i in range(1, data.n_weeks + 1):
-        if sd.truth_target[i] is None or not sd.pmfs[i]:
-            continue
-        row = np.full((len(panel.roster), N_BINS), np.nan)
-        for k, m in enumerate(panel.roster):
-            if m in sd.pmfs[i]:
-                row[k] = sd.pmfs[i][m]
-        rows.append(row)
-        truths.append(sd.truth_target[i])
-    if not rows:
+    weeks = sd.realized[sd.sub[sd.realized].any(axis=1)]
+    if not weeks.size:
         raise ForecastDataError(f"no scored forecasts for {region} target {target} in {season}")
-    return np.array(rows), np.array(truths), list(panel.roster)
+    F = np.where(sd.sub[weeks, :, None], sd.pmf[weeks], np.nan)
+    return F, np.array([sd.truth_target[i] for i in weeks.tolist()]), list(data.roster)
 
 
 def _cmd_restarts(args) -> int:
@@ -151,6 +144,10 @@ def _cmd_restarts(args) -> int:
 
 
 def _cmd_variance_kl(args) -> int:
+    if not (math.isfinite(args.start) and math.isfinite(args.stop) and args.stop >= args.start):
+        raise ConfigError(f"--stop must be >= --start, both finite (got {args.start}, {args.stop})")
+    if not args.step > 0.0:
+        raise ConfigError(f"--step must be > 0, got {args.step}")
     steps = int(round((args.stop - args.start) / args.step))
     grid = [args.start + k * args.step for k in range(steps + 1)]
     rows = variance_vs_kl_curve(grid, sigma=args.sigma, base_mean=args.start)
@@ -169,6 +166,8 @@ def _cmd_trajectory(args) -> int:
 
 
 def _cmd_surface(args) -> int:
+    if args.resolution < 1:
+        raise ConfigError(f"--resolution must be >= 1, got {args.resolution}")
     F, y = _demo_redundant_fit(args.seed)
     rows = likelihood_surface(F, y, resolution=args.resolution)
     table = [["w1", "w2", "log_likelihood"]]

@@ -115,6 +115,8 @@ def likelihood_surface(F, y, resolution: int = 50) -> list[tuple[float, float, f
     Evaluates (w1, w2, 1 - w1 - w2) on a simplex lattice; useful for
     visualising ridge flatness without a Hessian.
     """
+    if resolution < 1:
+        raise ValueError(f"resolution must be >= 1, got {resolution}")
     f = truth_bin_masses(F, y)
     if f.shape[1] != 3:
         raise ValueError("surface grid is defined for exactly three models")

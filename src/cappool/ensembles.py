@@ -22,7 +22,7 @@ import numpy as np
 from .clustering import Clustering, cluster_models
 from .epiweek import Epiweek, season_length, season_weeks
 from .panel import Panel
-from .pmf import bin_index, linear_pool
+from .pmf import N_BINS, bin_index, linear_pool
 from .pool import AdaptivePrior, WeightFit, em_pool_weights, em_pool_weights_batch, renormalized
 from .scoring import floored_log, log_score
 
@@ -177,45 +177,29 @@ class HistoryStore:
 class _StratumData:
     """Current-season data plus the combined score window for one stratum.
 
-    ``mass[i, c]`` is the probability roster model c placed on the realized
-    truth bin of week i (0 when it did not submit or the truth is unknown),
-    ``sub[i, c]`` whether it submitted; week indexing is 1-based, row 0
-    unused. ``S`` holds the floored log scores of the prior seasons' weeks,
-    then of this season's weeks in the order they become known.
+    ``pmf[i, c]`` is roster model c's forecast at week i (all 0 when it did
+    not submit) and ``sub[i, c]`` whether it submitted; ``mass[i, c]`` is the
+    probability that forecast placed on the realized truth bin of week i (0
+    when it did not submit or the truth is unknown). Week indexing is
+    1-based, row 0 unused. ``S`` holds the floored log scores of the prior
+    seasons' weeks, then of this season's weeks in the order they become
+    known.
     """
 
-    def __init__(
-        self,
-        panel: Panel,
-        region: str,
-        target: int,
-        weeks: list[Epiweek],
-        index: dict[str, int],
-        prior: tuple[np.ndarray, np.ndarray],
-    ):
-        self.region = region
+    def __init__(self, target: int, roster, pmf, sub, truth_target, prior):
         self.target = target
-        self.roster = tuple(index)
-        n = len(weeks)
-        self.pmfs: list[dict[str, np.ndarray]] = [{}]
-        self.truth_target: list[float | None] = [None]
-        self.mass = np.zeros((n + 1, len(index)))
-        self.sub = np.zeros((n + 1, len(index)), dtype=bool)
-        for i, w in enumerate(weeks, start=1):
-            cell = panel.available(region, target, w)
-            truth = panel.realized_truth(region, target, w)
-            self.pmfs.append(cell)
-            self.truth_target.append(truth)
-            cols = [index[m] for m in cell]
-            self.sub[i, cols] = True
-            if truth is not None:
-                b = bin_index(truth)
-                self.mass[i, cols] = [p[b] for p in cell.values()]
-        self.realized = np.flatnonzero([truth is not None for truth in self.truth_target])
+        self.roster = roster
+        self.pmf = pmf
+        self.sub = sub
+        self.truth_target: list[float | None] = truth_target
+        self.realized = np.flatnonzero([truth is not None for truth in truth_target])
+        bins = np.array([bin_index(truth_target[i]) for i in self.realized.tolist()], dtype=np.intp)
+        self.mass = np.zeros(sub.shape)
+        self.mass[self.realized] = pmf[self.realized, :, bins]
 
         self.prior_mass, prior_sub = prior
         self.n_prior = len(self.prior_mass)
-        usable = self.scored_weeks(n)
+        usable = self.scored_weeks(len(truth_target) - 1)
         mass = np.vstack([self.prior_mass, self.mass[usable]]).T
         present = np.vstack([prior_sub, self.sub[usable]]).T
         self.S = np.full(mass.shape, np.nan)
@@ -273,10 +257,12 @@ def _masked_correlation(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class SeasonData:
-    """One season's panel slice, score windows, and per-week caches."""
+    """One season's panel slice, score windows, and per-week caches.
+
+    The forecasts are copied into each stratum's dense arrays, so the panel
+    is not kept."""
 
     def __init__(self, panel: Panel, season: int, targets, history: HistoryStore | None = None):
-        self.panel = panel
         self.season = season
         self.history = history or HistoryStore()
         self.weeks = season_weeks(season)
@@ -285,14 +271,26 @@ class SeasonData:
         self.regions = tuple(sorted(panel.regions, key=_region_order))
         self.roster = panel.roster
         self.index = {m: k for k, m in enumerate(self.roster)}
-        self.strata: dict[tuple[str, int], _StratumData] = {}
-        for region in self.regions:
-            for target in self.targets:
-                key = (region, target)
-                self.strata[key] = _StratumData(
-                    panel, region, target, self.weeks, self.index,
-                    self.history.prior(key, self.roster),
-                )
+        keys = [(region, target) for region in self.regions for target in self.targets]
+        shape = (self.n_weeks + 1, len(self.roster))
+        pmf = {key: np.zeros((*shape, N_BINS)) for key in keys}
+        sub = {key: np.zeros(shape, dtype=bool) for key in keys}
+        # Keyed by (year, week) tuples, which hash without a Python call.
+        row = {(week.year, week.week): i for i, week in enumerate(self.weeks, start=1)}
+        for key, forecast in panel.entries.items():
+            stratum, i = (key.region, key.target), row.get((key.issue.year, key.issue.week))
+            if i is not None and stratum in pmf:
+                c = self.index[key.model_id]
+                pmf[stratum][i, c] = forecast
+                sub[stratum][i, c] = True
+        self.strata: dict[tuple[str, int], _StratumData] = {
+            key: _StratumData(
+                key[1], self.roster, pmf[key], sub[key],
+                [None] + [panel.realized_truth(*key, week) for week in self.weeks],
+                self.history.prior(key, self.roster),
+            )
+            for key in keys
+        }
         self._corr_cache: dict[tuple, tuple[list[str], np.ndarray]] = {}
         self._place_cache: dict[tuple, np.ndarray] = {}
         self._cluster_cache: dict[tuple, Clustering] = {}
@@ -421,9 +419,8 @@ def _pooled_run(
     present = np.flatnonzero(np.asarray(units) >= 0)
     if present.size:
         w = renormalized(fitted, present)
-        cell = data.strata[stratum].pmfs[t]
         fields.update(
-            pmf=linear_pool([cell[data.roster[c]] for c in units[present].tolist()], w),
+            pmf=linear_pool(data.strata[stratum].pmf[t, units[present]], w),
             weights={keys[i]: float(v) for i, v in zip(present.tolist(), w)},
             entropy=percent_entropy(w),
         )

@@ -497,10 +497,9 @@ class Panel:
         self.roster: tuple[str, ...] = tuple(sorted({k.model_id for k in entries}))
         self.regions: tuple[str, ...] = tuple(sorted({k.region for k in entries}))
         self.targets: tuple[int, ...] = tuple(sorted({k.target for k in entries}))
-        self._by_cell: dict[tuple[str, int, Epiweek], dict[str, np.ndarray]] = {}
-        for key, pmf in entries.items():
-            cell = self._by_cell.setdefault((key.region, key.target, key.issue), {})
-            cell[key.model_id] = pmf
+        self._by_cell: dict[tuple[str, int, Epiweek], set[str]] = {}
+        for key in entries:
+            self._by_cell.setdefault((key.region, key.target, key.issue), set()).add(key.model_id)
 
     @classmethod
     def assemble(cls, fragments, truth: TruthTable) -> "Panel":
@@ -512,13 +511,8 @@ class Panel:
             entries.update(fragment)
         return cls(entries, truth)
 
-    def available(self, region: str, target: int, issue: Epiweek) -> dict[str, np.ndarray]:
-        cell = self._by_cell.get((region, target, issue), {})
-        return dict(sorted(cell.items()))
-
     def missing(self, region: str, target: int, issue: Epiweek) -> frozenset[str]:
-        cell = self._by_cell.get((region, target, issue), {})
-        return frozenset(self.roster) - cell.keys()
+        return frozenset(self.roster) - self._by_cell.get((region, target, issue), set())
 
     def realized_truth(self, region: str, target: int, issue: Epiweek) -> float | None:
         return self.truth.wili(region, issue.add_weeks(target))

@@ -14,6 +14,7 @@ import json
 import logging
 import math
 import os
+import re
 from dataclasses import dataclass, field, fields
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -27,7 +28,6 @@ from .ensembles import (
     HistoryStore,
     SeasonData,
     make_variant,
-    stratum_sort_key,
 )
 from .epiweek import Epiweek
 from .panel import (
@@ -202,7 +202,12 @@ def ingest(config: RunConfig, out_dir) -> Path:
     for path in config.forecasts:
         fragments.append(parse_component_csv(path))
     if config.flusight_dir:
-        fragment, _skipped = ingest_flusight_tree(config.flusight_dir)
+        fragment, skipped = ingest_flusight_tree(config.flusight_dir)
+        if skipped:
+            _log.warning(
+                "FluSight ingest skipped %d files not named EW<ww>-<yyyy>: %s",
+                len(skipped), ", ".join(skipped),
+            )
         fragments.append(fragment)
     if not fragments:
         raise ForecastDataError("no forecast sources configured")
@@ -480,33 +485,29 @@ def _load_week(
 
 
 def _score_runs_targeting(
-    data: SeasonData,
-    season_runs: dict[int, dict[tuple[str, int], EnsembleRun]],
-    t: int,
-    targets,
-    strict: bool,
+    data: SeasonData, runs_by_week: list[list[EnsembleRun]], t: int, targets, strict: bool
 ) -> list[ScoreRecord]:
-    """Score every stored run whose target week realizes at week index t."""
+    """Score every stored run whose target week realizes at week index t.
+
+    ``runs_by_week[j]`` holds week j's runs in ``stratum_keys()`` order, as
+    they are computed and written, so the records follow that order within
+    each target."""
     records = []
     week_int = data.week(t).to_int()
     for target in sorted(targets):
         j = t - target
-        if j < 1 or j not in season_runs:
+        if j < 1:
             continue
-        for stratum in sorted(season_runs[j], key=stratum_sort_key):
-            region, run_target = stratum
-            if run_target != target:
+        for run in runs_by_week[j]:
+            if run.target != target or run.pmf is None:
                 continue
-            run = season_runs[j][stratum]
-            if run.pmf is None:
-                continue
-            truth = data.strata[stratum].truth_target[j]
+            truth = data.strata[run.region, target].truth_target[j]
             if truth is None:
                 continue
             records.append(
                 ScoreRecord(
                     variant=run.variant,
-                    region=region,
+                    region=run.region,
                     target=target,
                     issue_week=run.issue_week,
                     target_week=week_int,
@@ -539,18 +540,16 @@ def replay(config: RunConfig, out_dir) -> None:
         raise ForecastDataError(f"panel has no data for seasons {sorted(missing)}")
 
     history = HistoryStore()
-    variants = [
-        make_variant(name, phi_grid=config.phi_grid, delta=config.delta)
-        for name in config.variants
-    ]
     last = max(config.seasons)
     for season in available:
         if season > last:
             break
         data = SeasonData(load_panel(stored, seasons=[season]), season, config.targets, history)
         if season in config.seasons:
-            _replay_season_runs(data, variants, config, out_dir)
+            _replay_season_runs(data, config, out_dir)
         history.absorb(data)
+        # Only one season's forecast arrays are alive at a time.
+        del data
 
 
 def _check_recorded_config(recorded: RunConfig, config: RunConfig, cfg_path: Path) -> None:
@@ -568,13 +567,14 @@ def _check_recorded_config(recorded: RunConfig, config: RunConfig, cfg_path: Pat
             )
 
 
-def _replay_season_runs(
-    data: SeasonData, variants, config: RunConfig, out_dir: Path
-) -> None:
+def _replay_season_runs(data: SeasonData, config: RunConfig, out_dir: Path) -> None:
+    """Walk one season for each configured variant. Variants keep no state
+    from one season to the next, so each season makes its own."""
     strict = config.brier_mode == "strict"
     horizon = max(config.targets)
-    for variant in variants:
-        season_runs: dict[int, dict[tuple[str, int], EnsembleRun]] = {}
+    for name in config.variants:
+        variant = make_variant(name, phi_grid=config.phi_grid, delta=config.delta)
+        runs_by_week: list[list[EnsembleRun]] = [[]]
         for t in range(1, data.n_weeks + horizon + 1):
             in_season = t <= data.n_weeks
             week = data.week(t)
@@ -589,18 +589,35 @@ def _replay_season_runs(
                 runs = variant.week_runs(data, t)
             else:
                 runs = []
-            season_runs[t] = {(r.region, r.target): r for r in runs}
+            runs_by_week.append(runs)
             if cached is None:
-                scores = _score_runs_targeting(
-                    data, season_runs, t, config.targets, strict
-                )
+                scores = _score_runs_targeting(data, runs_by_week, t, config.targets, strict)
                 _write_week(out_dir, variant.name, data.season, week, runs, scores)
+
+
+_SEASON_DIR = re.compile(r"[1-9][0-9]*")
+_WEEK_JSON = re.compile(r"week-([0-9]{6})\.json")
+
+
+def _stored_week(path: Path) -> Epiweek:
+    """The epiweek a ``week-<YYYYWW>.json`` file is named for; any other
+    name raises CorruptArtifactError naming the file."""
+    match = _WEEK_JSON.fullmatch(path.name)
+    if match is not None:
+        try:
+            return Epiweek.from_int(int(match[1]))
+        except ValueError:
+            pass
+    raise CorruptArtifactError(f"{path}: not a week file (expected week-<YYYYWW>.json)")
 
 
 def load_run_artifacts(out_dir) -> tuple[list[EnsembleRun], list[ScoreRecord]]:
     """Read every persisted run and score record under a run directory.
 
-    A week file that cannot be read back raises CorruptArtifactError.
+    Every directory under ``runs/<variant>/`` must be named by its season's
+    year, and every ``week-*.json`` in it must be ``week-<YYYYWW>.json``; a
+    stray name, or a week file that cannot be read back, raises
+    CorruptArtifactError naming the path.
     """
     out_dir = Path(out_dir)
     runs_root = out_dir / "runs"
@@ -614,9 +631,13 @@ def load_run_artifacts(out_dir) -> tuple[list[EnsembleRun], list[ScoreRecord]]:
         for season_dir in sorted(variant_dir.iterdir()):
             if not season_dir.is_dir():
                 continue
+            if _SEASON_DIR.fullmatch(season_dir.name) is None:
+                raise CorruptArtifactError(
+                    f"{season_dir}: not a season directory (expected runs/<variant>/<year>)"
+                )
             season = int(season_dir.name)
             for json_path in sorted(season_dir.glob("week-*.json")):
-                week = Epiweek.from_int(int(json_path.stem.split("-")[1]))
+                week = _stored_week(json_path)
                 loaded = _load_week(out_dir, variant_dir.name, season, week)
                 if loaded is None:
                     continue

@@ -102,7 +102,7 @@ class LoopedHistory:
 
 
 class _LoopedStratum:
-    def __init__(self, panel, region, target, weeks, history: dict, roster):
+    def __init__(self, panel, cells: dict, region, target, weeks, history: dict, roster):
         self.target = target
         n = len(weeks)
         self.week_ints = [0] + [w.add_weeks(target).to_int() for w in weeks]
@@ -111,7 +111,7 @@ class _LoopedStratum:
         self.f_mass = [{}]
         self.score = [{}]
         for w in weeks:
-            cell = panel.available(region, target, w)
+            cell = cells.get((region, target, w), {})
             truth = panel.realized_truth(region, target, w)
             self.submitted.append(frozenset(cell))
             self.truth_target.append(truth)
@@ -155,9 +155,13 @@ class LoopedSeason:
         self.n_weeks = season_length(season)
         self.roster = panel.roster
         weeks = season_weeks(season)
+        # (region, target, issue) -> {model: pmf}, looked up cell by cell.
+        cells: dict = {}
+        for key, pmf in panel.entries.items():
+            cells.setdefault((key.region, key.target, key.issue), {})[key.model_id] = pmf
         self.strata = {
             (region, target): _LoopedStratum(
-                panel, region, target, weeks, history.stratum((region, target)), self.roster
+                panel, cells, region, target, weeks, history.stratum((region, target)), self.roster
             )
             for region in panel.regions
             for target in targets

@@ -1,10 +1,14 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
-from cappool.cli import main
-from cappool.synthetic import write_synthetic_archive
+from cappool.cli import _panel_fit_inputs, main
+from cappool.epiweek import season_length, season_weeks
+from cappool.panel import Panel, TruthTable, load_panel, write_panel
+from cappool.pmf import N_BINS
+from cappool.synthetic import synthetic_archive, write_synthetic_archive
 
 
 @pytest.fixture()
@@ -232,6 +236,24 @@ class TestCliDiagnose:
         assert float(rows[0]["kl"]) == 0.0
         assert float(rows[0]["variance"]) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["variance-kl", "--step", "0"], "--step"),
+            (["variance-kl", "--step", "-0.05"], "--step"),
+            (["variance-kl", "--step", "nan"], "--step"),
+            (["variance-kl", "--start", "1.5", "--stop", "0.75"], "--stop"),
+            (["variance-kl", "--stop", "inf"], "--stop"),
+            (["surface", "--resolution", "0"], "--resolution"),
+            (["surface", "--resolution", "-1"], "--resolution"),
+        ],
+    )
+    def test_bad_numeric_flag_is_a_usage_error(self, tmp_path, capsys, argv, flag):
+        out = tmp_path / "out"
+        assert main(["diagnose", *argv, "--out", str(out)]) == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
     def test_trajectory_from_run(self, run_setup, capsys):
         cfg, out = run_setup
         assert main(["replay", "--config", str(cfg), "--out", str(out)]) == 0
@@ -259,3 +281,71 @@ class TestCliDiagnose:
         with open(out / "diagnostics" / "surface.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == sum(range(1, 12))
+
+
+class TestPanelFitInputs:
+    """``diagnose restarts --region/--target/--season`` fits on the panel's
+    forecasts of one stratum: one row per week with a realized truth and at
+    least one forecast, NaN where a model did not submit."""
+
+    @pytest.fixture()
+    def out(self, tmp_path):
+        fragment, truth = synthetic_archive(
+            seasons=(2010, 2011), regions=("Nat", "HHS1"), targets=(1, 2),
+            seed=9, missing_rate=0.3,
+        )
+        weeks = season_weeks(2010)
+        # A week nobody forecast and two weeks whose truth never realized.
+        fragment = {
+            k: p for k, p in fragment.items()
+            if not (k.region == "Nat" and k.target == 1 and k.issue == weeks[3])
+        }
+        values = {key: v for key, v in truth.items() if key not in
+                  {("Nat", weeks[6].add_weeks(1)), ("Nat", weeks[9].add_weeks(1))}}
+        write_panel(Panel.assemble([fragment], TruthTable(values)), tmp_path / "out" / "panel")
+        return tmp_path / "out"
+
+    def expected(self, out, region, target, season):
+        panel = load_panel(out / "panel", seasons=[season])
+        cells: dict = {}
+        for key, pmf in panel.entries.items():
+            if (key.region, key.target) == (region, target):
+                cells.setdefault(key.issue, {})[key.model_id] = pmf
+        rows, truths = [], []
+        for week in season_weeks(season):
+            value = panel.realized_truth(region, target, week)
+            cell = cells.get(week, {})
+            if value is None or not cell:
+                continue
+            rows.append([cell.get(m, np.full(N_BINS, np.nan)) for m in panel.roster])
+            truths.append(value)
+        return np.array(rows), np.array(truths), list(panel.roster)
+
+    @pytest.mark.parametrize("region, target, season", [("Nat", 1, 2010), ("HHS1", 2, 2011)])
+    def test_equals_a_lookup_built_from_the_entries(self, out, region, target, season):
+        F, y, names = _panel_fit_inputs(str(out), region, target, season)
+        want_F, want_y, want_names = self.expected(out, region, target, season)
+        assert F.dtype == want_F.dtype and F.shape == want_F.shape
+        assert F.tobytes() == want_F.tobytes()
+        assert y.tobytes() == want_y.tobytes()
+        assert names == want_names
+        assert np.isnan(F).all(axis=2).any()  # some model missed a kept week
+
+    def test_skips_weeks_without_truth_or_forecasts(self, out):
+        F, y, _ = _panel_fit_inputs(str(out), "Nat", 1, 2010)
+        assert len(y) == season_length(2010) - 3
+
+    def test_unknown_region_is_named(self, out, capsys):
+        argv = ["diagnose", "restarts", "--region", "HHS9", "--target", "1",
+                "--season", "2010", "--out", str(out)]
+        assert main(argv) == 1
+        assert "no forecasts for HHS9 target 1 in 2010" in capsys.readouterr().err
+
+    def test_restarts_on_the_panel(self, out, capsys):
+        argv = ["diagnose", "restarts", "--n", "5", "--region", "Nat", "--target", "1",
+                "--season", "2010", "--out", str(out)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        with open(out / "diagnostics" / "restarts_summary.csv", newline="") as fh:
+            models = [row[0] for row in csv.reader(fh)][1:-2]
+        assert models == ["m1", "m2", "m3", "m4", "m5"]

@@ -121,6 +121,12 @@ class TestLikelihoodSurface:
         with pytest.raises(ValueError):
             likelihood_surface(_stack([[point_mass(1), point_mass(2)]]), np.array([0.15]))
 
+    @pytest.mark.parametrize("resolution", [0, -1])
+    def test_resolution_below_one_rejected(self, resolution):
+        pmf = gaussian_pmf(2.0, 0.5)
+        with pytest.raises(ValueError, match="resolution must be >= 1"):
+            likelihood_surface(_stack([[pmf, pmf, pmf]]), np.array([2.0]), resolution=resolution)
+
 
 def _run(region, season, week, n_clusters, entropy):
     return EnsembleRun(

@@ -1,5 +1,6 @@
 import logging
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -357,6 +358,16 @@ def _synthetic_season(seed: int = 5) -> SeasonData:
     return SeasonData(Panel(fragment, truth), 2010, (1, 2))
 
 
+def test_season_data_does_not_keep_the_panel():
+    fragment, truth = synthetic_archive(seasons=(2010,), regions=("Nat",), targets=(1,), seed=3)
+    panel = Panel(fragment, truth)
+    alive = weakref.ref(panel)
+    data = SeasonData(panel, 2010, (1,))
+    del panel
+    assert alive() is None
+    assert data.strata[("Nat", 1)].sub.any()
+
+
 PREFETCH_GRID = tuple(round(0.1 * k, 1) for k in range(10))
 
 
@@ -437,7 +448,7 @@ class TestWeightPrefetch:
             for stratum in data.stratum_keys():
                 sd = data.strata[stratum]
                 for j in sd.scored_weeks(t).tolist():
-                    if j == 1 or not sd.pmfs[j]:
+                    if j == 1 or not sd.sub[j].any():
                         continue
                     for phi in PREFETCH_GRID:
                         key = (stratum, j, data.clusters(stratum, j, phi).clusters)

@@ -13,7 +13,7 @@ from cappool.clustering import Clustering
 from cappool.ensembles import HistoryStore, SeasonData, aggregate_cluster
 from cappool.epiweek import season_weeks
 from cappool.panel import ForecastKey, Panel, TruthTable
-from cappool.pmf import N_BINS
+from cappool.pmf import N_BINS, bin_index
 from cappool.pool import truth_bin_masses
 
 import oracles
@@ -33,10 +33,10 @@ def _pmf(b: int, p: float) -> np.ndarray:
     return pmf
 
 
-def _season_panel(rng, season, roster, targets, missing, unrealized) -> Panel:
+def _season_panel(rng, season, roster, targets, missing, unrealized, region=REGION) -> Panel:
     weeks = season_weeks(season)
     entries = {
-        ForecastKey(REGION, target, m, w): _pmf(
+        ForecastKey(region, target, m, w): _pmf(
             int(rng.choice(BINS)),
             float(rng.choice(LEVELS)) if rng.random() < 0.5 else float(rng.uniform()),
         )
@@ -48,7 +48,7 @@ def _season_panel(rng, season, roster, targets, missing, unrealized) -> Panel:
     truth = TruthTable()
     for w in weeks + [weeks[-1].add_weeks(k) for k in range(1, max(targets) + 1)]:
         if rng.random() >= unrealized:
-            truth.add(REGION, w, 0.1 * int(rng.choice(BINS)) + 0.05)
+            truth.add(region, w, 0.1 * int(rng.choice(BINS)) + 0.05)
     return Panel(entries, truth)
 
 
@@ -65,6 +65,25 @@ def two_seasons(draw):
     prior = _season_panel(rng, 2009, prior_roster, targets, missing, unrealized)
     current = _season_panel(rng, 2010, roster, targets, missing, unrealized)
     return prior, current, targets, rng
+
+
+@st.composite
+def two_season_panel(draw):
+    """One panel holding two seasons of two regions, each (season, region)
+    with its own roster, so some models miss whole seasons or regions."""
+    pool = [f"m{k}" for k in range(6)]
+    targets = tuple(sorted(draw(st.sets(st.integers(1, 4), min_size=1, max_size=2))))
+    missing = draw(st.sampled_from([0.0, 0.2, 0.6]))
+    unrealized = draw(st.sampled_from([0.0, 0.2, 0.5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    entries, truth = {}, {}
+    for season in (2009, 2010):
+        for region in (REGION, "HHS2"):
+            roster = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4, unique=True))
+            part = _season_panel(rng, season, roster, targets, missing, unrealized, region)
+            entries.update(part.entries)
+            truth.update(part.truth.items())
+    return Panel(entries, TruthTable(truth)), targets
 
 
 def _random_partition(rng, ids) -> Clustering:
@@ -115,6 +134,32 @@ def _seasons(seasons):
     return SeasonData(panel, 2010, targets, history), oracles.LoopedSeason(
         panel, 2010, targets, looped_history
     )
+
+
+class TestSeasonArraysMatchEntries:
+    @settings(max_examples=20, deadline=None)
+    @given(two_season_panel())
+    def test_pmf_sub_and_mass_follow_the_entries(self, case):
+        panel, targets = case
+        for season in (2009, 2010):
+            data = SeasonData(panel, season, targets)
+            weeks = season_weeks(season)
+            assert set(data.strata) == {(r, t) for r in panel.regions for t in targets}
+            for (region, target), sd in data.strata.items():
+                assert sd.pmf.shape == (len(weeks) + 1, len(panel.roster), N_BINS)
+                assert not sd.sub[0].any()
+                assert not sd.pmf[~sd.sub].any()
+                for i, week in enumerate(weeks, start=1):
+                    truth = panel.realized_truth(region, target, week)
+                    for c, m in enumerate(panel.roster):
+                        pmf = panel.entries.get(ForecastKey(region, target, m, week))
+                        assert sd.sub[i, c] == (pmf is not None)
+                        if pmf is None:
+                            assert sd.mass[i, c] == 0.0
+                            continue
+                        assert np.array_equal(sd.pmf[i, c], pmf)
+                        want = 0.0 if truth is None else pmf[bin_index(truth)]
+                        assert sd.mass[i, c] == want
 
 
 class TestCorrelationMatchesOracle:

@@ -1,4 +1,5 @@
 import io
+import logging
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from cappool.panel import (
     compute_wili,
     convert_flusight_csv,
     load_panel,
+    panel_dir,
     parse_component_csv,
     parse_population_csv,
     parse_state_ili_csv,
@@ -22,7 +24,8 @@ from cappool.panel import (
     truth_from_state_ili,
     write_panel,
 )
-from cappool.pmf import N_BINS
+from cappool.pmf import N_BINS, gaussian_pmf
+from cappool.replay import RunConfig, ingest
 from cappool.synthetic import synthetic_archive
 
 HEADER = ",".join(
@@ -114,6 +117,42 @@ class TestFlusightConverter:
         with pytest.raises(ForecastDataError, match="bins present"):
             convert_flusight_csv(io.StringIO(text), "m", Epiweek(2016, 43))
 
+    def test_tree_ingest_equals_the_converted_files(self, tmp_path, caplog):
+        # Two models' EW<ww>-<yyyy> files with point rows, a week-based
+        # target and one missing forecast, plus one misnamed file.
+        rng = np.random.default_rng(3)
+        root = tmp_path / "flusight"
+        files = []
+        for model in ("model-a", "model-b"):
+            (root / model).mkdir(parents=True)
+            for ww in (44, 45):
+                lines = ["Location,Target,Type,Unit,Bin_start_incl,Bin_end_notincl,Value"]
+                for location in ("US National", "HHS Region 1"):
+                    if (model, ww, location) == ("model-b", 45, "HHS Region 1"):
+                        continue
+                    for target in (1, 2):
+                        lines.append(f"{location},{target} wk ahead,Point,percent,,,2.1")
+                        for i, p in enumerate(gaussian_pmf(rng.uniform(1.0, 4.0), 0.6).tolist()):
+                            start = "13.0" if i == 130 else f"{i / 10:.1f}"
+                            end = "100" if i == 130 else f"{(i + 1) / 10:.1f}"
+                            lines.append(f"{location},{target} wk ahead,Bin,percent,{start},{end},{p!r}")
+                lines.append("US National,Season onset,Bin,week,40,41,0.5")
+                path = root / model / f"EW{ww}-2010-{model}.csv"
+                path.write_text("\n".join(lines) + "\n")
+                files.append((path, model, Epiweek(2010, ww)))
+        stray = root / "model-b" / "notes-2010.csv"
+        stray.write_text("not,a,forecast\n")
+        truth = tmp_path / "truth.csv"
+        truth.write_text("region,epiweek,wili\nNat,201046,2.0\nHHS1,201046,2.5\n")
+        config = RunConfig.parse(f"flusight_dir = {root}\ntruth = {truth}\nseasons = 2010\n")
+        with caplog.at_level(logging.WARNING, logger="cappool"):
+            ingest(config, tmp_path / "run")
+        want = Panel.assemble([convert_flusight_csv(*f) for f in files], parse_truth_csv(truth))
+        assert len(want.entries) == 14
+        assert load_panel(panel_dir(tmp_path / "run")) == want
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warnings) == 1 and str(stray) in warnings[0]
+
 
 class TestParseTruthCsv:
     def test_direct(self):
@@ -194,12 +233,18 @@ class TestPanel:
         assert panel.missing(drop.region, drop.target, drop.issue) == {"m4"}
 
     def test_available_plus_missing_covers_roster(self):
-        panel = self._small_panel()
+        fragment, truth = synthetic_archive(
+            seasons=(2010,), regions=("Nat",), targets=(1, 4), seed=11, missing_rate=0.2
+        )
+        panel = Panel.assemble([fragment], truth)
+        available: dict = {}
         for key in panel.entries:
-            avail = panel.available(key.region, key.target, key.issue)
-            miss = panel.missing(key.region, key.target, key.issue)
+            available.setdefault((key.region, key.target, key.issue), set()).add(key.model_id)
+        assert any(len(avail) < len(panel.roster) for avail in available.values())
+        for (region, target, issue), avail in available.items():
+            miss = panel.missing(region, target, issue)
             assert len(avail) + len(miss) == len(panel.roster)
-            assert not set(avail) & miss
+            assert not avail & miss
 
     def test_unobserved_truth(self):
         fragment, truth = synthetic_archive(seasons=(2010,), regions=("Nat",), seed=2)

@@ -3,7 +3,9 @@ import json
 import logging
 import re
 import shutil
+import weakref
 from dataclasses import fields
+from importlib import import_module
 from pathlib import Path
 
 import numpy as np
@@ -175,6 +177,35 @@ class TestReplayStructure:
             assert -10.0 <= s.log_score <= 0.0
             assert 0.0 <= s.pit <= 1.0 + 1e-12
             assert s.brier_integral >= 0.0
+
+    def test_one_season_data_alive_at_a_time(self, tmp_path, monkeypatch):
+        # Each season's forecast arrays are dropped before the next season's
+        # panel is loaded, also with a CAP variant, whose caches belong to
+        # one season.
+        replay_mod = import_module("cappool.replay")  # the package re-exports replay()
+        made, loads = [], []
+        original_load = replay_mod.load_panel
+
+        class Tracked(replay_mod.SeasonData):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(weakref.ref(self))
+
+        def load_panel(*args, **kwargs):
+            loads.append(sum(ref() is not None for ref in made))
+            return original_load(*args, **kwargs)
+
+        monkeypatch.setattr(replay_mod, "SeasonData", Tracked)
+        monkeypatch.setattr(replay_mod, "load_panel", load_panel)
+        data_dir = tmp_path / "data"
+        write_synthetic_archive(
+            data_dir, seasons=(2010, 2011, 2012), regions=("Nat",), targets=(1,), seed=2
+        )
+        config = RunConfig.parse(
+            _config_text(data_dir, seasons="2010,2011,2012", targets="1", variants="cap-equal")
+        )
+        replay(config, tmp_path / "run")
+        assert loads == [0, 0, 0]
 
     def test_missing_season_rejected(self, tmp_path):
         data_dir = tmp_path / "data"
@@ -456,6 +487,38 @@ class TestReport:
             load_run_artifacts(copy)
         with pytest.raises(CorruptArtifactError, match=re.escape(str(path))):
             write_report(copy)
+
+    @pytest.mark.parametrize("stray", ["week-copy", "bad-week", "season-dir"])
+    def test_stray_names_under_runs_are_rejected_by_name(self, small_run, tmp_path, stray):
+        # A stray copy was read as its week a second time, and a stray
+        # directory raised a bare ValueError naming nothing.
+        _, out = small_run
+        copy = tmp_path / "run"
+        shutil.copytree(out, copy, ignore=shutil.ignore_patterns("reports"))
+        week = sorted(copy.glob("runs/cap-adaptive/2010/week-*.json"))[5]
+        if stray == "week-copy":
+            path = week.with_name(week.stem + "-old.json")
+            shutil.copy(week, path)
+        elif stray == "bad-week":
+            path = week.with_name("week-201099.json")
+            shutil.copy(week, path)
+        else:
+            path = copy / "runs" / "cap-adaptive" / "notes"
+            path.mkdir()
+        with pytest.raises(CorruptArtifactError, match=re.escape(str(path))):
+            load_run_artifacts(copy)
+        with pytest.raises(CorruptArtifactError, match=re.escape(str(path))):
+            write_report(copy)
+        assert not (copy / "reports").exists()
+
+    def test_unfinished_atomic_writes_are_not_week_files(self, small_run, tmp_path):
+        _, out = small_run
+        copy = tmp_path / "run"
+        shutil.copytree(out, copy)
+        week = sorted(copy.glob("runs/equal/2010/week-*.json"))[2]
+        week.with_name(week.name + ".tmp").write_text(week.read_text()[:40])
+        (runs, scores), (want_runs, want_scores) = load_run_artifacts(copy), load_run_artifacts(out)
+        assert len(runs) == len(want_runs) and scores == want_scores
 
     def test_empty_report_rejected(self, tmp_path):
         with pytest.raises(FileNotFoundError):

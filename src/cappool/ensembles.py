@@ -20,7 +20,7 @@ from functools import partial
 import numpy as np
 
 from .clustering import Clustering, cluster_models
-from .epiweek import Epiweek, season_length, season_weeks
+from .epiweek import Epiweek, season_length, season_week, season_weeks
 from .panel import Panel
 from .pmf import N_BINS, bin_index, linear_pool
 from .pool import AdaptivePrior, WeightFit, em_pool_weights, em_pool_weights_batch, renormalized
@@ -302,9 +302,7 @@ class SeasonData:
     def week(self, t: int) -> Epiweek:
         """The epiweek of week index t (1-based), which may run past the
         season's end."""
-        if t <= self.n_weeks:
-            return self.weeks[t - 1]
-        return self.weeks[-1].add_weeks(t - self.n_weeks)
+        return season_week(self.season, t)
 
     # -- score windows -------------------------------------------------
 

@@ -16,6 +16,7 @@ __all__ = [
     "weeks_in_year",
     "season_of",
     "season_weeks",
+    "season_week",
     "season_length",
     "SEASON_START_WEEK",
     "SEASON_END_WEEK",
@@ -113,6 +114,12 @@ def season_weeks(season: int) -> list[Epiweek]:
     first = Epiweek(season, SEASON_START_WEEK)
     n = season_length(season)
     return [first.add_weeks(i) for i in range(n)]
+
+
+def season_week(season: int, t: int) -> Epiweek:
+    """The epiweek of week index t (1-based) of a season, which may run past
+    the season's end."""
+    return Epiweek(season, SEASON_START_WEEK).add_weeks(t - 1)
 
 
 def season_length(season: int) -> int:

@@ -13,12 +13,13 @@ import csv
 import json
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from .epiweek import Epiweek, season_of, season_weeks
+from .epiweek import Epiweek, season_length, season_of, season_weeks
 from .pmf import N_BINS, MalformedPmfError, normalize_pmf, normalize_pmfs
 
 __all__ = [
@@ -497,9 +498,6 @@ class Panel:
         self.roster: tuple[str, ...] = tuple(sorted({k.model_id for k in entries}))
         self.regions: tuple[str, ...] = tuple(sorted({k.region for k in entries}))
         self.targets: tuple[int, ...] = tuple(sorted({k.target for k in entries}))
-        self._by_cell: dict[tuple[str, int, Epiweek], set[str]] = {}
-        for key in entries:
-            self._by_cell.setdefault((key.region, key.target, key.issue), set()).add(key.model_id)
 
     @classmethod
     def assemble(cls, fragments, truth: TruthTable) -> "Panel":
@@ -510,6 +508,15 @@ class Panel:
                 raise ForecastDataError(f"duplicate forecast for {sorted(overlap)[0]}")
             entries.update(fragment)
         return cls(entries, truth)
+
+    @cached_property
+    def _by_cell(self) -> dict[tuple[str, int, Epiweek], set[str]]:
+        """The model ids that submitted in each (region, target, issue) cell;
+        built on first use, since only ``missing`` reads it."""
+        by_cell: dict[tuple[str, int, Epiweek], set[str]] = {}
+        for key in self.entries:
+            by_cell.setdefault((key.region, key.target, key.issue), set()).add(key.model_id)
+        return by_cell
 
     def missing(self, region: str, target: int, issue: Epiweek) -> frozenset[str]:
         return frozenset(self.roster) - self._by_cell.get((region, target, issue), set())
@@ -662,7 +669,9 @@ def load_panel(directory, seasons=None) -> Panel:
 
     Stored probabilities are read back exactly (no renormalization), so a
     write/load cycle is bit-exact. A stored pmf with a non-finite or
-    negative entry, or a sum more than 1e-6 from 1, is rejected.
+    negative entry, or a sum more than 1e-6 from 1, is rejected, and so is
+    a season file whose forecast count differs from the one its sidecar
+    implies. Every error names the file.
     """
     directory = Path(directory)
     truth = parse_truth_csv(truth_path(directory))
@@ -676,11 +685,27 @@ def load_panel(directory, seasons=None) -> Panel:
         found = [s for s in found if s in wanted]
     for season in found:
         path = _season_csv(directory, season)
-        fragment = parse_component_csv(path, renormalize=False)
+        try:
+            fragment = parse_component_csv(path, renormalize=False)
+        except ForecastDataError as exc:
+            raise ForecastDataError(f"{path}: {exc}") from None
         _check_stored(path, fragment)
         entries.update(fragment)
-        sidecar = json.loads(_season_sidecar(directory, season).read_text())
-        rosters.append(tuple(sidecar["roster"]))
+        sidecar_path = _season_sidecar(directory, season)
+        try:
+            sidecar = json.loads(sidecar_path.read_text())
+            roster, missing = tuple(sidecar["roster"]), sidecar["missing"]
+            cells = len(sidecar["regions"]) * len(sidecar["targets"]) * season_length(season)
+            expected = cells * len(roster) - sum(len(absent) for absent in missing.values())
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise ForecastDataError(f"{sidecar_path}: unreadable sidecar: {exc!r}") from None
+        # A file cut short at a row boundary still parses; its row count
+        # no longer matches the cells and missing forecasts its sidecar lists.
+        if len(fragment) != expected:
+            raise ForecastDataError(
+                f"{path}: {len(fragment)} forecasts, but {sidecar_path.name} implies {expected}"
+            )
+        rosters.append(roster)
     if rosters and len(set(rosters)) != 1:
         raise ForecastDataError("inconsistent rosters across season sidecars")
     panel = Panel(entries, truth)

@@ -15,6 +15,7 @@ import logging
 import math
 import os
 import re
+from collections.abc import Callable
 from dataclasses import dataclass, field, fields
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -29,7 +30,7 @@ from .ensembles import (
     SeasonData,
     make_variant,
 )
-from .epiweek import Epiweek
+from .epiweek import Epiweek, season_length, season_week
 from .panel import (
     Panel,
     ForecastDataError,
@@ -539,17 +540,35 @@ def replay(config: RunConfig, out_dir) -> None:
     if missing:
         raise ForecastDataError(f"panel has no data for seasons {sorted(missing)}")
 
+    # A season's panel is loaded only when one of its weeks must be computed.
+    # HistoryStore must hold every earlier stored season before a season's
+    # SeasonData is built, so seasons whose week files were all reused wait
+    # in ``pending`` until a later season needs its data; seasons after the
+    # last one that does are never loaded.
     history = HistoryStore()
+    pending: list[int] = []
+
+    def load(season: int) -> SeasonData:
+        return SeasonData(load_panel(stored, seasons=[season]), season, config.targets, history)
+
+    def season_data(season: int) -> SeasonData:
+        while pending:
+            history.absorb(load(pending.pop(0)))
+        return load(season)
+
     last = max(config.seasons)
     for season in available:
         if season > last:
             break
-        data = SeasonData(load_panel(stored, seasons=[season]), season, config.targets, history)
+        data = None
         if season in config.seasons:
-            _replay_season_runs(data, config, out_dir)
-        history.absorb(data)
-        # Only one season's forecast arrays are alive at a time.
-        del data
+            data = _replay_season_runs(season, season_data, config, out_dir)
+        if data is None:
+            pending.append(season)
+        else:
+            history.absorb(data)
+            # Only one season's forecast arrays are alive at a time.
+            del data
 
 
 def _check_recorded_config(recorded: RunConfig, config: RunConfig, cfg_path: Path) -> None:
@@ -567,32 +586,47 @@ def _check_recorded_config(recorded: RunConfig, config: RunConfig, cfg_path: Pat
             )
 
 
-def _replay_season_runs(data: SeasonData, config: RunConfig, out_dir: Path) -> None:
+def _replay_season_runs(
+    season: int, season_data: Callable[[int], SeasonData], config: RunConfig, out_dir: Path
+) -> SeasonData | None:
     """Walk one season for each configured variant. Variants keep no state
-    from one season to the next, so each season makes its own."""
+    from one season to the next, so each season makes its own.
+
+    ``season_data(season)`` is called on the first week that is not stored,
+    to compute it and score its runs; its SeasonData is returned, or None
+    when every week file was reused."""
     strict = config.brier_mode == "strict"
     horizon = max(config.targets)
+    n_weeks = season_length(season)
+    data = None
     for name in config.variants:
         variant = make_variant(name, phi_grid=config.phi_grid, delta=config.delta)
         runs_by_week: list[list[EnsembleRun]] = [[]]
-        for t in range(1, data.n_weeks + horizon + 1):
-            in_season = t <= data.n_weeks
-            week = data.week(t)
+        for t in range(1, n_weeks + horizon + 1):
+            week = season_week(season, t)
             try:
-                cached = _load_week(out_dir, variant.name, data.season, week)
+                cached = _load_week(out_dir, variant.name, season, week)
             except CorruptArtifactError as exc:
                 _log.warning("%s; recomputing that week", exc)
                 cached = None
             if cached is not None:
-                runs = cached[0]
-            elif in_season:
-                runs = variant.week_runs(data, t)
-            else:
-                runs = []
+                runs_by_week.append(cached[0])
+                continue
+            if data is None:
+                _log.info(
+                    "season %d: %s week %s is not stored; loading the panel", season, name, week
+                )
+                data = season_data(season)
+            runs = variant.week_runs(data, t) if t <= n_weeks else []
             runs_by_week.append(runs)
-            if cached is None:
-                scores = _score_runs_targeting(data, runs_by_week, t, config.targets, strict)
-                _write_week(out_dir, variant.name, data.season, week, runs, scores)
+            scores = _score_runs_targeting(data, runs_by_week, t, config.targets, strict)
+            _write_week(out_dir, variant.name, season, week, runs, scores)
+    if data is None:
+        _log.info(
+            "season %d: all %d week files reused, panel not loaded",
+            season, len(config.variants) * (n_weeks + horizon),
+        )
+    return data
 
 
 _SEASON_DIR = re.compile(r"[1-9][0-9]*")

@@ -324,6 +324,26 @@ class TestPanel:
             load_panel(tmp_path / "panel")
         assert str(info.value).startswith(f"{path}: stored pmf for {key} sums to ")
 
+    @pytest.mark.parametrize(
+        "name, cut, message",
+        [
+            ("season-2010.csv", "mid-row", "expected 135 fields"),
+            ("season-2010.csv", "row boundary", " forecasts, but season-2010.json implies "),
+            ("season-2010.json", "mid-row", "unreadable sidecar"),
+        ],
+    )
+    def test_truncated_season_file_rejected_by_name(self, tmp_path, name, cut, message):
+        write_panel(self._small_panel(), tmp_path / "panel")
+        path = tmp_path / "panel" / name
+        data = path.read_bytes()
+        end = len(data) // 2
+        if cut == "row boundary":
+            end = data.index(b"\r\n", end) + 2
+        path.write_bytes(data[:end])
+        with pytest.raises(ForecastDataError, match=message) as info:
+            load_panel(tmp_path / "panel")
+        assert str(info.value).startswith(f"{path}: ")
+
     def test_load_missing_season_rejected(self, tmp_path):
         panel = self._small_panel()
         write_panel(panel, tmp_path / "panel")

@@ -4,6 +4,7 @@ import logging
 import re
 import shutil
 import weakref
+from collections import Counter
 from dataclasses import fields
 from importlib import import_module
 from pathlib import Path
@@ -11,7 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cappool.epiweek import Epiweek
+from cappool.epiweek import Epiweek, season_length
+from cappool.panel import ForecastDataError
 from cappool.replay import (
     ConfigError,
     ConfigMismatchError,
@@ -368,6 +370,136 @@ class TestDeterminismAndResume:
             elif name.startswith("runs/") and a_files[name] != b_files.get(name):
                 changed_late += 1
         assert changed_late > 0  # the mutation really did alter later artifacts
+
+
+@pytest.fixture(scope="module")
+def three_season_run(tmp_path_factory):
+    """A finished three-season equal and cap-adaptive run, read-only."""
+    root = tmp_path_factory.mktemp("three_season_run")
+    data_dir = root / "data"
+    write_synthetic_archive(
+        data_dir, seasons=(2010, 2011, 2012), regions=("Nat",), targets=(1,), seed=2
+    )
+    config = RunConfig.parse(
+        _config_text(data_dir, seasons="2010,2011,2012", targets="1", variants="equal,cap-adaptive")
+    )
+    out = root / "run"
+    replay(config, out)
+    return config, out
+
+
+@pytest.fixture
+def replay_calls(monkeypatch):
+    """Record replay's panel loads and SeasonData builds (by season) and its
+    week-file reads (by variant, season and week)."""
+    replay_mod = import_module("cappool.replay")
+    calls = {"loads": [], "built": [], "reads": Counter()}
+    original_load, original_read = replay_mod.load_panel, replay_mod._load_week
+
+    class Counted(replay_mod.SeasonData):
+        def __init__(self, panel, season, *args, **kwargs):
+            calls["built"].append(season)
+            super().__init__(panel, season, *args, **kwargs)
+
+    def load_panel(directory, seasons=None):
+        calls["loads"].append(list(seasons))
+        return original_load(directory, seasons)
+
+    def load_week(out_dir, variant, season, week):
+        calls["reads"][variant, season, week] += 1
+        return original_read(out_dir, variant, season, week)
+
+    monkeypatch.setattr(replay_mod, "SeasonData", Counted)
+    monkeypatch.setattr(replay_mod, "load_panel", load_panel)
+    monkeypatch.setattr(replay_mod, "_load_week", load_week)
+    return calls
+
+
+def _n_week_files(config: RunConfig, season: int) -> int:
+    """Week files one variant writes for a season: every issue week, then
+    one per week of the forecast horizon past the season's end."""
+    return season_length(season) + max(config.targets)
+
+
+class TestResumeLoadsOnlyWhatItComputes:
+    def test_finished_directory_loads_no_panel(
+        self, three_season_run, tmp_path, replay_calls, caplog
+    ):
+        config, full = three_season_run
+        run = tmp_path / "run"
+        shutil.copytree(full, run)
+        before = _tree_bytes(run)
+        with caplog.at_level(logging.INFO, logger="cappool"):
+            replay(config, run)
+        assert replay_calls["loads"] == [] and replay_calls["built"] == []
+        assert _tree_bytes(run) == before
+        assert set(replay_calls["reads"].values()) == {1}
+        seasons = (2010, 2011, 2012)
+        assert len(replay_calls["reads"]) == 2 * sum(_n_week_files(config, s) for s in seasons)
+        assert [r.getMessage() for r in caplog.records if r.name == "cappool"] == [
+            f"season {s}: all {2 * _n_week_files(config, s)} week files reused, panel not loaded"
+            for s in seasons
+        ]
+
+    def test_resume_loads_up_to_the_season_it_computes(
+        self, three_season_run, tmp_path, replay_calls, caplog
+    ):
+        config, full = three_season_run
+        run = tmp_path / "run"
+        shutil.copytree(full, run)
+        # Cut the middle season short: its last weeks, for both variants.
+        removed = [p for p in run.glob("runs/*/2011/week-*.*") if int(p.stem[5:]) >= 201215]
+        for path in removed:
+            path.unlink()
+        assert removed
+        with caplog.at_level(logging.INFO, logger="cappool"):
+            replay(config, run)
+        assert replay_calls["loads"] == [[2010], [2011]]
+        assert replay_calls["built"] == [2010, 2011]
+        assert set(replay_calls["reads"].values()) == {1}
+        assert _tree_bytes(run) == _tree_bytes(full)
+        reused = "week files reused, panel not loaded"
+        assert [r.getMessage() for r in caplog.records if r.name == "cappool"] == [
+            f"season 2010: all {2 * _n_week_files(config, 2010)} {reused}",
+            "season 2011: equal week 201215 is not stored; loading the panel",
+            f"season 2012: all {2 * _n_week_files(config, 2012)} {reused}",
+        ]
+
+    def test_corrupt_week_is_warned_once_and_recomputed(
+        self, three_season_run, tmp_path, replay_calls, caplog
+    ):
+        config, full = three_season_run
+        run = tmp_path / "run"
+        shutil.copytree(full, run)
+        corrupt = sorted(run.glob("runs/cap-adaptive/2012/week-*.json"))[4]
+        corrupt.write_text(corrupt.read_text()[:100])
+        with caplog.at_level(logging.WARNING, logger="cappool"):
+            replay(config, run)
+        warned = [r.getMessage() for r in caplog.records if r.name == "cappool"]
+        assert len(warned) == 1 and str(corrupt) in warned[0]
+        assert replay_calls["loads"] == [[2010], [2011], [2012]]
+        assert set(replay_calls["reads"].values()) == {1}
+        assert _tree_bytes(run) == _tree_bytes(full)
+
+    def test_damaged_panel_fails_only_when_needed(self, three_season_run, tmp_path):
+        config, full = three_season_run
+        run = tmp_path / "run"
+        shutil.copytree(full, run)
+        season_csv = run / "panel" / "season-2010.csv"
+        text = season_csv.read_bytes()
+        season_csv.write_bytes(text[: len(text) // 2])
+        # Nothing to compute: the panel is not parsed, and nothing changes.
+        before = _tree_bytes(run)
+        replay(config, run)
+        assert _tree_bytes(run) == before
+        # A 2012 week to compute needs 2010 in the history: the damaged file
+        # is named, and no week file is added.
+        week = sorted(run.glob("runs/equal/2012/week-*.json"))[-1]
+        week.unlink()
+        before = _tree_bytes(run)
+        with pytest.raises(ForecastDataError, match=re.escape(str(season_csv))):
+            replay(config, run)
+        assert _tree_bytes(run) == before
 
 
 class TestReport:

@@ -57,22 +57,25 @@ def cluster_models(corr: np.ndarray, phi: float, model_ids) -> Clustering:
         raise ValueError("phi must be >= 0")
     order = sorted(range(n), key=model_ids.__getitem__)
     ids = [model_ids[k] for k in order]
-    # Bit b of linked[a] is set when the a-th and b-th models in id order
-    # correlate above phi; a cluster's bit mask holds its members.
-    rows = np.packbits((corr > phi)[order][:, order], axis=1, bitorder="little")
-    linked = [int.from_bytes(row.tobytes(), "little") for row in rows]
+    links = corr > phi
+    if order != list(range(n)):
+        links = links[np.ix_(order, order)]
+    # Bit b of row a is set when the a-th and b-th models in id order
+    # correlate above phi; a cluster's bit mask holds its members. The packed
+    # rows are read as one integer and cut into one word per row.
+    packed = np.packbits(links, axis=1, bitorder="little")
+    width = 8 * packed.shape[1]
+    whole, word = int.from_bytes(packed.tobytes(), "little"), (1 << width) - 1
     masks: list[int] = []
-    clusters: list[list[int]] = []
-    for a, row in enumerate(linked):
+    clusters: list[list[str]] = []
+    for a in range(n):
+        row = (whole >> (a * width)) & word
         for c, mask in enumerate(masks):
             if not mask & ~row:
                 masks[c] |= 1 << a
-                clusters[c].append(a)
+                clusters[c].append(ids[a])
                 break
         else:
             masks.append(1 << a)
-            clusters.append([a])
-    result = Clustering(tuple(tuple(ids[a] for a in c) for c in clusters), phi)
-    if result.members() != set(ids):
-        raise AssertionError("partition does not cover the model set")
-    return result
+            clusters.append([ids[a]])
+    return Clustering(tuple(map(tuple, clusters)), phi)

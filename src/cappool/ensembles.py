@@ -16,6 +16,7 @@ import logging
 import math
 from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,6 +52,8 @@ _INITIAL_PHI = 0.5
 _NO_FORECASTS = "no forecasts submitted"
 
 _log = logging.getLogger("cappool")
+# Each week's phi pick, at INFO; a child of "cappool", so it can be enabled alone.
+_phi_log = logging.getLogger("cappool.phi")
 
 
 def _region_order(region: str) -> tuple[int, int]:
@@ -219,6 +222,21 @@ class _StratumData:
         return tuple(self.roster[c] for c in np.flatnonzero(~self.sub[t]).tolist())
 
 
+def _cluster_grid(corr: np.ndarray, phis, ids) -> list[Clustering]:
+    """``cluster_models(corr, phi, ids)`` at each of ``phis``, from one
+    ``corr > phi`` link stack: thresholds whose links are identical share
+    one greedy pass, the one of the first of them."""
+    links = np.asarray(corr) > np.asarray(phis, dtype=float)[:, None, None]
+    passes: dict[bytes, Clustering] = {}
+    out = []
+    for phi, layer in zip(phis, links):
+        found = passes.get(key := layer.tobytes())
+        if found is None:
+            found = passes[key] = cluster_models(corr, phi, ids)
+        out.append(found if found.phi == phi else Clustering(found.clusters, phi))
+    return out
+
+
 def _masked_correlation(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Pairwise Pearson correlation over mutually observed columns.
 
@@ -294,7 +312,8 @@ class SeasonData:
         self._corr_cache: dict[tuple, tuple[list[str], np.ndarray]] = {}
         self._place_cache: dict[tuple, np.ndarray] = {}
         self._cluster_cache: dict[tuple, Clustering] = {}
-        self._members_cache: dict[tuple, np.ndarray] = {}
+        self._ranked_cache: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+        self._leader_cache: dict[tuple, np.ndarray] = {}
 
     def stratum_keys(self) -> list[tuple[str, int]]:
         return sorted(self.strata, key=stratum_sort_key)
@@ -345,12 +364,20 @@ class SeasonData:
             self._corr_cache[(stratum, t)] = cached
         return cached
 
-    def clusters(self, stratum: tuple[str, int], t: int, phi: float) -> Clustering:
+    def clusters(self, stratum: tuple[str, int], t: int, phi: float, grid=()) -> Clustering:
+        """Week t's partition at threshold phi: ``cluster_models`` on the
+        ``correlation(stratum, t)`` pair. A miss partitions at every
+        threshold of ``grid`` not yet cached as well, in one
+        ``_cluster_grid`` pass, and caches them all."""
         cached = self._cluster_cache.get((stratum, t, phi))
         if cached is None:
             ids, sub = self.correlation(stratum, t)
-            cached = cluster_models(sub, phi, ids)
-            self._cluster_cache[(stratum, t, phi)] = cached
+            phis = [
+                p for p in dict.fromkeys((phi, *grid)) if (stratum, t, p) not in self._cluster_cache
+            ]
+            for p, clustering in zip(phis, _cluster_grid(sub, phis, ids)):
+                self._cluster_cache[stratum, t, p] = clustering
+            cached = self._cluster_cache[stratum, t, phi]
         return cached
 
     # -- cluster leaders -------------------------------------------------
@@ -358,19 +385,45 @@ class SeasonData:
     def leaders(self, stratum: tuple[str, int], clustering: Clustering, weeks) -> np.ndarray:
         """Roster index of each cluster's leader at each of ``weeks``, shape
         (weeks, clusters): its member that submitted that week and comes
-        first in that week's ``places`` row, or -1 when none submitted."""
-        sd = self.strata[stratum]
-        weeks = np.asarray(weeks, dtype=np.intp)
-        n_models = len(self.roster)
-        members = self._members_cache.get(clustering.clusters)
-        if members is None:
-            members = np.zeros((clustering.n_clusters, n_models), dtype=bool)
-            for c, cluster in enumerate(clustering.clusters):
-                members[c, [self.index[m] for m in cluster]] = True
-            self._members_cache[clustering.clusters] = members
-        eligible = members & sd.sub[weeks][:, None, :]
-        rank = np.where(eligible, self.places(stratum)[weeks][:, None, :], n_models)
-        return np.where(eligible.any(axis=2), rank.argmin(axis=2), -1)
+        first in that week's ``places`` row, or -1 when none submitted.
+
+        The rows come from the partition's leader table, shape
+        (weeks + 1, clusters) and 16-bit for any roster under 32 768 models,
+        built for every week of the season on the partition's first use in
+        the stratum."""
+        key = (stratum, clustering.clusters)
+        table = self._leader_cache.get(key)
+        if table is None:
+            rank, by_place = self._ranked(stratum)
+            if clustering.clusters:
+                # Members in cluster order; each cluster's best place is the
+                # minimum over its run of columns.
+                cols = [self.index[m] for cluster in clustering.clusters for m in cluster]
+                starts = np.cumsum([0] + [len(c) for c in clustering.clusters[:-1]])
+                best = np.minimum.reduceat(rank[:, cols], starts, axis=1)
+                table = by_place[np.arange(len(best))[:, None], best]
+            else:
+                table = by_place[:, :0]
+            self._leader_cache[key] = table
+        return table[np.asarray(weeks, dtype=np.intp)]
+
+    def _ranked(self, stratum: tuple[str, int]) -> tuple[np.ndarray, np.ndarray]:
+        """``rank``, each roster model's ``places`` entry where it submitted
+        and the roster size where it did not, and ``by_place``, the roster
+        index at each place with -1 after the last, so that
+        ``by_place[t, rank[t, c]]`` is c for a submitter and -1 otherwise.
+        ``by_place`` is 16-bit when the roster allows, like the leader
+        tables read out of it."""
+        cached = self._ranked_cache.get(stratum)
+        if cached is None:
+            places = self.places(stratum)
+            n_models = len(self.roster)
+            rank = np.where(self.strata[stratum].sub, places, n_models)
+            dtype = np.int16 if n_models < 2**15 else np.intp
+            by_place = np.full((self.n_weeks + 1, n_models + 1), -1, dtype=dtype)
+            np.put_along_axis(by_place, places, np.arange(n_models, dtype=dtype)[None, :], axis=1)
+            cached = self._ranked_cache[stratum] = (rank, by_place)
+        return cached
 
     def cluster_mass_matrix(
         self, stratum: tuple[str, int], clustering: Clustering, t: int
@@ -380,8 +433,7 @@ class SeasonData:
         sd = self.strata[stratum]
         obs = sd.scored_weeks(t)
         leader = self.leaders(stratum, clustering, obs)
-        mass = np.take_along_axis(sd.mass[obs], leader, axis=1)
-        return np.where(leader >= 0, mass, 0.0)
+        return np.where(leader >= 0, sd.mass[obs[:, None], leader], 0.0)
 
     def model_mass_matrix(self, stratum: tuple[str, int], t: int) -> np.ndarray:
         """Truth-bin mass per roster model at past scored weeks (0 when
@@ -404,23 +456,46 @@ def _warn_unconverged(variant: str, data: SeasonData, stratum, fitted_for: str, 
         )
 
 
-def _pooled_run(
-    variant: str, data: SeasonData, stratum, t: int, units, fitted, keys, **fields
-) -> EnsembleRun:
-    """Week t's run pooling the forecasts of the present ``units``.
+class _Pooled(NamedTuple):
+    """One week's pool: the indices of the units present, their weights
+    renormalized over them, and the pooled pmf (both None when no unit is
+    present)."""
 
-    ``units`` gives each pooled unit's roster index, or -1 when the unit has
-    no forecast at t; ``fitted`` is each unit's weight and ``keys`` its name
-    in the run's weights. The weights are renormalized over the present
-    units. With no unit present this is the "no forecasts submitted" run.
+    present: np.ndarray
+    weights: np.ndarray | None
+    pmf: np.ndarray | None
+
+
+def _pooled(pmfs, units, fitted) -> _Pooled:
+    """The linear pool of the present ``units``' forecasts.
+
+    ``units`` gives each pooled unit's row of ``pmfs`` (a roster index), or
+    -1 when the unit has no forecast; ``fitted`` is each unit's weight. The
+    weights are renormalized over the present units.
     """
-    present = np.flatnonzero(np.asarray(units) >= 0)
-    if present.size:
-        w = renormalized(fitted, present)
+    units = np.asarray(units)
+    present = np.flatnonzero(units >= 0)
+    if not present.size:
+        return _Pooled(present, None, None)
+    w = renormalized(fitted, present)
+    return _Pooled(present, w, linear_pool(pmfs[units[present]], w))
+
+
+_NOTHING_POOLED = _Pooled(np.zeros(0, dtype=np.intp), None, None)
+
+
+def _pooled_run(
+    variant: str, data: SeasonData, stratum, t: int, pooled: _Pooled, keys, **fields
+) -> EnsembleRun:
+    """Week t's run of a ``_Pooled`` result; ``keys`` names each unit in the
+    run's weights. With no unit present this is the "no forecasts
+    submitted" run.
+    """
+    if pooled.pmf is not None:
         fields.update(
-            pmf=linear_pool(data.strata[stratum].pmf[t, units[present]], w),
-            weights={keys[i]: float(v) for i, v in zip(present.tolist(), w)},
-            entropy=percent_entropy(w),
+            pmf=pooled.pmf,
+            weights={keys[i]: float(v) for i, v in zip(pooled.present.tolist(), pooled.weights)},
+            entropy=percent_entropy(pooled.weights),
         )
     else:
         fields.update(pmf=None, weights={}, entropy=None, note=_NO_FORECASTS)
@@ -446,12 +521,23 @@ class _VariantBase:
     def __init__(self) -> None:
         # Weight fits kept for reuse, under a key each variant chooses.
         self._fits: dict[tuple, np.ndarray] = {}
+        self._season: SeasonData | None = None
 
     def week_runs(self, data: SeasonData, t: int) -> list[EnsembleRun]:
+        self._prefit(data, t)
         return [self.run_stratum(data, stratum, t) for stratum in data.stratum_keys()]
+
+    def _prefit(self, data: SeasonData, t: int) -> None:
+        """Fit ahead, with ``_fit_all``, the weights week t's runs will look
+        up in ``_fits``; nothing to do for a variant without weekly fits."""
 
     def run_stratum(self, data: SeasonData, stratum, t: int) -> EnsembleRun:
         raise NotImplementedError
+
+    def _use_season(self, data: SeasonData) -> None:
+        """Drop what was kept for another ``SeasonData``."""
+        if data is not self._season:
+            self._season, self._fits = data, {}
 
     def _alpha(self, data: SeasonData, t: int | None) -> float | None:
         """Dirichlet concentration of the weight fit for week t: flat for a
@@ -481,6 +567,25 @@ class _VariantBase:
             self._fits[key] = fit.weights
         return fit.weights
 
+    def _fit_all(self, data: SeasonData, t: int, alpha: float, problems) -> None:
+        """Fit week t's ``problems``, ``{key: (stratum, mass matrix)}``, under
+        ``alpha`` into ``_fits``. Problems of equal shape after the zero-row
+        filter share one ``em_pool_weights_batch`` call, which is
+        bit-identical to their solo fits; a problem alone in its shape is a
+        solo ``em_pool_weights`` fit."""
+        groups: dict[tuple[int, int], list] = {}
+        for key, (_, f) in problems.items():
+            shape = (np.count_nonzero(f.sum(axis=1) > 0.0), f.shape[1])
+            groups.setdefault(shape, []).append(key)
+        for keys in groups.values():
+            if len(keys) == 1:
+                fits = [em_pool_weights(problems[keys[0]][1], alpha=alpha)]
+            else:
+                fits = em_pool_weights_batch([(problems[key][1], alpha) for key in keys])
+            for key, fit in zip(keys, fits):
+                _warn_unconverged(self.name, data, problems[key][0], f"week {t}", fit)
+                self._fits[key] = fit.weights
+
 
 class _ModelPool(_VariantBase):
     """Pools the components that submitted this week under per-roster-model
@@ -491,9 +596,11 @@ class _ModelPool(_VariantBase):
 
     def run_stratum(self, data: SeasonData, stratum, t: int) -> EnsembleRun:
         fitted = self.weights(data, stratum, t)
-        units = np.flatnonzero(data.strata[stratum].sub[t])
+        sd = data.strata[stratum]
+        units = np.flatnonzero(sd.sub[t])
         ids = [data.roster[c] for c in units.tolist()]
-        return _pooled_run(self.name, data, stratum, t, units, fitted[units], ids)
+        pooled = _pooled(sd.pmf[t], units, fitted[units])
+        return _pooled_run(self.name, data, stratum, t, pooled, ids)
 
 
 class EqualVariant(_ModelPool):
@@ -529,8 +636,20 @@ class AdaptiveVariant(_ModelPool):
         self.delta = delta
 
     def weights(self, data: SeasonData, stratum, t: int) -> np.ndarray:
+        self._use_season(data)
         masses = partial(data.model_mass_matrix, stratum, t)
-        return self._fitted(data, stratum, t, len(data.roster), masses)
+        return self._fitted(data, stratum, t, len(data.roster), masses, (stratum, t))
+
+    def _prefit(self, data: SeasonData, t: int) -> None:
+        alpha = self._alpha(data, t)
+        if alpha is None:
+            return
+        self._use_season(data)
+        self._fit_all(data, t, alpha, {
+            (stratum, t): (stratum, data.model_mass_matrix(stratum, t))
+            for stratum in data.stratum_keys()
+            if (stratum, t) not in self._fits
+        })
 
 
 class CapVariant(_VariantBase):
@@ -555,7 +674,6 @@ class CapVariant(_VariantBase):
         if not self.phi_grid or len(set(self.phi_grid)) < len(self.phi_grid):
             raise ValueError(f"phi grid {list(self.phi_grid)} is empty or has duplicates")
         self.delta = delta
-        self._season: SeasonData | None = None
         # (stratum, week) -> replayed log score per grid phi, or None when
         # nobody submitted that week.
         self._rows: dict[tuple, list[float] | None] = {}
@@ -571,16 +689,21 @@ class CapVariant(_VariantBase):
 
     def _use_season(self, data: SeasonData) -> None:
         if data is not self._season:
-            self._season, self._rows, self._picks, self._fits = data, {}, {}, {}
+            super()._use_season(data)
+            self._rows, self._picks = {}, {}
 
     # -- pooling over cluster forecasts --------------------------------
 
-    def _pool(self, data: SeasonData, stratum, t: int, phi: float) -> EnsembleRun:
-        """Week t's run pooling the cluster leaders at threshold phi; its pmf
-        is what a replay scores. t must have a submission, so the
-        submitter's cluster always has a leader. Adaptive weights not
-        already batch-fitted by ``_replay`` are fitted here."""
-        clustering = data.clusters(stratum, t, phi)
+    def _pool(
+        self, data: SeasonData, stratum, t: int, phi: float
+    ) -> tuple[Clustering, np.ndarray, _Pooled]:
+        """Week t's pool of the cluster leaders at threshold phi: the
+        partition, each cluster's leader (roster index, -1 for none) and the
+        pooled result, whose pmf is what a replay scores. t must have a
+        submission, so the submitter's cluster always has a leader. Adaptive
+        weights not already fitted by ``_replay`` or ``_prefit`` are fitted
+        here."""
+        clustering = data.clusters(stratum, t, phi, self.phi_grid)
         leaders = data.leaders(stratum, clustering, [t])[0]
         n = clustering.n_clusters
         if self.pooling == "equal":
@@ -589,13 +712,7 @@ class CapVariant(_VariantBase):
             self._use_season(data)
             masses = partial(data.cluster_mass_matrix, stratum, clustering, t)
             fitted = self._fitted(data, stratum, t, n, masses, (stratum, t, clustering.clusters))
-        return _pooled_run(
-            self.name, data, stratum, t, leaders, fitted, [f"c{i + 1}" for i in range(n)],
-            phi=phi,
-            clusters=clustering.clusters,
-            leaders=tuple(data.roster[c] if c >= 0 else None for c in leaders.tolist()),
-            n_clusters=n,
-        )
+        return clustering, leaders, _pooled(data.strata[stratum].pmf[t], leaders, fitted)
 
     # -- threshold selection -------------------------------------------
 
@@ -613,7 +730,7 @@ class CapVariant(_VariantBase):
             if not data.strata[stratum].sub[j].any():
                 self._rows[stratum, j] = None
                 continue
-            partitions = [data.clusters(stratum, j, phi) for phi in self.phi_grid]
+            partitions = [data.clusters(stratum, j, phi, self.phi_grid) for phi in self.phi_grid]
             first: dict[tuple, Clustering] = {}
             for clustering in partitions:
                 first.setdefault(clustering.clusters, clustering)
@@ -631,7 +748,7 @@ class CapVariant(_VariantBase):
         for stratum, j, partitions, first in walked:
             truth = data.strata[stratum].truth_target[j]
             scores = {
-                partition: log_score(self._pool(data, stratum, j, clustering.phi).pmf, truth)
+                partition: log_score(self._pool(data, stratum, j, clustering.phi)[2].pmf, truth)
                 for partition, clustering in first.items()
             }
             self._rows[stratum, j] = [scores[c.clusters] for c in partitions]
@@ -648,7 +765,9 @@ class CapVariant(_VariantBase):
         mean is taken over the rows of every week scored by t that had a
         submission, strata in ``stratum_keys()`` order and weeks ascending,
         so calls made out of order or repeated give the same answer. The
-        pick is kept, so the week's other strata only look it up.
+        pick is kept, so the week's other strata only look it up. It is
+        logged at INFO on ``cappool.phi`` with the runner-up and the margin
+        between their mean scores.
         """
         if len(self.phi_grid) == 1:
             return self.phi_grid[0]
@@ -664,17 +783,56 @@ class CapVariant(_VariantBase):
         ]
         self._replay(data, [key for key in scored if key not in self._rows])
         rows = [row for key in scored if (row := self._rows[key]) is not None]
+        if not rows:
+            self._picks[t] = _INITIAL_PHI
+            return _INITIAL_PHI
         means = [np.mean(scores) for scores in np.array(rows).T]
-        self._picks[t] = self.phi_grid[int(np.argmax(means))] if rows else _INITIAL_PHI
+        best = int(np.argmax(means))
+        self._picks[t] = self.phi_grid[best]
+        if _phi_log.isEnabledFor(logging.INFO):
+            # The runner-up is the best of the rest, ties to the smaller phi.
+            rest = [k for k in range(len(means)) if k != best]
+            runner_up = max(rest, key=lambda k: (means[k], -k))
+            _phi_log.info(
+                "%s: season %d week %d picks phi %r; runner-up phi %r, "
+                "%.6g lower in mean log score",
+                self.name, data.season, t, self.phi_grid[best], self.phi_grid[runner_up],
+                means[best] - means[runner_up],
+            )
         return self._picks[t]
 
     # -- weekly run ------------------------------------------------------
 
+    def _prefit(self, data: SeasonData, t: int) -> None:
+        """Pick week t's threshold, then fit every stratum's published
+        cluster weights that no replay has fitted, batched by shape."""
+        alpha = self._alpha(data, t)
+        if self.pooling == "equal" or alpha is None:
+            return
+        self._use_season(data)
+        phi = self.select_phi(data, t)
+        problems = {}
+        for stratum in data.stratum_keys():
+            if data.strata[stratum].sub[t].any():
+                clustering = data.clusters(stratum, t, phi, self.phi_grid)
+                key = (stratum, t, clustering.clusters)
+                if key not in self._fits:
+                    problems[key] = (stratum, data.cluster_mass_matrix(stratum, clustering, t))
+        self._fit_all(data, t, alpha, problems)
+
     def run_stratum(self, data: SeasonData, stratum, t: int) -> EnsembleRun:
         phi = self.select_phi(data, t)
-        if data.strata[stratum].sub[t].any():
-            return self._pool(data, stratum, t, phi)
-        return _pooled_run(self.name, data, stratum, t, units=[], fitted=[], keys=[], phi=phi)
+        if not data.strata[stratum].sub[t].any():
+            return _pooled_run(self.name, data, stratum, t, _NOTHING_POOLED, [], phi=phi)
+        clustering, leaders, pooled = self._pool(data, stratum, t, phi)
+        n = clustering.n_clusters
+        return _pooled_run(
+            self.name, data, stratum, t, pooled, [f"c{i + 1}" for i in range(n)],
+            phi=phi,
+            clusters=clustering.clusters,
+            leaders=tuple(data.roster[c] if c >= 0 else None for c in leaders.tolist()),
+            n_clusters=n,
+        )
 
 
 def make_variant(name: str, phi_grid=DEFAULT_PHI_GRID, delta: float = 5.0) -> _VariantBase:

@@ -112,8 +112,11 @@ def em_pool_weights_batch(problems, max_iter: int = EM_MAX_ITER, inits=None) -> 
     monotone-objective guard is checked per problem and names the one that
     failed.
 
-    Padding can regroup a sum, so a fit in a larger batch may differ from its
-    solo fit in the last bits; a batch of one does the solo arithmetic.
+    A batch whose problems share ``(n_obs after the zero-row filter, K)``
+    needs no padding, and each of its fits is bit-identical to the solo fit
+    (weights, ``log_posterior``, ``n_iter`` and ``converged``), whatever the
+    mix of concentrations. Only padding regroups sums: a problem padded to a
+    larger shape may differ from its solo fit in the last bits.
     """
     fits: list[WeightFit | None] = [None] * len(problems)
     live = []

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cappool.clustering import Clustering, cluster_models
-from cappool.ensembles import _masked_correlation
+from cappool import ensembles
+from cappool.ensembles import _cluster_grid, _masked_correlation
 
 import oracles
 from oracles import logscore_correlation_matrix
@@ -24,6 +25,18 @@ def correlation_problems(draw):
     phi = draw(st.sampled_from(levels) | st.floats(0.0, 1.0))
     ids = draw(st.permutations([f"m{k:02d}" for k in range(n)]))
     return corr, max(phi, 0.0), ids
+
+
+@st.composite
+def grid_problems(draw):
+    """A correlation problem and a grid of distinct thresholds in any order:
+    some equal to matrix values (``corr == phi`` ties), some between them,
+    with or without week one's 1/2."""
+    corr, phi, ids = draw(correlation_problems())
+    values = sorted({max(v, 0.0) for v in corr.ravel().tolist()}) or [0.0]
+    more = draw(st.lists(st.sampled_from(values) | st.floats(0.0, 1.0), max_size=8))
+    half = [0.5] if draw(st.booleans()) else []
+    return corr, list(dict.fromkeys([phi, *more, *half])), ids
 
 
 class TestCorrelationMatrix:
@@ -131,6 +144,31 @@ class TestClusterModels:
     def test_matches_pairwise_oracle(self, problem):
         corr, phi, ids = problem
         assert cluster_models(corr, phi, ids) == oracles.cluster_models(corr, phi, ids)
+
+    @settings(max_examples=300, deadline=None)
+    @given(grid_problems())
+    def test_grid_matches_pairwise_oracle_at_every_phi(self, problem):
+        corr, phis, ids = problem
+        want = [oracles.cluster_models(corr, p, ids) for p in phis]
+        assert _cluster_grid(corr, phis, ids) == want
+
+    def test_grid_runs_one_greedy_pass_per_distinct_link_set(self, monkeypatch):
+        calls = []
+
+        def counting(corr, phi, ids):
+            calls.append(phi)
+            return cluster_models(corr, phi, ids)
+
+        monkeypatch.setattr(ensembles, "cluster_models", counting)
+        corr = np.array([[1.0, 0.2, 0.7], [0.2, 1.0, 0.2], [0.7, 0.2, 1.0]])
+        grid = [0.0, 0.1, 0.3, 0.5, 0.7, 0.9]
+        found = _cluster_grid(corr, grid, ["a", "b", "c"])
+        # 0.7 itself links nothing: a pair links only strictly above phi.
+        assert calls == [0.0, 0.3, 0.7]
+        assert [c.phi for c in found] == grid
+        assert [c.clusters for c in found] == [(("a", "b", "c"),)] * 2 + [
+            (("a", "c"), ("b",))
+        ] * 2 + [(("a",), ("b",), ("c",))] * 2
 
     def test_threshold_one_never_joins(self):
         corr = np.ones((3, 3))

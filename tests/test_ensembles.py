@@ -374,13 +374,20 @@ PREFETCH_GRID = tuple(round(0.1 * k, 1) for k in range(10))
 class TestWeekOne:
     @pytest.mark.parametrize("name", ["adaptive", "cap-adaptive"])
     def test_equal_weights_without_an_em_fit(self, name, monkeypatch):
+        # Week two's fits go through a batch when their shapes match, so
+        # both EM entry points are counted.
         calls = []
 
         def counting(*args, **kwargs):
             calls.append(None)
             return pool.em_pool_weights(*args, **kwargs)
 
+        def counting_batch(problems):
+            calls.append(None)
+            return pool.em_pool_weights_batch(problems)
+
         monkeypatch.setattr(ensembles, "em_pool_weights", counting)
+        monkeypatch.setattr(ensembles, "em_pool_weights_batch", counting_batch)
         data = _synthetic_season()
         variant = make_variant(name, phi_grid=PREFETCH_GRID)
         runs = [run for run in variant.week_runs(data, 1) if run.pmf is not None]
@@ -556,6 +563,37 @@ class TestOnePickPerWeek:
             assert len(runs) == len(data.strata)
             assert len({run.phi for run in runs}) == 1
             assert len(replays) == 1, t
+
+
+class TestPhiPickLog:
+    def test_pick_runner_up_and_margin_are_logged_at_info(self, caplog):
+        data = _synthetic_season()
+        cap = CapVariant("equal", phi_grid=PREFETCH_GRID)
+        with caplog.at_level(logging.INFO, logger="cappool"):
+            phi = cap.select_phi(data, 9)
+            cap.select_phi(data, 9)
+        (record,) = caplog.records
+        assert record.name == "cappool.phi" and record.levelno == logging.INFO
+        rows = [
+            row
+            for stratum in data.stratum_keys()
+            for j in data.strata[stratum].scored_weeks(9).tolist()
+            if (row := cap._rows[stratum, j]) is not None
+        ]
+        means = [np.mean(column) for column in np.array(rows).T]
+        ranked = sorted(range(len(means)), key=lambda k: (-means[k], k))
+        best, runner_up = ranked[:2]
+        assert phi == PREFETCH_GRID[best]
+        assert record.getMessage() == (
+            f"cap-equal: season 2010 week 9 picks phi {phi!r}; runner-up phi "
+            f"{PREFETCH_GRID[runner_up]!r}, {means[best] - means[runner_up]:.6g} lower in mean "
+            "log score"
+        )
+
+    def test_off_by_default(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="cappool"):
+            CapVariant("equal", phi_grid=PREFETCH_GRID).select_phi(_synthetic_season(), 9)
+        assert not caplog.records
 
 
 class TestMakeVariant:

@@ -177,6 +177,21 @@ class TestCorrelationMatchesOracle:
                 assert data.correlation(stratum, t)[1] is sub
 
 
+class TestGridClusteringMatchesOracle:
+    @settings(max_examples=20, deadline=None)
+    @given(two_seasons(), st.sampled_from([(0.0, 0.3, 0.6, 0.9), (0.0, 0.25, 0.5, 0.75)]))
+    def test_grid_misses_equal_one_threshold_partitions(self, seasons, grid):
+        # Week one's 1/2 is asked first, as in a replay, so a grid without
+        # it is partitioned in the same pass.
+        data, _ = _seasons(seasons)
+        for stratum in data.strata:
+            for t in range(1, data.n_weeks + 1):
+                ids, sub = oracles.clustering_universe(data, stratum, t)
+                for phi in (0.5, *grid):
+                    got = data.clusters(stratum, t, phi, grid)
+                    assert got == oracles.cluster_models(sub, phi, ids)
+
+
 class TestLeaderRuleMatchesOracle:
     @settings(max_examples=20, deadline=None)
     @given(two_seasons())
@@ -210,6 +225,24 @@ class TestLeaderRuleMatchesOracle:
             assert got.shape == (len(weeks), clustering.n_clusters)
             for row, t in zip(got.tolist(), weeks):
                 assert row == looped.leaders(stratum, clustering, t)
+
+    @settings(max_examples=20, deadline=None)
+    @given(two_seasons())
+    def test_every_leader_table_row_equals_the_looped_oracle(self, seasons):
+        # The whole table, week 0 included, read in one call after the
+        # partition was first used for one week.
+        data, looped = _seasons(seasons)
+        rng, ids = seasons[3], sorted(data.roster)
+        for stratum in data.strata:
+            for _ in range(3):
+                clustering = _random_partition(rng, ids)
+                data.leaders(stratum, clustering, [data.n_weeks])
+                table = data.leaders(stratum, clustering, range(data.n_weeks + 1))
+                assert table.dtype == np.int16
+                assert table.shape == (data.n_weeks + 1, clustering.n_clusters)
+                assert (table[0] == -1).all()
+                for t in range(1, data.n_weeks + 1):
+                    assert table[t].tolist() == looped.leaders(stratum, clustering, t)
 
     @settings(max_examples=20, deadline=None)
     @given(two_seasons())

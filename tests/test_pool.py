@@ -119,6 +119,28 @@ def em_problems(draw):
     return f, alpha
 
 
+@st.composite
+def equal_shape_batches(draw):
+    """2-8 ``(f, alpha)`` problems that share (rows after the zero-row filter,
+    K), with alpha = 1 and alpha > 1 both present. Each problem may carry
+    extra all-zero rows, placed anywhere."""
+    n_obs = draw(st.integers(1, 33))
+    n_models = draw(st.integers(1, 20))
+    alphas = [1.0, draw(st.floats(1.5, 6.0))] + draw(
+        st.lists(st.one_of(st.just(1.0), st.floats(1.0, 6.0)), max_size=6)
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    problems = []
+    for alpha in alphas:
+        f = rng.uniform(0.0, 1.0, (n_obs, n_models)) * (rng.uniform(size=(n_obs, n_models)) < 0.8)
+        empty = f.sum(axis=1) == 0.0
+        f[empty, rng.integers(n_models)] = rng.uniform(0.1, 1.0, np.count_nonzero(empty))
+        zero_rows = int(rng.integers(0, 4))
+        f = np.insert(f, rng.integers(0, n_obs + 1, zero_rows), 0.0, axis=0)
+        problems.append((f, alpha))
+    return problems
+
+
 # Low enough that some drawn problems stop at the cap unconverged, which the
 # comparisons below must then agree on too.
 BATCH_MAX_ITER = 400
@@ -160,6 +182,17 @@ class TestEmBatch:
         for i, fit in zip(order, shuffled):
             assert np.array_equal(fit.weights, fits[i].weights)
             assert (fit.n_iter, fit.converged) == (fits[i].n_iter, fits[i].converged)
+
+    @batch_settings
+    @given(equal_shape_batches())
+    def test_equal_shape_batch_is_bit_identical_to_solo_fits(self, problems):
+        fits = em_pool_weights_batch(problems, max_iter=BATCH_MAX_ITER)
+        for (f, alpha), fit in zip(problems, fits, strict=True):
+            solo = em_pool_weights(f, alpha=alpha, max_iter=BATCH_MAX_ITER)
+            assert np.array_equal(fit.weights, solo.weights)
+            assert (fit.log_posterior, fit.n_iter, fit.converged) == (
+                solo.log_posterior, solo.n_iter, solo.converged
+            )
 
     def test_iteration_cap_stops_only_the_slow_problem(self, rng):
         same = np.tile(rng.uniform(0.1, 1.0, (12, 1)), (1, 3))  # fixed point at the start

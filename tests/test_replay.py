@@ -502,6 +502,33 @@ class TestResumeLoadsOnlyWhatItComputes:
         assert _tree_bytes(run) == before
 
 
+class TestWeightPrefit:
+    def test_prefit_leaves_every_byte_as_it_was(self, tmp_path, monkeypatch):
+        # Each week's published fits, batched ahead by _prefit, against the
+        # same walk with the pre-pass a no-op and every fit made on demand.
+        ensembles = import_module("cappool.ensembles")
+        data_dir = tmp_path / "data"
+        write_synthetic_archive(
+            data_dir, seasons=(2010,), regions=("Nat", "HHS1"), targets=(1, 2),
+            seed=5, missing_rate=0.04,
+        )
+        config = RunConfig.parse(_config_text(data_dir, variants="adaptive,cap-adaptive"))
+        solo_fits = []
+
+        def counting(*args, **kwargs):
+            solo_fits.append(None)
+            return import_module("cappool.pool").em_pool_weights(*args, **kwargs)
+
+        monkeypatch.setattr(ensembles, "em_pool_weights", counting)
+        replay(config, tmp_path / "prefit")
+        with_prefit, solo_fits[:] = len(solo_fits), []
+        for variant in (ensembles.AdaptiveVariant, ensembles.CapVariant):
+            monkeypatch.setattr(variant, "_prefit", lambda self, data, t: None)
+        replay(config, tmp_path / "on-demand")
+        assert with_prefit < len(solo_fits)
+        assert _tree_bytes(tmp_path / "prefit") == _tree_bytes(tmp_path / "on-demand")
+
+
 class TestReport:
     def test_report_tables(self, small_run):
         _, out = small_run

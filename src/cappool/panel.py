@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import mmap
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -131,21 +132,29 @@ _LOADTXT_ONLY_SPACES = ("\x1c", "\x1d", "\x1e", "\x1f")
 
 def format_probs(pmf) -> str:
     """A probability row as comma-joined shortest round-trip ``repr`` floats,
-    which ``parse_prob_rows`` reads back bit for bit."""
+    which ``parse_prob_rows`` reads back bit for bit. Week files and
+    re-spelled panel rows are written this way; a panel row that ingest
+    kept unchanged is written in its source spelling instead (see
+    ``parse_component_csv``)."""
     return ",".join(map(repr, np.asarray(pmf, dtype=float).tolist()))
 
 
 def parse_prob_rows(tails, row_nos, label: str = "row") -> np.ndarray:
     """Parse probability rows into an (n, 131) float64 array.
 
-    Each tail is one row's probability fields, comma-joined, or their list
-    when a field holds a comma. Values are bit-identical to
-    ``float()`` of each field. One ``np.loadtxt`` pass converts the rows;
-    text that ``loadtxt`` does not take the way ``float()`` does falls back
-    to ``float()`` per field, which raises ``ForecastDataError`` as
-    ``"<label> N: ..."`` for the first row holding a field ``float()``
-    rejects. Callers check that every row has 131 fields.
+    Each tail is one row's probability fields, comma-joined, or their list.
+    Values are bit-identical to ``float()`` of each field. One
+    ``np.loadtxt`` pass converts the rows; text that ``loadtxt`` does not
+    take the way ``float()`` does falls back to ``float()`` per field, which
+    raises ``ForecastDataError`` as ``"<label> N: ..."`` for the first row
+    holding a field ``float()`` rejects. Callers check that every row has
+    131 fields.
     """
+    # A list whose fields hold no comma reads the same comma-joined, which
+    # keeps the chunk on the loadtxt path.
+    tails = [
+        t if isinstance(t, str) or any("," in v for v in t) else ",".join(t) for t in tails
+    ]
     if tails and all(isinstance(t, str) for t in tails):
         text = "\n".join(tails)
         if text.isascii() and not any(c in text for c in _LOADTXT_ONLY_SPACES):
@@ -175,8 +184,9 @@ def _records(lines, n_head: int, start: int):
     Only quotes, line breaks inside a line and NUL (on Python 3.10) are
     special to csv's excel dialect, so a line without them that is too short
     to hold a field over csv's size limit is split on commas, as
-    ``csv.reader`` would split it. Any other line starts a ``csv.reader``
-    record, which may read further lines.
+    ``csv.reader`` would split it, and its tail is the line's own text. Any
+    other line starts a ``csv.reader`` record, which may read further lines,
+    and its tail is the list of its fields.
     """
     lines = iter(lines)
     limit = csv.field_size_limit()
@@ -197,12 +207,7 @@ def _records(lines, n_head: int, start: int):
         row = next(csv.reader(chain([line], lines)))
         if not row:
             continue
-        tail = row[n_head:] or None
-        if tail is not None:
-            joined = ",".join(tail)
-            if joined.count(",") == len(tail) - 1:
-                tail = joined
-        yield number, len(row), row[:n_head], tail
+        yield number, len(row), row[:n_head], row[n_head:] or None
 
 
 def read_prob_records(lines, n_head: int, start: int, convert) -> None:
@@ -236,16 +241,75 @@ def read_prob_records(lines, n_head: int, start: int, convert) -> None:
     flush()
 
 
-def parse_component_csv(stream, renormalize: bool = True) -> dict[ForecastKey, np.ndarray]:
+class _SourceText:
+    """The source spelling of one row's probabilities, kept by ingest: the
+    ASCII bytes ``block[start:stop]``, where ``block`` holds the kept rows of
+    one parsed chunk. ``str()`` gives the text."""
+
+    __slots__ = ("block", "start", "stop")
+
+    def __init__(self, block: mmap.mmap, start: int, stop: int):
+        self.block, self.start, self.stop = block, start, stop
+
+    def __str__(self) -> str:
+        return self.block[self.start : self.stop].decode("ascii")
+
+
+# A kept tail holds only these characters. Spaces, underscores
+# (float("1_0") is 10.0) and quotes are left out, so rows spelled with them
+# are written afresh by format_probs.
+_PLAIN_CHARS = b"0123456789.eE+-,"
+
+
+def _kept_rows(tails, parsed: np.ndarray, normed: np.ndarray) -> list:
+    """Each row's ingest value: its ``_SourceText`` when ``normalize_pmfs``
+    left it bit-unchanged and its tail is plain text, else a read-only copy
+    of its normalized pmf, so the chunk's arrays can be freed.
+
+    The kept spellings are copied into one anonymous memory map per chunk:
+    a few large blocks rather than one string per row, held outside the
+    malloc heap and unmapped once the last of their rows is dropped. The map
+    is sized for every text tail; pages no kept row reaches are never
+    touched, so they take no memory.
+    """
+    size = sum(len(t) for t in tails if isinstance(t, str))
+    block = mmap.mmap(-1, size) if size else None
+    same = (parsed.view(np.uint64) == normed.view(np.uint64)).all(axis=1).tolist()
+    values = []
+    for unchanged, tail, pmf in zip(same, tails, normed):
+        ascii_text = unchanged and isinstance(tail, str) and tail.isascii()
+        text = tail.encode("ascii") if ascii_text else None
+        if text is not None and not text.translate(None, _PLAIN_CHARS):
+            start = block.tell()
+            block.write(text)
+            values.append(_SourceText(block, start, block.tell()))
+        else:
+            pmf = pmf.copy()
+            pmf.setflags(write=False)
+            values.append(pmf)
+    return values
+
+
+def parse_component_csv(
+    stream, renormalize: bool = True, *, keep_spelling: bool = False
+) -> dict[ForecastKey, np.ndarray]:
     """Parse canonical wide-format forecasts into a panel fragment.
 
     Each data row becomes one (key, pmf) pair; row order is irrelevant.
     Malformed rows fail hard with their row number. The file is streamed,
     and its probabilities are converted in chunks of rows.
+
+    ``keep_spelling`` is for ``replay.ingest`` alone, which only writes the
+    rows out again. With it, a row that renormalization leaves bit-unchanged
+    and whose probability text (not read through ``csv.reader``) holds only
+    digits, ``.``, ``e``/``E``, signs and commas maps to its source text
+    instead of a pmf. ``write_component_csv`` writes that text as it is, and
+    ``load_panel`` reads it back to the same float64 bits. Every other row
+    maps to a read-only pmf of its own.
     """
     if isinstance(stream, (str, Path)):
         with open(stream, newline="") as fh:
-            return parse_component_csv(fh, renormalize)
+            return parse_component_csv(fh, renormalize, keep_spelling=keep_spelling)
     lines = iter(stream)
     try:
         header = next(csv.reader(lines))
@@ -271,13 +335,16 @@ def parse_component_csv(stream, renormalize: bool = True) -> dict[ForecastKey, n
                     raise ForecastDataError(f"row {row_no}: {exc}") from None
             keys.append(parsed[tokens])
         row_nos = [r[0] for r in records]
-        probs = parse_prob_rows([r[3] for r in records], row_nos)
+        tails = [r[3] for r in records]
+        probs = parse_prob_rows(tails, row_nos)
         if renormalize:
             try:
-                probs = normalize_pmfs(probs)
+                normed = normalize_pmfs(probs)
             except MalformedPmfError as exc:
                 raise ForecastDataError(f"row {row_nos[exc.row]}: {exc}") from None
-        probs.setflags(write=False)
+            probs = _kept_rows(tails, probs, normed) if keep_spelling else normed
+        if isinstance(probs, np.ndarray):
+            probs.setflags(write=False)
         rows: dict[ForecastKey, np.ndarray] = {}
         for (row_no, _, head, _), (region, target, issue), pmf in zip(records, keys, probs):
             model_id = head[2].strip()
@@ -592,19 +659,26 @@ def _csv_field(text: str) -> str:
 
 def write_component_csv(fh, entries: dict[ForecastKey, np.ndarray]) -> None:
     """Write forecasts in the canonical wide format, keys in sorted order,
-    byte for byte as ``csv.writer`` writes the rows. Open ``fh`` with
-    ``newline=""``."""
+    byte for byte as ``csv.writer`` writes the rows. A pmf's probabilities
+    are written by ``format_probs``, and a row's source text kept by
+    ``parse_component_csv(..., keep_spelling=True)`` as it is. Open
+    ``fh`` with ``newline=""``."""
     fh.write(",".join(_COMPONENT_HEADER) + "\r\n")
     for key in sorted(entries):
+        probs = entries[key]
         fh.write(
-            f"{_csv_field(key.region)},{key.target},{_csv_field(key.model_id)},"
-            f"{key.issue},{format_probs(entries[key])}\r\n"
+            f"{_csv_field(key.region)},{key.target},{_csv_field(key.model_id)},{key.issue},"
+            f"{probs if isinstance(probs, _SourceText) else format_probs(probs)}\r\n"
         )
 
 
 def write_panel(panel: Panel, directory) -> None:
     """Persist a panel: one forecasts CSV per season plus a JSON sidecar
-    carrying the roster and explicit missingness, and the truth table."""
+    carrying the roster and explicit missingness, and the truth table.
+
+    Season rows are written by ``write_component_csv``: a pmf through
+    ``format_probs``, a source text that ingest kept as it is.
+    """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     by_season: dict[int, dict[ForecastKey, np.ndarray]] = {}

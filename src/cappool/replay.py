@@ -63,6 +63,9 @@ __all__ = [
 ]
 
 _log = logging.getLogger("cappool")
+# Each source's kept and re-spelled row counts, at INFO; a child of
+# "cappool", so it can be enabled alone.
+_ingest_log = logging.getLogger("cappool.ingest")
 
 
 class ConfigError(ValueError):
@@ -196,12 +199,31 @@ def recorded_config(out_dir) -> RunConfig | None:
         raise CorruptArtifactError(f"{path}: {exc}") from None
 
 
+def _log_spellings(source, fragment) -> None:
+    if _ingest_log.isEnabledFor(logging.INFO):
+        respelled = sum(isinstance(pmf, np.ndarray) for pmf in fragment.values())
+        _ingest_log.info(
+            "%s: %d rows kept their source spelling, %d re-spelled",
+            source, len(fragment) - respelled, respelled,
+        )
+
+
 def ingest(config: RunConfig, out_dir) -> Path:
-    """Build the persisted panel (per-season forecasts, sidecars, truth)."""
+    """Build the persisted panel (per-season forecasts, sidecars, truth).
+
+    A canonical forecast row that renormalization leaves bit-unchanged, and
+    whose probabilities are plainly spelled, is written to the panel in its
+    source spelling; every other row is written by ``format_probs``. Either
+    way ``load_panel`` reads back the float64 bits that
+    ``parse_component_csv`` gives for the source. With INFO enabled on the
+    ``cappool.ingest`` logger (off by default), each source's kept and
+    re-spelled row counts are logged.
+    """
     out_dir = Path(out_dir)
     fragments = []
     for path in config.forecasts:
-        fragments.append(parse_component_csv(path))
+        fragments.append(parse_component_csv(path, keep_spelling=True))
+        _log_spellings(path, fragments[-1])
     if config.flusight_dir:
         fragment, skipped = ingest_flusight_tree(config.flusight_dir)
         if skipped:
@@ -210,6 +232,7 @@ def ingest(config: RunConfig, out_dir) -> Path:
                 len(skipped), ", ".join(skipped),
             )
         fragments.append(fragment)
+        _log_spellings(config.flusight_dir, fragment)
     if not fragments:
         raise ForecastDataError("no forecast sources configured")
     if config.truth:

@@ -1,10 +1,14 @@
 import io
 import logging
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from cappool.epiweek import Epiweek
+from cappool.epiweek import Epiweek, season_of
 from cappool.panel import (
     ForecastDataError,
     ForecastKey,
@@ -14,6 +18,7 @@ from cappool.panel import (
     canonical_region,
     compute_wili,
     convert_flusight_csv,
+    format_probs,
     load_panel,
     panel_dir,
     parse_component_csv,
@@ -22,11 +27,13 @@ from cappool.panel import (
     parse_truth_csv,
     stored_seasons,
     truth_from_state_ili,
+    write_component_csv,
     write_panel,
 )
 from cappool.pmf import N_BINS, gaussian_pmf
-from cappool.replay import RunConfig, ingest
-from cappool.synthetic import synthetic_archive
+from cappool.replay import RunConfig, ingest, replay
+from cappool.report import write_report
+from cappool.synthetic import synthetic_archive, write_synthetic_archive
 
 HEADER = ",".join(
     ["region", "target", "model_id", "issue_epiweek"] + [f"bin_{i}" for i in range(1, N_BINS + 1)]
@@ -382,3 +389,222 @@ class TestPanel:
         straight = parse_component_csv(path)
         assert shuffled.keys() == straight.keys()
         assert all(np.array_equal(shuffled[k], straight[k]) for k in straight)
+
+
+def _trailing_zeros(v: float) -> str:
+    mantissa, e, exponent = repr(v).partition("e")
+    return mantissa + ("" if "." in mantissa else ".") + "000" + e + exponent
+
+
+def _underscored(v: float) -> str:
+    text = repr(v)
+    return "-0_" + text[1:] if text.startswith("-") else "0_" + text
+
+
+# Exact spellings of a float: each reads back to the same float64 bits.
+PLAIN_SPELLINGS = {
+    "repr": repr,
+    "%.17g": lambda v: "%.17g" % v,
+    "upper-case E": lambda v: repr(v).upper(),
+    "leading +": lambda v: repr(v) if repr(v).startswith("-") else "+" + repr(v),
+    "trailing zeros": _trailing_zeros,
+    "0 and 1": lambda v: "0" if v == 0.0 and repr(v) == "0.0" else "1" if v == 1.0 else repr(v),
+}
+# Exact too, but never kept: ingest writes these rows through format_probs.
+RESPELLED_SPELLINGS = {
+    "space": lambda v: " " + repr(v),
+    "underscore": _underscored,
+    "quotes": lambda v: f'"{v!r}"',
+}
+SPELLINGS = {**PLAIN_SPELLINGS, **RESPELLED_SPELLINGS}
+
+
+def _spelled_source(path, rows, spell) -> None:
+    """Write ``rows`` ({ForecastKey: float row}) as a canonical forecast file
+    whose probabilities are spelled by ``spell``."""
+    with open(path, "w", newline="") as fh:
+        fh.write(HEADER + "\r\n")
+        for key, probs in rows.items():
+            fields = [key.region, str(key.target), key.model_id, str(key.issue)]
+            fh.write(",".join(fields + [spell(float(v)) for v in probs]) + "\r\n")
+
+
+def _ingested(tmp, name, rows, spell, truth_text="region,epiweek,wili\r\nNat,201041,1.5\r\n"):
+    """Ingest ``rows`` spelled by ``spell``; return the source and run paths."""
+    source = tmp / f"{name}.csv"
+    _spelled_source(source, rows, spell)
+    truth = tmp / "truth.csv"
+    truth.write_text(truth_text)
+    out = tmp / name
+    ingest(RunConfig(forecasts=(str(source),), truth=str(truth), seasons=(2010,)), out)
+    return source, out
+
+
+def _panel_tails(directory, season=2010) -> dict[ForecastKey, str]:
+    """The probability text of each row of a stored season file."""
+    with open(panel_dir(directory) / f"season-{season}.csv", newline="") as fh:
+        lines = fh.read().split("\r\n")
+    tails = {}
+    for line in lines[1:]:
+        if line:
+            region, target, model_id, issue, tail = line.split(",", 4)
+            tails[ForecastKey(region, int(target), model_id, Epiweek.parse(issue))] = tail
+    return tails
+
+
+def _bits(pmf) -> bytes:
+    return np.asarray(pmf, dtype=float).tobytes()
+
+
+_ROW_KINDS = ("point mass", "dyadic", "random", "off unit", "subnormal", "signed zero")
+_row_kinds = st.sampled_from(_ROW_KINDS)
+
+
+def _drawn_row(kind: str, seed: int) -> np.ndarray:
+    """A probability row of one kind; "random" and "off unit" rows are the
+    ones renormalization is likely to change."""
+    rng = np.random.default_rng(seed)
+    row = np.zeros(N_BINS)
+    if kind == "point mass":
+        row[rng.integers(N_BINS)] = 1.0
+    elif kind == "dyadic":
+        bins = rng.choice(N_BINS, size=4, replace=False)
+        row[bins] = [0.5, 0.25, 0.125, 0.125]
+    else:
+        row = rng.dirichlet(np.full(N_BINS, 0.3))
+        row[rng.random(N_BINS) < 0.3] = 0.0
+        row = row / row.sum()
+        if kind == "off unit":
+            row = row * 1.05
+        elif kind == "subnormal":
+            row[rng.integers(N_BINS)] = 5e-324
+        elif kind == "signed zero":
+            row[row == 0.0] = -0.0
+    return row
+
+
+class TestIngestKeepsSourceSpelling:
+    """Ingest writes a row's source probability text to the panel when
+    renormalization leaves the row bit-unchanged and the text is plain; the
+    panel must load to the same bits whatever the source spelling."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.lists(st.tuples(_row_kinds, st.integers(0, 2**32 - 1)), min_size=1, max_size=6))
+    @example([(kind, seed) for seed, kind in enumerate(_ROW_KINDS)])
+    def test_every_spelling_loads_bit_identical_and_only_plain_rows_are_kept(self, drawn):
+        rows = {
+            ForecastKey("Nat", 1, f"m{i}", Epiweek(2010, 40)): _drawn_row(kind, seed)
+            for i, (kind, seed) in enumerate(drawn)
+        }
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            for name, spell in SPELLINGS.items():
+                source, out = _ingested(tmp, name.replace(" ", "-"), rows, spell)
+                parsed = parse_component_csv(source)
+                raw = parse_component_csv(source, renormalize=False)
+                assert all(_bits(raw[k]) == _bits(rows[k]) for k in rows), name
+                loaded = load_panel(panel_dir(out)).entries
+                assert loaded.keys() == parsed.keys()
+                assert all(_bits(loaded[k]) == _bits(parsed[k]) for k in parsed), name
+                tails = _panel_tails(out)
+                for key, probs in rows.items():
+                    unchanged = _bits(raw[key]) == _bits(parsed[key])
+                    if unchanged and name in PLAIN_SPELLINGS:
+                        expected = ",".join(spell(float(v)) for v in probs)
+                    else:
+                        expected = format_probs(parsed[key])
+                    assert tails[key] == expected, (name, key)
+
+    def test_every_spelling_replays_and_reports_byte_identical(self, tmp_path):
+        fragment, truth = synthetic_archive(
+            seasons=(2010,), regions=("Nat",), targets=(1,), seed=5, missing_rate=0.05
+        )
+        truth_text = "region,epiweek,wili\r\n" + "".join(
+            f"{region},{week},{value!r}\r\n" for (region, week), value in truth.items()
+        )
+        rows = {key: fragment[key] for key in sorted(fragment)}
+        config_text = (
+            "truth = {truth}\nforecasts = {source}\nseasons = 2010\ntargets = 1\n"
+            "variants = equal,static,adaptive,cap-equal,cap-adaptive\nphi_grid = 0.0,0.5,0.9\n"
+        )
+        trees = {}
+        for name, spell in SPELLINGS.items():
+            source, out = _ingested(tmp_path, name.replace(" ", "-"), rows, spell, truth_text)
+            text = config_text.format(truth=tmp_path / "truth.csv", source=source)
+            config = RunConfig.parse(text)
+            replay(config, out)
+            write_report(out)
+            trees[name] = {
+                path.relative_to(out).as_posix(): path.read_bytes()
+                for sub in ("runs", "reports")
+                for path in sorted((out / sub).rglob("*"))
+                if path.is_file()
+            }
+        assert trees["repr"]
+        for name, tree in trees.items():
+            assert tree == trees["repr"], name
+
+
+class TestIngestPanelBytes:
+    """Ingest's season files equal ``write_component_csv`` of what they hold
+    whenever the source was itself written by ``format_probs``."""
+
+    def test_synthetic_archive_panel_equals_rewritten_entries(self, tmp_path):
+        forecasts, truth = write_synthetic_archive(
+            tmp_path / "data", seasons=(2010, 2011), regions=("Nat", "HHS1"), targets=(1, 2),
+            seed=5, missing_rate=0.04,
+        )
+        out = tmp_path / "run"
+        ingest(RunConfig(forecasts=(str(forecasts),), truth=str(truth)), out)
+        panel = load_panel(panel_dir(out))
+        for season in (2010, 2011):
+            entries = {k: v for k, v in panel.entries.items() if season_of(k.issue) == season}
+            expected = io.StringIO(newline="")
+            write_component_csv(expected, entries)
+            stored = (panel_dir(out) / f"season-{season}.csv").read_bytes()
+            assert stored == expected.getvalue().encode()
+
+    @pytest.mark.parametrize("quoted", [False, True])
+    def test_stream_source_writes_what_its_arrays_write(self, quoted):
+        rows = [
+            _row(model="a", probs=_drawn_row("dyadic", 1)),
+            _row(model="b", probs=[0.97 / N_BINS] * N_BINS),  # renormalized
+            _row(model="c", probs=_drawn_row("point mass", 2)),
+        ]
+        if quoted:
+            rows = [",".join(f'"{field}"' for field in row.split(",")) for row in rows]
+        text = HEADER + "\r\n" + "\r\n".join(rows) + "\r\n"
+        kept = parse_component_csv(io.StringIO(text), keep_spelling=True)
+        arrays = parse_component_csv(io.StringIO(text))
+        # Quoted fields are read through csv.reader, so no row keeps its text.
+        respelled = [model for model in "abc" if isinstance(kept[_key(model)], np.ndarray)]
+        assert respelled == (["a", "b", "c"] if quoted else ["b"])
+        written, expected = io.StringIO(newline=""), io.StringIO(newline="")
+        write_component_csv(written, kept)
+        write_component_csv(expected, arrays)
+        assert written.getvalue() == expected.getvalue()
+
+
+def _key(model: str) -> ForecastKey:
+    return ForecastKey("Nat", 1, model, Epiweek(2010, 40))
+
+
+class TestIngestLogging:
+    def test_kept_and_respelled_counts_logged_on_child_logger(self, tmp_path, caplog):
+        rows = {
+            ForecastKey("Nat", 1, "a", Epiweek(2010, 40)): _drawn_row("point mass", 1),
+            ForecastKey("Nat", 1, "b", Epiweek(2010, 40)): _drawn_row("dyadic", 2),
+            ForecastKey("Nat", 1, "c", Epiweek(2010, 40)): _drawn_row("off unit", 3),
+        }
+        with caplog.at_level(logging.INFO, logger="cappool.ingest"):
+            source, _ = _ingested(tmp_path, "logged", rows, repr)
+        records = [r for r in caplog.records if r.name == "cappool.ingest"]
+        assert [r.levelno for r in records] == [logging.INFO]
+        assert records[0].getMessage() == (
+            f"{source}: 2 rows kept their source spelling, 1 re-spelled"
+        )
+
+    def test_off_by_default(self, tmp_path, caplog):
+        rows = {ForecastKey("Nat", 1, "a", Epiweek(2010, 40)): _drawn_row("point mass", 1)}
+        _ingested(tmp_path, "quiet", rows, repr)
+        assert not [r for r in caplog.records if r.name.startswith("cappool")]

@@ -8,6 +8,7 @@ model-id order, so results are deterministic for a given matrix.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,14 +24,12 @@ class Clustering:
     phi: float
 
     def __post_init__(self) -> None:
-        seen: set[str] = set()
-        for members in self.clusters:
-            if not members:
-                raise ValueError("empty cluster")
-            overlap = seen.intersection(members)
-            if overlap:
-                raise ValueError(f"models in more than one cluster: {sorted(overlap)}")
-            seen.update(members)
+        if not all(self.clusters):
+            raise ValueError("empty cluster")
+        members = [m for cluster in self.clusters for m in cluster]
+        if len(set(members)) < len(members):
+            overlap = [m for m, n in Counter(members).items() if n > 1]
+            raise ValueError(f"models in more than one cluster: {sorted(overlap)}")
 
     @property
     def n_clusters(self) -> int:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -446,16 +445,6 @@ class SeasonData:
         return self.strata[stratum].prior_mass.copy()
 
 
-def _warn_unconverged(variant: str, data: SeasonData, stratum, fitted_for: str, fit: WeightFit):
-    """Log a weight fit that stopped at the EM iteration cap unconverged."""
-    if not fit.converged:
-        region, target = stratum
-        _log.warning(
-            "%s: EM fit did not converge (season %d, %s target %d, %s, K=%d, n_iter=%d)",
-            variant, data.season, region, target, fitted_for, fit.weights.size, fit.n_iter,
-        )
-
-
 class _Pooled(NamedTuple):
     """One week's pool: the indices of the units present, their weights
     renormalized over them, and the pooled pmf (both None when no unit is
@@ -524,14 +513,16 @@ class _VariantBase:
         self._season: SeasonData | None = None
 
     def week_runs(self, data: SeasonData, t: int) -> list[EnsembleRun]:
+        """Week t's run of every stratum, in ``stratum_keys()`` order."""
+        self._use_season(data)
         self._prefit(data, t)
-        return [self.run_stratum(data, stratum, t) for stratum in data.stratum_keys()]
+        return [self._run(data, stratum, t) for stratum in data.stratum_keys()]
 
     def _prefit(self, data: SeasonData, t: int) -> None:
-        """Fit ahead, with ``_fit_all``, the weights week t's runs will look
-        up in ``_fits``; nothing to do for a variant without weekly fits."""
+        """Make, with ``_fit_all``, every weight fit week t's runs read from
+        ``_fits``; nothing to do for a variant without fits."""
 
-    def run_stratum(self, data: SeasonData, stratum, t: int) -> EnsembleRun:
+    def _run(self, data: SeasonData, stratum, t: int) -> EnsembleRun:
         raise NotImplementedError
 
     def _use_season(self, data: SeasonData) -> None:
@@ -548,31 +539,34 @@ class _VariantBase:
             return 1.0
         return None if t == 1 else AdaptivePrior(t, data.n_weeks, self.delta).concentration
 
-    def _fitted(
-        self, data: SeasonData, stratum, t: int | None, n_units: int, masses, key=None
-    ) -> np.ndarray:
+    def _fitted(self, data: SeasonData, t: int | None, n_units: int, key) -> np.ndarray:
         """Pool weights of ``n_units`` units for week t (None: the season
-        start): equal at week one, else the EM fit of the mass matrix
-        ``masses()`` under ``_alpha``, logged when it did not converge. A fit
-        made under a ``key`` is kept in ``_fits`` and reused."""
-        alpha = self._alpha(data, t)
-        if alpha is None:
+        start): equal at week one, else the fit kept under ``key`` before
+        any run was pooled. Nothing here fits."""
+        if self._alpha(data, t) is None:
             return np.full(n_units, 1.0 / n_units)
-        if key in self._fits:
-            return self._fits[key]
-        fit = em_pool_weights(masses(), alpha=alpha)
-        fitted_for = "prior seasons" if t is None else f"week {t}"
-        _warn_unconverged(self.name, data, stratum, fitted_for, fit)
-        if key is not None:
-            self._fits[key] = fit.weights
-        return fit.weights
+        return self._fits[key]
 
-    def _fit_all(self, data: SeasonData, t: int, alpha: float, problems) -> None:
-        """Fit week t's ``problems``, ``{key: (stratum, mass matrix)}``, under
-        ``alpha`` into ``_fits``. Problems of equal shape after the zero-row
-        filter share one ``em_pool_weights_batch`` call, which is
-        bit-identical to their solo fits; a problem alone in its shape is a
-        solo ``em_pool_weights`` fit."""
+    def _keep(self, data: SeasonData, key, stratum, fitted_for: str, fit: WeightFit) -> None:
+        """Keep ``fit``'s weights under ``key``, logged when the fit stopped
+        at the EM iteration cap unconverged."""
+        if not fit.converged:
+            region, target = stratum
+            _log.warning(
+                "%s: EM fit did not converge (season %d, %s target %d, %s, K=%d, n_iter=%d)",
+                self.name, data.season, region, target, fitted_for, fit.weights.size, fit.n_iter,
+            )
+        self._fits[key] = fit.weights
+
+    def _fit_all(self, data: SeasonData, t: int | None, problems) -> None:
+        """Fit the week-t ``problems`` (t None: the prior seasons),
+        ``{key: (stratum, mass matrix)}``, under ``_alpha`` into ``_fits``.
+        Problems of equal shape after the zero-row filter share one
+        ``em_pool_weights_batch`` call, which is bit-identical to their solo
+        fits; a problem alone in its shape is a solo ``em_pool_weights``
+        fit."""
+        alpha = self._alpha(data, t)
+        fitted_for = "prior seasons" if t is None else f"week {t}"
         groups: dict[tuple[int, int], list] = {}
         for key, (_, f) in problems.items():
             shape = (np.count_nonzero(f.sum(axis=1) > 0.0), f.shape[1])
@@ -583,19 +577,18 @@ class _VariantBase:
             else:
                 fits = em_pool_weights_batch([(problems[key][1], alpha) for key in keys])
             for key, fit in zip(keys, fits):
-                _warn_unconverged(self.name, data, problems[key][0], f"week {t}", fit)
-                self._fits[key] = fit.weights
+                self._keep(data, key, problems[key][0], fitted_for, fit)
 
 
 class _ModelPool(_VariantBase):
     """Pools the components that submitted this week under per-roster-model
-    weights from ``weights``."""
+    weights from ``_weights``."""
 
-    def weights(self, data: SeasonData, stratum, t: int) -> np.ndarray:
+    def _weights(self, data: SeasonData, stratum, t: int) -> np.ndarray:
         raise NotImplementedError
 
-    def run_stratum(self, data: SeasonData, stratum, t: int) -> EnsembleRun:
-        fitted = self.weights(data, stratum, t)
+    def _run(self, data: SeasonData, stratum, t: int) -> EnsembleRun:
+        fitted = self._weights(data, stratum, t)
         sd = data.strata[stratum]
         units = np.flatnonzero(sd.sub[t])
         ids = [data.roster[c] for c in units.tolist()]
@@ -608,7 +601,7 @@ class EqualVariant(_ModelPool):
 
     name = "equal"
 
-    def weights(self, data: SeasonData, stratum, t: int) -> np.ndarray:
+    def _weights(self, data: SeasonData, stratum, t: int) -> np.ndarray:
         return np.full(len(data.roster), 1.0 / max(len(data.roster), 1))
 
 
@@ -620,9 +613,15 @@ class StaticVariant(_ModelPool):
 
     name = "static"
 
-    def weights(self, data: SeasonData, stratum, t: int) -> np.ndarray:
-        masses = partial(data.prior_mass_matrix, stratum)
-        return self._fitted(data, stratum, None, len(data.roster), masses, (data.season, *stratum))
+    def _weights(self, data: SeasonData, stratum, t: int) -> np.ndarray:
+        return self._fitted(data, None, len(data.roster), stratum)
+
+    def _prefit(self, data: SeasonData, t: int) -> None:
+        self._fit_all(data, None, {
+            stratum: (stratum, data.prior_mass_matrix(stratum))
+            for stratum in data.stratum_keys()
+            if stratum not in self._fits
+        })
 
 
 class AdaptiveVariant(_ModelPool):
@@ -635,17 +634,13 @@ class AdaptiveVariant(_ModelPool):
         super().__init__()
         self.delta = delta
 
-    def weights(self, data: SeasonData, stratum, t: int) -> np.ndarray:
-        self._use_season(data)
-        masses = partial(data.model_mass_matrix, stratum, t)
-        return self._fitted(data, stratum, t, len(data.roster), masses, (stratum, t))
+    def _weights(self, data: SeasonData, stratum, t: int) -> np.ndarray:
+        return self._fitted(data, t, len(data.roster), (stratum, t))
 
     def _prefit(self, data: SeasonData, t: int) -> None:
-        alpha = self._alpha(data, t)
-        if alpha is None:
+        if self._alpha(data, t) is None:
             return
-        self._use_season(data)
-        self._fit_all(data, t, alpha, {
+        self._fit_all(data, t, {
             (stratum, t): (stratum, data.model_mass_matrix(stratum, t))
             for stratum in data.stratum_keys()
             if (stratum, t) not in self._fits
@@ -701,17 +696,14 @@ class CapVariant(_VariantBase):
         partition, each cluster's leader (roster index, -1 for none) and the
         pooled result, whose pmf is what a replay scores. t must have a
         submission, so the submitter's cluster always has a leader. Adaptive
-        weights not already fitted by ``_replay`` or ``_prefit`` are fitted
-        here."""
+        weights are the fits ``_replay`` or ``_prefit`` kept."""
         clustering = data.clusters(stratum, t, phi, self.phi_grid)
         leaders = data.leaders(stratum, clustering, [t])[0]
         n = clustering.n_clusters
         if self.pooling == "equal":
             fitted = np.full(n, 1.0 / n)
         else:
-            self._use_season(data)
-            masses = partial(data.cluster_mass_matrix, stratum, clustering, t)
-            fitted = self._fitted(data, stratum, t, n, masses, (stratum, t, clustering.clusters))
+            fitted = self._fitted(data, t, n, (stratum, t, clustering.clusters))
         return clustering, leaders, _pooled(data.strata[stratum].pmf[t], leaders, fitted)
 
     # -- threshold selection -------------------------------------------
@@ -743,8 +735,7 @@ class CapVariant(_VariantBase):
         if pending:
             fits = em_pool_weights_batch(list(pending.values()))
             for key, fit in zip(pending, fits):
-                _warn_unconverged(self.name, data, key[0], f"week {key[1]}", fit)
-                self._fits[key] = fit.weights
+                self._keep(data, key, key[0], f"week {key[1]}", fit)
         for stratum, j, partitions, first in walked:
             truth = data.strata[stratum].truth_target[j]
             scores = {
@@ -806,10 +797,8 @@ class CapVariant(_VariantBase):
     def _prefit(self, data: SeasonData, t: int) -> None:
         """Pick week t's threshold, then fit every stratum's published
         cluster weights that no replay has fitted, batched by shape."""
-        alpha = self._alpha(data, t)
-        if self.pooling == "equal" or alpha is None:
+        if self.pooling == "equal" or self._alpha(data, t) is None:
             return
-        self._use_season(data)
         phi = self.select_phi(data, t)
         problems = {}
         for stratum in data.stratum_keys():
@@ -818,9 +807,9 @@ class CapVariant(_VariantBase):
                 key = (stratum, t, clustering.clusters)
                 if key not in self._fits:
                     problems[key] = (stratum, data.cluster_mass_matrix(stratum, clustering, t))
-        self._fit_all(data, t, alpha, problems)
+        self._fit_all(data, t, problems)
 
-    def run_stratum(self, data: SeasonData, stratum, t: int) -> EnsembleRun:
+    def _run(self, data: SeasonData, stratum, t: int) -> EnsembleRun:
         phi = self.select_phi(data, t)
         if not data.strata[stratum].sub[t].any():
             return _pooled_run(self.name, data, stratum, t, _NOTHING_POOLED, [], phi=phi)

@@ -155,16 +155,19 @@ def parse_prob_rows(tails, row_nos, label: str = "row") -> np.ndarray:
     tails = [
         t if isinstance(t, str) or any("," in v for v in t) else ",".join(t) for t in tails
     ]
-    if tails and all(isinstance(t, str) for t in tails):
-        text = "\n".join(tails)
-        if text.isascii() and not any(c in text for c in _LOADTXT_ONLY_SPACES):
-            try:
-                probs = np.loadtxt(tails, dtype=float, delimiter=",", comments=None, ndmin=2)
-            except ValueError:
-                pass
-            else:
-                if probs.shape == (len(tails), N_BINS):
-                    return probs
+    if (
+        tails
+        and all(isinstance(t, str) for t in tails)
+        and all(map(str.isascii, tails))
+        and not any(c in t for t in tails for c in _LOADTXT_ONLY_SPACES)
+    ):
+        try:
+            probs = np.loadtxt(tails, dtype=float, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            pass
+        else:
+            if probs.shape == (len(tails), N_BINS):
+                return probs
     probs = np.empty((len(tails), N_BINS))
     for i, (tail, row_no) in enumerate(zip(tails, row_nos)):
         try:

@@ -134,6 +134,22 @@ class TestParseProbRows:
         else:
             assert got[1] == want[1]
 
+    @pytest.mark.parametrize("tok", ["1\x1c", "\x1f0.5", "١", "0.٥"])
+    def test_odd_token_in_the_last_row_only(self, tok):
+        # Every row but the last is plain ASCII, so a test of the chunk that
+        # missed the last row would send it down the loadtxt path.
+        rows = [[repr(v) for v in np.linspace(0, 1, N_BINS).tolist()] for _ in range(4)]
+        rows[-1][7] = tok
+        tails = [",".join(fields) for fields in rows]
+        row_nos = [2, 3, 4, 5]
+        got = outcome(parse_prob_rows, tails, row_nos)
+        want = outcome(oracle_rows, tails, row_nos)
+        assert got[0] == want[0]
+        if got[0] == "ok":
+            assert bits(got[1]) == bits(want[1])
+        else:
+            assert got[1] == want[1]
+
     def test_line_label(self):
         tail = ",".join(["0.5", "x"] + ["0"] * (N_BINS - 2))
         message = r"^line 7: could not convert string to float: 'x'$"

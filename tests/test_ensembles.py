@@ -213,7 +213,7 @@ class TestCapPipeline:
         panel, truths = self._identical_models_panel()
         data = SeasonData(panel, 2010, (1,))
         cap = CapVariant("equal", phi_grid=(0.5,))
-        run = cap.run_stratum(data, ("Nat", 1), 5)
+        run = cap.week_runs(data, 5)[0]
         assert run.n_clusters == 1
         assert run.clusters == (("a", "b", "c"),)
         # output equals the shared forecast
@@ -226,8 +226,8 @@ class TestCapPipeline:
         cap = CapVariant("equal", phi_grid=(1.0,))
         equal = EqualVariant()
         for t in range(1, 6):
-            cap_run = cap.run_stratum(data, ("Nat", 1), t)
-            eq_run = equal.run_stratum(data, ("Nat", 1), t)
+            cap_run = cap.week_runs(data, t)[0]
+            eq_run = equal.week_runs(data, t)[0]
             assert cap_run.n_clusters == len(cap_run.clusters)
             assert np.allclose(cap_run.pmf, eq_run.pmf, atol=1e-12)
 
@@ -244,7 +244,7 @@ class TestCapPipeline:
         data = SeasonData(panel, 2010, (1,))
         cap = CapVariant("adaptive", phi_grid=(0.0, 0.5, 0.9))
         for t in range(1, 6):
-            run = cap.run_stratum(data, ("Nat", 1), t)
+            run = cap.week_runs(data, t)[0]
             assert 1 <= run.n_clusters <= 6
             assert run.pmf.sum() == pytest.approx(1.0, abs=1e-9)
             assert abs(sum(run.weights.values()) - 1.0) < 1e-9
@@ -254,7 +254,7 @@ class TestCapPipeline:
         panel, _ = self._identical_models_panel()
         data = SeasonData(panel, 2010, (1,))
         cap = CapVariant("equal", phi_grid=(0.0, 0.9))
-        run = cap.run_stratum(data, ("Nat", 1), 1)
+        run = cap.week_runs(data, 1)[0]
         assert run.phi == 0.5
         assert run.n_clusters == 3
         assert all(len(c) == 1 for c in run.clusters)
@@ -276,7 +276,7 @@ class TestCapPipeline:
         panel = _mini_panel(design, [1.0, 1.0])
         data = SeasonData(panel, 2010, (1,))
         cap = CapVariant("equal", phi_grid=(0.5,))
-        run = cap.run_stratum(data, ("Nat", 1), 2)
+        run = cap.week_runs(data, 2)[0]
         assert run.pmf is None
         assert run.note == "no forecasts submitted"
         assert run.weights == {}
@@ -302,7 +302,7 @@ class TestComparators:
 
     def test_equal_pools_submitters(self):
         data = SeasonData(self._panel(), 2010, (1,))
-        run = EqualVariant().run_stratum(data, ("Nat", 1), 1)
+        run = EqualVariant().week_runs(data, 1)[0]
         assert run.weights == {"bad": 0.5, "good": 0.5}
         assert run.entropy == pytest.approx(1.0)
 
@@ -310,7 +310,7 @@ class TestComparators:
         data = SeasonData(self._panel(), 2010, (1,))
         static = StaticVariant()
         for t in range(1, 5):
-            run = static.run_stratum(data, ("Nat", 1), t)
+            run = static.week_runs(data, t)[0]
             assert run.weights == {"bad": 0.5, "good": 0.5}
 
     def test_static_later_season_learns_from_history(self):
@@ -325,15 +325,15 @@ class TestComparators:
             season=2011,
         )
         data = SeasonData(panel_next, 2011, (1,), history)
-        run = StaticVariant().run_stratum(data, ("Nat", 1), 1)
+        run = StaticVariant().week_runs(data, 1)[0]
         assert run.weights["good"] > 0.95
 
     def test_adaptive_week_one_equal_then_adapts(self):
         data = SeasonData(self._panel(), 2010, (1,))
         adaptive = AdaptiveVariant(delta=5.0)
-        run1 = adaptive.run_stratum(data, ("Nat", 1), 1)
+        run1 = adaptive.week_runs(data, 1)[0]
         assert run1.weights == {"bad": 0.5, "good": 0.5}
-        run4 = adaptive.run_stratum(data, ("Nat", 1), 4)
+        run4 = adaptive.week_runs(data, 4)[0]
         assert run4.weights["good"] > run4.weights["bad"]
         assert sum(run4.weights.values()) == pytest.approx(1.0, abs=1e-9)
 
@@ -344,7 +344,7 @@ class TestComparators:
             "bad": {i: soft_mass(bin_index(truths[i - 1]) + 20, 0.8) for i in (1, 2)},
         }
         data = SeasonData(_mini_panel(design, truths), 2010, (1,))
-        run = AdaptiveVariant().run_stratum(data, ("Nat", 1), 3)
+        run = AdaptiveVariant().week_runs(data, 3)[0]
         assert set(run.weights) == {"good"}
         assert run.weights["good"] == pytest.approx(1.0)
         assert run.missing_models == ("bad",)

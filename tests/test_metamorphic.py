@@ -8,6 +8,9 @@ the outputs.
   which it never leads; before that it is a singleton cluster.
 * Row-order invariance: the order of the forecast rows in the input is not
   data, so shuffling it must give byte-identical run directories.
+* Id invariance: a model id is only a name and a place in id order, so
+  renaming every model in an order-preserving way must change the runs and
+  reports in nothing but the names.
 """
 
 import random
@@ -106,3 +109,42 @@ def test_shuffled_forecast_rows_give_identical_run_directories(tmp_path, shuffle
     for part in ("panel", "runs", "reports"):
         shuffled, in_order = tmp_path / "shuffled" / part, tmp_path / "in-order" / part
         assert _tree_bytes(shuffled) == _tree_bytes(in_order), part
+
+
+RENAMED = "zz"
+
+
+def test_order_preserving_renaming_changes_only_the_names(tmp_path):
+    data_dir = tmp_path / "data"
+    write_synthetic_archive(
+        data_dir, seasons=(2010, 2011), regions=("Nat", "HHS1"), targets=(1, 2),
+        seed=5, missing_rate=0.04,
+    )
+    forecasts = data_dir / "forecasts.csv"
+    renamed = data_dir / "renamed.csv"
+    header, *rows = forecasts.read_text().splitlines(keepends=True)
+    ids = set()
+    with open(renamed, "w") as fh:
+        fh.write(header)
+        for row in rows:
+            region, target, model, rest = row.split(",", 3)
+            ids.add(model)
+            fh.write(",".join([region, target, RENAMED + model, rest]))
+    # A common prefix keeps the id order, and no id holds it already.
+    assert len(ids) > 1 and not any(m.startswith(RENAMED) for m in ids)
+    config = (
+        f"truth = {data_dir / 'truth.csv'}\nseasons = 2010,2011\ntargets = 1,2\n"
+        "variants = cap-equal,cap-adaptive,equal,static,adaptive\nphi_grid = 0.0,0.5,0.9\n"
+    )
+    for name, path in (("original", forecasts), ("renamed", renamed)):
+        replay(RunConfig.parse(f"forecasts = {path}\n" + config), tmp_path / name)
+        write_report(tmp_path / name)
+    prefix = RENAMED.encode()
+    for part in ("runs", "reports"):
+        original = _tree_bytes(tmp_path / "original" / part)
+        named = _tree_bytes(tmp_path / "renamed" / part)
+        assert not any(prefix in blob for blob in original.values())
+        if part == "runs":
+            assert any(prefix in blob for blob in named.values())
+        restored = {name: blob.replace(prefix, b"") for name, blob in named.items()}
+        assert restored == original, part

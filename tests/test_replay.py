@@ -504,29 +504,47 @@ class TestResumeLoadsOnlyWhatItComputes:
 
 class TestWeightPrefit:
     def test_prefit_leaves_every_byte_as_it_was(self, tmp_path, monkeypatch):
-        # Each week's published fits, batched ahead by _prefit, against the
-        # same walk with the pre-pass a no-op and every fit made on demand.
+        # Each week's and each season's fits, batched by shape in _fit_all,
+        # against the same walk with every _fit_all problem fitted alone.
         ensembles = import_module("cappool.ensembles")
+        pool = import_module("cappool.pool")
         data_dir = tmp_path / "data"
         write_synthetic_archive(
-            data_dir, seasons=(2010,), regions=("Nat", "HHS1"), targets=(1, 2),
+            data_dir, seasons=(2010, 2011), regions=("Nat", "HHS1"), targets=(1, 2),
             seed=5, missing_rate=0.04,
         )
-        config = RunConfig.parse(_config_text(data_dir, variants="adaptive,cap-adaptive"))
-        solo_fits = []
+        config = RunConfig.parse(_config_text(
+            data_dir, seasons="2010,2011", variants="static,adaptive,cap-adaptive"
+        ))
+        solo_fits, batch_sizes = [], []
 
         def counting(*args, **kwargs):
             solo_fits.append(None)
-            return import_module("cappool.pool").em_pool_weights(*args, **kwargs)
+            return pool.em_pool_weights(*args, **kwargs)
+
+        def sizing(problems):
+            batch_sizes.append(len(problems))
+            return pool.em_pool_weights_batch(problems)
+
+        def one_at_a_time(self, data, t, problems):
+            alpha = self._alpha(data, t)
+            fitted_for = "prior seasons" if t is None else f"week {t}"
+            for key, (stratum, f) in problems.items():
+                fit = ensembles.em_pool_weights(f, alpha=alpha)
+                self._keep(data, key, stratum, fitted_for, fit)
 
         monkeypatch.setattr(ensembles, "em_pool_weights", counting)
+        monkeypatch.setattr(ensembles, "em_pool_weights_batch", sizing)
         replay(config, tmp_path / "prefit")
         with_prefit, solo_fits[:] = len(solo_fits), []
-        for variant in (ensembles.AdaptiveVariant, ensembles.CapVariant):
-            monkeypatch.setattr(variant, "_prefit", lambda self, data, t: None)
-        replay(config, tmp_path / "on-demand")
+        shape_batches, batch_sizes[:] = sum(n >= 2 for n in batch_sizes), []
+        monkeypatch.setattr(ensembles._VariantBase, "_fit_all", one_at_a_time)
+        replay(config, tmp_path / "one-at-a-time")
+        # The replays' own batches are the same in both walks, so the extra
+        # batches of two or more problems are _fit_all's shape batches.
+        assert shape_batches > sum(n >= 2 for n in batch_sizes)
         assert with_prefit < len(solo_fits)
-        assert _tree_bytes(tmp_path / "prefit") == _tree_bytes(tmp_path / "on-demand")
+        assert _tree_bytes(tmp_path / "prefit") == _tree_bytes(tmp_path / "one-at-a-time")
 
 
 class TestReport:

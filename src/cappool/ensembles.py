@@ -24,7 +24,7 @@ from .epiweek import Epiweek, season_length, season_week, season_weeks
 from .panel import Panel
 from .pmf import N_BINS, bin_index, linear_pool
 from .pool import AdaptivePrior, WeightFit, em_pool_weights, em_pool_weights_batch, renormalized
-from .scoring import floored_log, log_score
+from .scoring import floored_log, log_score, sorted_medians
 
 __all__ = [
     "VARIANTS",
@@ -328,23 +328,28 @@ class SeasonData:
         """Each roster model's place in the leader preference order at each
         week, shape (weeks + 1, roster), 0 the first choice: ``_leader_key``
         over the median of each model's scores in the window known at that
-        week. A week whose window did not grow copies the row before it."""
+        week. A week whose window did not grow copies the row before it.
+
+        A grown week sorts its window once (NaN last) and reads every
+        median off the sorted rows. One stable ``np.lexsort`` then puts
+        scored models first by descending median and leaves ties and
+        unscored models in roster order, which is id order."""
         table = self._place_cache.get(stratum)
         if table is None:
             sd = self.strata[stratum]
-            table = np.empty((self.n_weeks + 1, len(self.roster)), dtype=np.intp)
+            n_models = len(self.roster)
+            table = np.empty((self.n_weeks + 1, n_models), dtype=np.intp)
             for t in range(self.n_weeks + 1):
                 size = sd.window_size(t)
                 if t and size == sd.window_size(t - 1):
                     table[t] = table[t - 1]
                     continue
-                med = {
-                    m: float(np.median(row[~np.isnan(row)]))
-                    for m, row in zip(self.roster, sd.S[:, :size])
-                    if not np.isnan(row).all()
-                }
-                order = sorted(self.roster, key=lambda m: _leader_key(med, m))
-                table[t, [self.index[m] for m in order]] = np.arange(len(order))
+                window = sd.S[:, :size]
+                counts = size - np.isnan(window).sum(axis=1)
+                medians = sorted_medians(np.sort(window, axis=1), counts)
+                scored = counts > 0
+                order = np.lexsort((np.where(scored, -medians, 0.0), ~scored))
+                table[t, order] = np.arange(n_models)
             self._place_cache[stratum] = table
         return table
 

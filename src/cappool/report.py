@@ -19,7 +19,13 @@ from .ensembles import EnsembleRun
 from .epiweek import Epiweek, season_of
 from .panel import TruthTable, panel_dir, parse_truth_csv, truth_path
 from .replay import load_run_artifacts, recorded_config
-from .scoring import BRIER_THRESHOLDS, ScoreRecord, brier_matrix, pit_calibration_auc
+from .scoring import (
+    BRIER_THRESHOLDS,
+    ScoreRecord,
+    brier_matrix,
+    pit_calibration_auc,
+    sorted_quantiles,
+)
 
 __all__ = ["ReportBundle", "emit_report", "trajectory_table", "write_report", "write_table"]
 
@@ -162,7 +168,7 @@ def emit_report(
             logs = np.array([s.log_score for s in subset])
             pits = [s.pit for s in subset]
             briers = np.array([s.brier_integral for s in subset])
-            qs = np.quantile(logs, [0.10, 0.25, 0.50, 0.75, 0.90])
+            qs = sorted_quantiles(np.sort(logs), [0.10, 0.25, 0.50, 0.75, 0.90])
             quantile_rows.append(
                 [variant, group] + [repr(float(q)) for q in qs] + [len(subset)]
             )

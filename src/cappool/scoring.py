@@ -27,6 +27,8 @@ __all__ = [
     "kl_divergence",
     "pairwise_kl_matrix",
     "median_log_score",
+    "sorted_medians",
+    "sorted_quantiles",
 ]
 
 LOG_SCORE_FLOOR = -10.0
@@ -200,7 +202,53 @@ def pairwise_kl_matrix(pmfs) -> np.ndarray:
 
 def median_log_score(scores) -> float:
     """Median of floored log scores; even counts use the central midpoint."""
-    values = np.asarray(list(scores), dtype=float)
+    values = np.sort(np.asarray(list(scores), dtype=float))
     if values.size == 0:
         raise ValueError("empty score slice")
-    return float(np.median(values))
+    return float(sorted_medians(values[None, :], np.array([values.size]))[0])
+
+
+# Order statistics read off arrays that are already sorted, so one sort
+# serves every statistic of a window. Each equals numpy's own function bit
+# for bit (signed zeros aside, which sort as equals) without importing
+# numpy.ma, which np.median and np.quantile load on their first call.
+
+
+def sorted_medians(ordered: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``np.median`` of the first ``counts[i]`` entries of each row of
+    ``ordered``, whose rows are sorted ascending (NaN last): the middle
+    entry for an odd count, ``(a + b) / 2`` of the middle two for an even
+    one. NaN for a count of 0 or when a counted entry is NaN."""
+    if not ordered.shape[1]:
+        return np.full(len(ordered), np.nan)
+    rows = np.arange(len(ordered))
+    low, high = ordered[rows, (counts - 1) // 2], ordered[rows, counts // 2]
+    medians = np.where(counts % 2 == 1, high, (low + high) / 2)
+    last = ordered[rows, np.maximum(counts - 1, 0)]
+    return np.where((counts == 0) | np.isnan(last), np.nan, medians)
+
+
+def sorted_quantiles(ordered: np.ndarray, qs) -> list[float]:
+    """``np.quantile(ordered, qs)`` with numpy's default linear method, of
+    a non-empty 1-D array sorted ascending (NaN last), for qs in [0, 1].
+
+    The virtual index is ``(n - 1) * q``; an index at or past the top reads
+    the last entry twice. The interpolation is numpy's ``_lerp``, which
+    counts back from the upper entry when the fraction is at least 1/2.
+    Every quantile is NaN when the array holds a NaN."""
+    n = len(ordered)
+    if math.isnan(ordered[-1]):
+        return [math.nan] * len(qs)
+    out = []
+    for q in qs:
+        index = (n - 1) * q
+        if index >= n - 1:
+            below = above = -1
+        else:
+            below = math.floor(index)
+            above = below + 1
+        a, b = ordered[below], ordered[above]
+        t = index - below
+        diff = b - a
+        out.append(float(b - diff * (1 - t) if t >= 0.5 else a + diff * t))
+    return out

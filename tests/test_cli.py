@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cappool
 from cappool.cli import _panel_fit_inputs, main
 from cappool.epiweek import season_length, season_weeks
 from cappool.panel import Panel, TruthTable, load_panel, write_panel
@@ -119,6 +124,31 @@ class TestCliWorkflow:
         assert main(["report", "--out", str(out)]) == 0
         assert (out / "reports" / "summary.csv").exists()
         capsys.readouterr()
+
+    def test_a_run_never_imports_numpy_ma(self, run_setup):
+        # np.median, np.quantile and np.unique import numpy.ma on their first
+        # call, which costs time and memory; a run reads its medians and
+        # quantiles off sorted arrays instead. Only a fresh interpreter shows
+        # what a run imports.
+        cfg, out = run_setup
+        script = (
+            "import sys\n"
+            "from cappool.cli import main\n"
+            "cfg, out = sys.argv[1:]\n"
+            "for argv in (['ingest', '--config', cfg, '--out', out],\n"
+            "             ['replay', '--config', cfg, '--out', out], ['report', '--out', out]):\n"
+            "    assert main(argv) == 0, argv\n"
+            "print(sorted(m for m in sys.modules if m == 'numpy.ma' or m.startswith('numpy.ma.')))\n"
+        )
+        paths = (str(Path(cappool.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH"))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(cfg), str(out)],
+            env=env, capture_output=True, text=True,
+        )
+        assert done.returncode == 0, done.stderr
+        assert (out / "runs" / "cap-equal" / "2010").is_dir()
+        assert done.stdout.splitlines()[-1] == "[]"
 
     def test_replay_with_changed_config_fails_and_keeps_weeks(self, run_setup, capsys):
         cfg, out = run_setup

@@ -18,6 +18,8 @@ from cappool.scoring import (
     brier_integral,
     brier_matrix,
     brier_score,
+    sorted_medians,
+    sorted_quantiles,
 )
 
 from conftest import EDGE_TRUTHS, pmf_rows, point_mass, random_pmf
@@ -251,3 +253,76 @@ class TestMedianLogScore:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             median_log_score([])
+
+    def test_nan_propagates_like_np_median(self):
+        assert math.isnan(median_log_score([-1.0, math.nan, -3.0]))
+
+
+# Scores as the replay makes them: floored logs in [-10, 0], with the floor,
+# 0.0 and a few repeated values drawn often so rows hold ties. Adding 0.0
+# turns a drawn -0.0 into 0.0; a log score is never -0.0, and the sorted
+# order statistics leave the sign of a zero to the sort.
+_scores = st.one_of(
+    st.sampled_from([-10.0, 0.0, -1.0, -2.5, -2.848967716124882]),
+    st.floats(-10.0, 0.0).map(lambda x: x + 0.0),
+)
+_REPORT_QS = [0.10, 0.25, 0.50, 0.75, 0.90]
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+class TestSortedOrderStatistics:
+    """The sorted-array median and quantile equal numpy's bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(_scores, max_size=12), min_size=1, max_size=8), st.randoms())
+    @example([[-1.0], [-10.0, -10.0], [0.0, -2.5], []], None)
+    @example([[0.0]], None)
+    def test_medians_of_nan_padded_rows_equal_np_median(self, rows, rand):
+        # Rows padded with NaN to a common width, and, as in a score window,
+        # with the NaN gaps between the scores when shuffled.
+        width = max(len(row) for row in rows) + 2
+        padded = np.full((len(rows), width), np.nan)
+        for i, row in enumerate(rows):
+            padded[i, : len(row)] = row
+            if rand is not None:
+                rand.shuffle(padded[i])
+        counts = (~np.isnan(padded)).sum(axis=1)
+        got = sorted_medians(np.sort(padded, axis=1), counts)
+        for i, row in enumerate(rows):
+            if row:
+                assert _bits(got[i]) == _bits(np.median(row)), row
+            else:
+                assert math.isnan(got[i])
+
+    def test_medians_of_an_empty_window_are_nan(self):
+        assert np.isnan(sorted_medians(np.empty((3, 0)), np.zeros(3, dtype=int))).all()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_scores, min_size=1, max_size=40))
+    @example([-2.0])
+    @example([0.0, 0.0])
+    @example([-10.0, -10.0, -10.0, 0.0])
+    def test_median_log_score_equals_np_median(self, values):
+        assert _bits(median_log_score(values)) == _bits(np.median(values))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(_scores, min_size=1, max_size=40),
+        st.one_of(
+            st.just(_REPORT_QS),
+            st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6),
+        ),
+    )
+    @example([-2.0], _REPORT_QS)
+    @example([-2.0], [0.0, 1.0])
+    @example([-10.0, 0.0], [0.0, 0.5, 1.0])
+    @example([-1.0, -1.0, -3.0, -10.0, -10.0], _REPORT_QS)
+    def test_quantiles_equal_np_quantile(self, values, qs):
+        got = sorted_quantiles(np.sort(values), qs)
+        assert _bits(got) == _bits(np.quantile(values, qs)), (values, qs)
+
+    def test_quantiles_with_a_nan_are_nan(self):
+        assert all(math.isnan(q) for q in sorted_quantiles(np.sort([-1.0, math.nan]), _REPORT_QS))

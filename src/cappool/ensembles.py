@@ -308,7 +308,6 @@ class SeasonData:
             )
             for key in keys
         }
-        self._corr_cache: dict[tuple, tuple[list[str], np.ndarray]] = {}
         self._place_cache: dict[tuple, np.ndarray] = {}
         self._cluster_cache: dict[tuple, Clustering] = {}
         self._ranked_cache: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
@@ -356,17 +355,14 @@ class SeasonData:
     def correlation(self, stratum: tuple[str, int], t: int) -> tuple[list[str], np.ndarray]:
         """Week t's clustering universe (models with scored history in the
         window known at t or a submission at t, in id order) and their
-        correlation submatrix."""
-        cached = self._corr_cache.get((stratum, t))
-        if cached is None:
-            sd = self.strata[stratum]
-            window = sd.S[:, : sd.window_size(t)]
-            corr, _ = _masked_correlation(window)
-            eligible = (~np.isnan(window)).any(axis=1) | sd.sub[t]
-            sel = sorted(np.flatnonzero(eligible).tolist(), key=self.roster.__getitem__)
-            cached = ([self.roster[c] for c in sel], corr[np.ix_(sel, sel)])
-            self._corr_cache[(stratum, t)] = cached
-        return cached
+        correlation submatrix. Not cached: ``clusters`` asks for it on a
+        miss, and its first miss for a (stratum, week) partitions the grid."""
+        sd = self.strata[stratum]
+        window = sd.S[:, : sd.window_size(t)]
+        corr, _ = _masked_correlation(window)
+        eligible = (~np.isnan(window)).any(axis=1) | sd.sub[t]
+        sel = sorted(np.flatnonzero(eligible).tolist(), key=self.roster.__getitem__)
+        return [self.roster[c] for c in sel], corr[np.ix_(sel, sel)]
 
     def clusters(self, stratum: tuple[str, int], t: int, phi: float, grid=()) -> Clustering:
         """Week t's partition at threshold phi: ``cluster_models`` on the

@@ -10,6 +10,7 @@ models are absent at any key without imputing anything.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import mmap
 import re
@@ -82,6 +83,37 @@ def _parse_target(token: str) -> int:
     if value not in TARGETS:
         raise ForecastDataError(f"unknown target token {token!r}")
     return value
+
+
+def _reads_path(parse):
+    """Let ``parse(stream, ...)`` take a path as well as a stream of lines.
+    A path is opened, and a ForecastDataError, a line ``csv`` cannot read or
+    text that is not UTF-8 met while reading it raises ForecastDataError
+    with the path in front."""
+
+    @functools.wraps(parse)
+    def read(stream, *args, **kwargs):
+        if not isinstance(stream, (str, Path)):
+            return parse(stream, *args, **kwargs)
+        with open(stream, newline="") as fh:
+            try:
+                return parse(fh, *args, **kwargs)
+            except (ForecastDataError, csv.Error, UnicodeError) as exc:
+                raise ForecastDataError(f"{stream}: {exc}") from None
+
+    return read
+
+
+def _named_columns(stream, names, kind: str) -> tuple[csv.DictReader, dict[str, str]]:
+    """A ``csv.DictReader`` over ``stream`` and the header field of each of
+    ``names``, matched without regard to case or surrounding spaces. A
+    missing column raises; a row too short for a column reads it as ""."""
+    reader = csv.DictReader(stream, restval="")
+    fields = {f.strip().lower(): f for f in reader.fieldnames or []}
+    missing = [name for name in names if name.lower() not in fields]
+    if missing:
+        raise ForecastDataError(f"{kind} file missing columns {missing}")
+    return reader, {name: fields[name.lower()] for name in names}
 
 
 @dataclass(frozen=True, order=True)
@@ -293,6 +325,7 @@ def _kept_rows(tails, parsed: np.ndarray, normed: np.ndarray) -> list:
     return values
 
 
+@_reads_path
 def parse_component_csv(
     stream, renormalize: bool = True, *, keep_spelling: bool = False
 ) -> dict[ForecastKey, np.ndarray]:
@@ -310,9 +343,6 @@ def parse_component_csv(
     ``load_panel`` reads it back to the same float64 bits. Every other row
     maps to a read-only pmf of its own.
     """
-    if isinstance(stream, (str, Path)):
-        with open(stream, newline="") as fh:
-            return parse_component_csv(fh, renormalize, keep_spelling=keep_spelling)
     lines = iter(stream)
     try:
         header = next(csv.reader(lines))
@@ -366,6 +396,7 @@ def parse_component_csv(
 _WEEK_AHEAD = re.compile(r"(\d)\s*wk\s*ahead", re.IGNORECASE)
 
 
+@_reads_path
 def convert_flusight_csv(
     stream, model_id: str, issue: Epiweek
 ) -> dict[ForecastKey, np.ndarray]:
@@ -375,29 +406,19 @@ def convert_flusight_csv(
     Bin_start_incl, Bin_end_notincl, Value. Only percent-ILI week-ahead
     bin rows are used; week-based targets and point estimates are skipped.
     """
-    if isinstance(stream, (str, Path)):
-        with open(stream, newline="") as fh:
-            return convert_flusight_csv(fh, model_id, issue)
-    reader = csv.DictReader(stream)
-    needed = {"Location", "Target", "Type", "Bin_start_incl", "Value"}
-    fields = {f.strip().lower(): f for f in reader.fieldnames or []}
-    missing = [f for f in needed if f.lower() not in fields]
-    if missing:
-        raise ForecastDataError(f"long-format file missing columns {missing}")
-
-    def get(row, name):
-        return row[fields[name.lower()]]
-
+    reader, col = _named_columns(
+        stream, ("Location", "Target", "Type", "Bin_start_incl", "Value"), "long-format"
+    )
     bins: dict[tuple[str, int], dict[int, float]] = {}
     for row_no, row in enumerate(reader, start=2):
-        m = _WEEK_AHEAD.search(get(row, "Target"))
-        if not m or get(row, "Type").strip().lower() != "bin":
+        m = _WEEK_AHEAD.search(row[col["Target"]])
+        if not m or row[col["Type"]].strip().lower() != "bin":
             continue
         try:
-            region = canonical_region(get(row, "Location"))
+            region = canonical_region(row[col["Location"]])
             target = _parse_target(m.group(1))
-            start = float(get(row, "Bin_start_incl"))
-            value = float(get(row, "Value"))
+            start = float(row[col["Bin_start_incl"]])
+            value = float(row[col["Value"]])
         except ValueError as exc:
             raise ForecastDataError(f"row {row_no}: {exc}") from None
         idx = int(round(start * 10.0))
@@ -414,7 +435,10 @@ def convert_flusight_csv(
             raise ForecastDataError(
                 f"{region} target {target}: {len(cell)} bins present, expected {N_BINS}"
             )
-        pmf = normalize_pmf(np.array([cell[i] for i in range(N_BINS)]))
+        try:
+            pmf = normalize_pmf(np.array([cell[i] for i in range(N_BINS)]))
+        except MalformedPmfError as exc:
+            raise ForecastDataError(f"{region} target {target}: {exc}") from None
         pmf.setflags(write=False)
         fragment[ForecastKey(region, target, model_id, issue)] = pmf
     return fragment
@@ -448,22 +472,16 @@ def ingest_flusight_tree(root) -> tuple[dict[ForecastKey, np.ndarray], list[str]
     return fragment, skipped
 
 
+@_reads_path
 def parse_truth_csv(stream) -> TruthTable:
     """Parse observed wILI rows (region, epiweek, wili); duplicates rejected."""
-    if isinstance(stream, (str, Path)):
-        with open(stream, newline="") as fh:
-            return parse_truth_csv(fh)
-    reader = csv.DictReader(stream)
-    fields = {f.strip().lower(): f for f in reader.fieldnames or []}
-    for name in ("region", "epiweek", "wili"):
-        if name not in fields:
-            raise ForecastDataError(f"truth file missing column {name!r}")
+    reader, col = _named_columns(stream, ("region", "epiweek", "wili"), "truth")
     table = TruthTable()
     for row_no, row in enumerate(reader, start=2):
         try:
-            region = canonical_region(row[fields["region"]])
-            week = Epiweek.parse(row[fields["epiweek"]])
-            table.add(region, week, float(row[fields["wili"]]))
+            region = canonical_region(row[col["region"]])
+            week = Epiweek.parse(row[col["epiweek"]])
+            table.add(region, week, float(row[col["wili"]]))
         except ValueError as exc:
             raise ForecastDataError(f"row {row_no}: {exc}") from None
     return table
@@ -482,44 +500,32 @@ class StatePopulationTable:
         return sorted(s for s, r in self.region.items() if r == region)
 
 
+@_reads_path
 def parse_population_csv(stream) -> StatePopulationTable:
-    if isinstance(stream, (str, Path)):
-        with open(stream, newline="") as fh:
-            return parse_population_csv(fh)
-    reader = csv.DictReader(stream)
-    fields = {f.strip().lower(): f for f in reader.fieldnames or []}
-    for name in ("state", "region", "population"):
-        if name not in fields:
-            raise ForecastDataError(f"population file missing column {name!r}")
+    reader, col = _named_columns(stream, ("state", "region", "population"), "population")
     population: dict[str, float] = {}
     region: dict[str, str] = {}
     for row_no, row in enumerate(reader, start=2):
-        state = row[fields["state"]].strip()
+        state = row[col["state"]].strip()
         if state in population:
             raise ForecastDataError(f"row {row_no}: duplicate state {state}")
         try:
-            population[state] = float(row[fields["population"]])
-            region[state] = canonical_region(row[fields["region"]])
+            population[state] = float(row[col["population"]])
+            region[state] = canonical_region(row[col["region"]])
         except ValueError as exc:
             raise ForecastDataError(f"row {row_no}: {exc}") from None
     return StatePopulationTable(population, region)
 
 
+@_reads_path
 def parse_state_ili_csv(stream) -> dict[tuple[str, Epiweek], float]:
-    if isinstance(stream, (str, Path)):
-        with open(stream, newline="") as fh:
-            return parse_state_ili_csv(fh)
-    reader = csv.DictReader(stream)
-    fields = {f.strip().lower(): f for f in reader.fieldnames or []}
-    for name in ("state", "epiweek", "ili"):
-        if name not in fields:
-            raise ForecastDataError(f"state ILI file missing column {name!r}")
+    reader, col = _named_columns(stream, ("state", "epiweek", "ili"), "state ILI")
     out: dict[tuple[str, Epiweek], float] = {}
     for row_no, row in enumerate(reader, start=2):
-        state = row[fields["state"]].strip()
+        state = row[col["state"]].strip()
         try:
-            week = Epiweek.parse(row[fields["epiweek"]])
-            value = float(row[fields["ili"]])
+            week = Epiweek.parse(row[col["epiweek"]])
+            value = float(row[col["ili"]])
         except ValueError as exc:
             raise ForecastDataError(f"row {row_no}: {exc}") from None
         if (state, week) in out:
@@ -714,10 +720,16 @@ def write_panel(panel: Panel, directory) -> None:
             json.dumps(sidecar, indent=1, sort_keys=True) + "\n"
         )
 
-    with open(_truth_csv(directory), "w", newline="") as fh:
+    _write_truth_csv(_truth_csv(directory), panel.truth)
+
+
+def _write_truth_csv(path, truth: TruthTable) -> None:
+    """Write a truth table as the ``region,epiweek,wili`` CSV that
+    ``parse_truth_csv`` reads, rows in sorted order."""
+    with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["region", "epiweek", "wili"])
-        for (region, week), value in panel.truth.items():
+        for (region, week), value in truth.items():
             writer.writerow([region, str(week), repr(float(value))])
 
 
@@ -762,10 +774,7 @@ def load_panel(directory, seasons=None) -> Panel:
         found = [s for s in found if s in wanted]
     for season in found:
         path = _season_csv(directory, season)
-        try:
-            fragment = parse_component_csv(path, renormalize=False)
-        except ForecastDataError as exc:
-            raise ForecastDataError(f"{path}: {exc}") from None
+        fragment = parse_component_csv(path, renormalize=False)
         _check_stored(path, fragment)
         entries.update(fragment)
         sidecar_path = _season_sidecar(directory, season)

@@ -18,6 +18,7 @@ import re
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -259,60 +260,12 @@ def _week_paths(out_dir: Path, variant: str, season: int, week: Epiweek) -> tupl
     return base / f"week-{week}.csv", base / f"week-{week}.json"
 
 
-def _run_to_json(run: EnsembleRun) -> dict:
-    return {
-        "region": run.region,
-        "target": run.target,
-        "issue_week": run.issue_week,
-        "week_index": run.week_index,
-        "has_pmf": run.pmf is not None,
-        "weights": run.weights,
-        "entropy": run.entropy,
-        "phi": run.phi,
-        "clusters": [list(c) for c in run.clusters] if run.clusters is not None else None,
-        "leaders": list(run.leaders) if run.leaders is not None else None,
-        "n_clusters": run.n_clusters,
-        "missing_models": list(run.missing_models),
-        "note": run.note,
-    }
-
-
-def _run_from_json(variant: str, season: int, item: dict, pmf) -> EnsembleRun:
-    return EnsembleRun(
-        variant=variant,
-        season=season,
-        region=item["region"],
-        target=item["target"],
-        issue_week=item["issue_week"],
-        week_index=item["week_index"],
-        pmf=pmf,
-        weights=item["weights"],
-        entropy=item["entropy"],
-        phi=item["phi"],
-        clusters=tuple(tuple(c) for c in item["clusters"]) if item["clusters"] is not None else None,
-        leaders=tuple(item["leaders"]) if item["leaders"] is not None else None,
-        n_clusters=item["n_clusters"],
-        missing_models=tuple(item["missing_models"]),
-        note=item["note"],
-    )
-
-
-def _score_to_json(record: ScoreRecord) -> dict:
-    return {
-        "region": record.region,
-        "target": record.target,
-        "issue_week": record.issue_week,
-        "target_week": record.target_week,
-        "log_score": record.log_score,
-        "pit": record.pit,
-        "brier_integral": record.brier_integral,
-    }
-
-
-# Week JSON bundles are emitted for their fixed schema directly, byte for
-# byte as json.dumps(payload, indent=1, sort_keys=True) writes them: with an
-# indent, json.dumps falls back to its pure-Python encoder. Strings go through
-# json's C ``encode_basestring_ascii``, as json.dumps would send them.
+# Week JSON bundles are emitted straight from the records, byte for byte as
+# json.dumps(bundle, indent=1, sort_keys=True) writes them: with an indent,
+# json.dumps falls back to its pure-Python encoder. Strings go through json's
+# C ``encode_basestring_ascii``, as json.dumps would send them. A run's or a
+# score's keys are its record's field names, so ``_load_week`` rebuilds each
+# record from them.
 
 
 def _json_scalar(value) -> str:
@@ -338,7 +291,7 @@ def _json_scalar(value) -> str:
 
 
 def _json_list(items, depth: int) -> str:
-    """A list of scalars, or None, whose items are indented by ``depth``."""
+    """A sequence of scalars, or None, whose items are indented by ``depth``."""
     if items is None:
         return "null"
     if not items:
@@ -347,48 +300,46 @@ def _json_list(items, depth: int) -> str:
     return "[" + pad + ("," + pad).join(map(_json_scalar, items)) + "\n" + " " * (depth - 1) + "]"
 
 
-def _run_json_text(item: dict) -> str:
-    clusters = item["clusters"]
-    if clusters:
-        clusters = "[\n    " + ",\n    ".join(_json_list(c, 5) for c in clusters) + "\n   ]"
+def _run_json_text(run: EnsembleRun) -> str:
+    if run.clusters:
+        clusters = "[\n    " + ",\n    ".join(_json_list(c, 5) for c in run.clusters) + "\n   ]"
     else:
-        clusters = _json_list(clusters, 4)
-    weights = item["weights"]
-    if weights:
+        clusters = _json_list(run.clusters, 4)
+    if run.weights:
         weights = "{\n    " + ",\n    ".join(
-            f"{encode_basestring_ascii(k)}: {_json_scalar(v)}" for k, v in sorted(weights.items())
+            f"{encode_basestring_ascii(k)}: {_json_scalar(v)}" for k, v in sorted(run.weights.items())
         ) + "\n   }"
     else:
         weights = "{}"
     return (
         "{\n"
         f'   "clusters": {clusters},\n'
-        f'   "entropy": {_json_scalar(item["entropy"])},\n'
-        f'   "has_pmf": {_json_scalar(item["has_pmf"])},\n'
-        f'   "issue_week": {_json_scalar(item["issue_week"])},\n'
-        f'   "leaders": {_json_list(item["leaders"], 4)},\n'
-        f'   "missing_models": {_json_list(item["missing_models"], 4)},\n'
-        f'   "n_clusters": {_json_scalar(item["n_clusters"])},\n'
-        f'   "note": {_json_scalar(item["note"])},\n'
-        f'   "phi": {_json_scalar(item["phi"])},\n'
-        f'   "region": {_json_scalar(item["region"])},\n'
-        f'   "target": {_json_scalar(item["target"])},\n'
-        f'   "week_index": {_json_scalar(item["week_index"])},\n'
+        f'   "entropy": {_json_scalar(run.entropy)},\n'
+        f'   "has_pmf": {_json_scalar(run.pmf is not None)},\n'
+        f'   "issue_week": {_json_scalar(run.issue_week)},\n'
+        f'   "leaders": {_json_list(run.leaders, 4)},\n'
+        f'   "missing_models": {_json_list(run.missing_models, 4)},\n'
+        f'   "n_clusters": {_json_scalar(run.n_clusters)},\n'
+        f'   "note": {_json_scalar(run.note)},\n'
+        f'   "phi": {_json_scalar(run.phi)},\n'
+        f'   "region": {_json_scalar(run.region)},\n'
+        f'   "target": {_json_scalar(run.target)},\n'
+        f'   "week_index": {_json_scalar(run.week_index)},\n'
         f'   "weights": {weights}\n'
         "  }"
     )
 
 
-def _score_json_text(item: dict) -> str:
+def _score_json_text(record: ScoreRecord) -> str:
     return (
         "{\n"
-        f'   "brier_integral": {_json_scalar(item["brier_integral"])},\n'
-        f'   "issue_week": {_json_scalar(item["issue_week"])},\n'
-        f'   "log_score": {_json_scalar(item["log_score"])},\n'
-        f'   "pit": {_json_scalar(item["pit"])},\n'
-        f'   "region": {_json_scalar(item["region"])},\n'
-        f'   "target": {_json_scalar(item["target"])},\n'
-        f'   "target_week": {_json_scalar(item["target_week"])}\n'
+        f'   "brier_integral": {_json_scalar(record.brier_integral)},\n'
+        f'   "issue_week": {_json_scalar(record.issue_week)},\n'
+        f'   "log_score": {_json_scalar(record.log_score)},\n'
+        f'   "pit": {_json_scalar(record.pit)},\n'
+        f'   "region": {_json_scalar(record.region)},\n'
+        f'   "target": {_json_scalar(record.target)},\n'
+        f'   "target_week": {_json_scalar(record.target_week)}\n'
         "  }"
     )
 
@@ -397,17 +348,31 @@ def _json_items(texts: list[str]) -> str:
     return "[\n  " + ",\n  ".join(texts) + "\n ]" if texts else "[]"
 
 
-def _week_json(payload: dict) -> str:
-    """The week bundle as ``json.dumps(payload, indent=1, sort_keys=True)``."""
+def _week_json(
+    variant: str, season: int, issue_week: int, runs: list[EnsembleRun], scores: list[ScoreRecord]
+) -> str:
+    """The week bundle: a JSON object of these five keys, each run and score
+    as its JSON object."""
     return (
         "{\n"
-        f' "issue_week": {_json_scalar(payload["issue_week"])},\n'
-        f' "runs": {_json_items([_run_json_text(r) for r in payload["runs"]])},\n'
-        f' "scores": {_json_items([_score_json_text(s) for s in payload["scores"]])},\n'
-        f' "season": {_json_scalar(payload["season"])},\n'
-        f' "variant": {_json_scalar(payload["variant"])}\n'
+        f' "issue_week": {_json_scalar(issue_week)},\n'
+        f' "runs": {_json_items([_run_json_text(r) for r in runs])},\n'
+        f' "scores": {_json_items([_score_json_text(s) for s in scores])},\n'
+        f' "season": {_json_scalar(season)},\n'
+        f' "variant": {_json_scalar(variant)}\n'
         "}"
     )
+
+
+# A record's week-JSON keys are its field names. ``variant`` and ``season``
+# come from the week file's path, and a run's ``pmf`` from the week CSV;
+# ``has_pmf`` says whether the run has one. ``_load_week`` passes a record's
+# values by position, in field order: json.loads does not intern its keys,
+# and binding them by keyword took about 2 us more per run.
+_RUN_KEYS = {f.name for f in fields(EnsembleRun)} - {"variant", "season", "pmf"} | {"has_pmf"}
+_SCORE_KEYS = {f.name for f in fields(ScoreRecord)} - {"variant"}
+_run_values = itemgetter(*(f.name for f in fields(EnsembleRun)))
+_score_values = itemgetter(*(f.name for f in fields(ScoreRecord)))
 
 
 def _write_week(
@@ -425,14 +390,7 @@ def _write_week(
         if run.pmf is not None:
             lines.append(f"{run.region},{run.target},{format_probs(run.pmf)}")
     _atomic_write(csv_path, "\n".join(lines) + "\n")
-    payload = {
-        "variant": variant,
-        "season": season,
-        "issue_week": week.to_int(),
-        "runs": [_run_to_json(r) for r in runs],
-        "scores": [_score_to_json(s) for s in scores],
-    }
-    _atomic_write(json_path, _week_json(payload) + "\n")
+    _atomic_write(json_path, _week_json(variant, season, week.to_int(), runs, scores) + "\n")
 
 
 def _load_week(
@@ -477,31 +435,30 @@ def _load_week(
             pmfs.update(zip(keys, probs))
 
         read_prob_records(text.splitlines(), 2, 1, convert)
+    runs: list[EnsembleRun] = []
+    missing = []
     try:
         payload = json.loads(json_path.read_text())
-        runs = [
-            _run_from_json(variant, season, item, pmfs.get((item["region"], item["target"])))
-            for item in payload["runs"]
-        ]
-        missing = [
-            (item["region"], item["target"])
-            for item in payload["runs"]
-            if item["has_pmf"] and (item["region"], item["target"]) not in pmfs
-        ]
-        scores = [
-            ScoreRecord(
-                variant=variant,
-                region=item["region"],
-                target=item["target"],
-                issue_week=item["issue_week"],
-                target_week=item["target_week"],
-                log_score=item["log_score"],
-                pit=item["pit"],
-                brier_integral=item["brier_integral"],
-            )
-            for item in payload["scores"]
-        ]
-    except (ValueError, KeyError, TypeError) as exc:
+        for item in payload["runs"]:
+            if item.keys() != _RUN_KEYS:
+                raise KeyError(f"run keys {sorted(item)}")
+            # A run joins its pmf CSV row on (region, target).
+            key = item["region"], item["target"]
+            if item["has_pmf"] and key not in pmfs:
+                missing.append(key)
+            clusters, leaders = item["clusters"], item["leaders"]
+            item["clusters"] = None if clusters is None else tuple(map(tuple, clusters))
+            item["leaders"] = None if leaders is None else tuple(leaders)
+            item["missing_models"] = tuple(item["missing_models"])
+            item["variant"], item["season"], item["pmf"] = variant, season, pmfs.get(key)
+            runs.append(EnsembleRun(*_run_values(item)))
+        scores = []
+        for item in payload["scores"]:
+            if item.keys() != _SCORE_KEYS:
+                raise KeyError(f"score keys {sorted(item)}")
+            item["variant"] = variant
+            scores.append(ScoreRecord(*_score_values(item)))
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise CorruptArtifactError(f"corrupt week file {json_path}: {exc!r}") from None
     if missing:
         raise CorruptArtifactError(f"corrupt week file {csv_path}: no pmf row for {missing[0]}")

@@ -9,7 +9,7 @@ Every report and diagnostic table is written by ``write_table``.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -47,15 +47,8 @@ class ReportBundle:
     summary: list[list]
 
     def tables(self) -> dict[str, list[list]]:
-        return {
-            "scores": self.scores,
-            "logscore_quantiles": self.logscore_quantiles,
-            "pit_cdf": self.pit_cdf,
-            "brier_by_threshold": self.brier_by_threshold,
-            "logscore_by_offset": self.logscore_by_offset,
-            "trajectory": self.trajectory,
-            "summary": self.summary,
-        }
+        """Each table by its field name, in field order."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def _groups(targets) -> list:

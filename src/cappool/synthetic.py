@@ -10,7 +10,6 @@ redundancy and clustering checks).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .epiweek import season_length, season_weeks
-from .panel import ForecastKey, TruthTable, write_component_csv
+from .panel import ForecastKey, TruthTable, _write_truth_csv, write_component_csv
 from .pmf import gaussian_pmf
 
 __all__ = ["ModelSpec", "synthetic_archive", "write_synthetic_archive", "DEFAULT_MODELS"]
@@ -112,9 +111,5 @@ def write_synthetic_archive(directory, **kwargs) -> tuple[Path, Path]:
     with open(forecasts_path, "w", newline="") as fh:
         write_component_csv(fh, fragment)
     truth_path = directory / "truth.csv"
-    with open(truth_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["region", "epiweek", "wili"])
-        for (region, week), value in truth.items():
-            writer.writerow([region, str(week), repr(float(value))])
+    _write_truth_csv(truth_path, truth)
     return forecasts_path, truth_path

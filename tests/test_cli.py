@@ -110,6 +110,62 @@ class TestCliExitCodes:
         capsys.readouterr()
 
 
+def _flusight_file(path, first_value):
+    lines = ["Location,Target,Type,Unit,Bin_start_incl,Bin_end_notincl,Value"]
+    for i in range(N_BINS):
+        value = first_value if i == 0 else 1.0 / N_BINS
+        lines.append(f"US National,1 wk ahead,Bin,percent,{i / 10:.1f},{(i + 1) / 10:.1f},{value}")
+    path.parent.mkdir(parents=True)
+    path.write_text("\n".join(lines) + "\n")
+
+
+class TestCliInputErrors:
+    """A bad input file fails ingest with exit 1 and a message naming it."""
+
+    @pytest.mark.parametrize(
+        "probe, message",
+        [
+            ("second forecasts file", "row 6: unknown region token 'Mars'"),
+            ("truth file", "row 4: unknown region token 'Mars'"),
+            ("flusight file", "Nat target 1: negative probability entry"),
+            ("over-long field", "field larger than field limit"),
+            ("not UTF-8", "'utf-8' codec can't decode"),
+        ],
+    )
+    def test_ingest_error_names_the_file(self, tmp_path, capsys, probe, message):
+        data_dir = tmp_path / "data"
+        forecasts, truth = write_synthetic_archive(
+            data_dir, seasons=(2010,), regions=("Nat",), targets=(1,), seed=4
+        )
+        sources = f"forecasts = {forecasts}\n"
+        lines = forecasts.read_text().splitlines(True)
+        bad = data_dir / "forecasts-2.csv"
+        if probe == "truth file":
+            lines = truth.read_text().splitlines(True)
+            lines[3] = "Mars" + lines[3][lines[3].index(","):]
+            truth = bad = data_dir / "truth-bad.csv"
+            bad.write_text("".join(lines))
+        elif probe == "flusight file":
+            bad = tmp_path / "flusight" / "model-a" / "EW43-2016.csv"
+            _flusight_file(bad, -0.01)
+            sources = f"flusight_dir = {tmp_path / 'flusight'}\n"
+        else:
+            if probe == "second forecasts file":
+                lines[5] = "Mars" + lines[5][lines[5].index(","):]
+            elif probe == "over-long field":
+                lines[5] = lines[5].replace(",", "," + "m" * (csv.field_size_limit() + 1), 1)
+            else:
+                lines[5] = lines[5].replace("Nat", "N\xe9t", 1)
+            bad.write_bytes("".join(lines).encode("latin-1"))
+            sources = f"forecasts = {forecasts},{bad}\n"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(sources + f"truth = {truth}\nseasons = 2010\ntargets = 1\n")
+        assert main(["ingest", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {bad}: " in err
+        assert message in err
+
+
 class TestCliWorkflow:
     def test_ingest_then_replay_then_report(self, run_setup, capsys):
         cfg, out = run_setup

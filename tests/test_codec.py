@@ -10,7 +10,11 @@ import csv
 import io
 import json
 import math
+import re
 import struct
+import tempfile
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,8 +38,6 @@ from cappool.pmf import N_BINS, normalize_pmfs
 from cappool.replay import (
     CorruptArtifactError,
     _load_week,
-    _run_to_json,
-    _score_to_json,
     _week_json,
     _write_week,
 )
@@ -490,6 +492,48 @@ score_records = st.builds(
 )
 
 
+def _run_dict(run):
+    """A run's week-JSON object, as ``json.dumps`` takes it."""
+    return {
+        "region": run.region,
+        "target": run.target,
+        "issue_week": run.issue_week,
+        "week_index": run.week_index,
+        "has_pmf": run.pmf is not None,
+        "weights": run.weights,
+        "entropy": run.entropy,
+        "phi": run.phi,
+        "clusters": [list(c) for c in run.clusters] if run.clusters is not None else None,
+        "leaders": list(run.leaders) if run.leaders is not None else None,
+        "n_clusters": run.n_clusters,
+        "missing_models": list(run.missing_models),
+        "note": run.note,
+    }
+
+
+def _score_dict(record):
+    """A score's week-JSON object, as ``json.dumps`` takes it."""
+    return {
+        "region": record.region,
+        "target": record.target,
+        "issue_week": record.issue_week,
+        "target_week": record.target_week,
+        "log_score": record.log_score,
+        "pit": record.pit,
+        "brier_integral": record.brier_integral,
+    }
+
+
+def _week_dict(variant, season, issue_week, runs, scores):
+    return {
+        "variant": variant,
+        "season": season,
+        "issue_week": issue_week,
+        "runs": [_run_dict(r) for r in runs],
+        "scores": [_score_dict(s) for s in scores],
+    }
+
+
 class TestWeekJson:
     @settings(max_examples=100, deadline=None)
     @given(
@@ -500,14 +544,10 @@ class TestWeekJson:
         scores=st.lists(score_records, max_size=4),
     )
     def test_matches_json_dumps(self, variant, season, issue_week, runs, scores):
-        payload = {
-            "variant": variant,
-            "season": season,
-            "issue_week": issue_week,
-            "runs": [_run_to_json(r) for r in runs],
-            "scores": [_score_to_json(s) for s in scores],
-        }
-        assert _week_json(payload) == json.dumps(payload, indent=1, sort_keys=True)
+        payload = _week_dict(variant, season, issue_week, runs, scores)
+        assert _week_json(variant, season, issue_week, runs, scores) == json.dumps(
+            payload, indent=1, sort_keys=True
+        )
 
     def test_written_week_file(self, tmp_path):
         week = Epiweek(2010, 41)
@@ -519,15 +559,60 @@ class TestWeekJson:
         )
         score = ScoreRecord("cap-equal", "Nat", 1, week.to_int(), week.add_weeks(1).to_int(), -1.5, 0.25, 0.125)
         _write_week(tmp_path, "cap-equal", 2010, week, [run], [score])
-        payload = {
-            "variant": "cap-equal",
-            "season": 2010,
-            "issue_week": week.to_int(),
-            "runs": [_run_to_json(run)],
-            "scores": [_score_to_json(score)],
-        }
+        payload = _week_dict("cap-equal", 2010, week.to_int(), [run], [score])
         text = (tmp_path / "runs" / "cap-equal" / "2010" / f"week-{week}.json").read_text()
         assert text == json.dumps(payload, indent=1, sort_keys=True) + "\n"
         runs, scores = _load_week(tmp_path, "cap-equal", 2010, week)
         assert scores == [score]
         assert runs[0].clusters == run.clusters and runs[0].weights == run.weights
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        runs=st.lists(
+            st.tuples(ensemble_runs, st.sampled_from(["Nat", "HHS1", "HHS10"])).map(
+                lambda pair: replace(pair[0], region=pair[1])
+            ),
+            max_size=4,
+            unique_by=lambda r: (r.region, r.target),
+        ),
+        scores=st.lists(score_records, max_size=4),
+    )
+    def test_load_rebuilds_the_written_records(self, runs, scores):
+        week = Epiweek(2010, 41)
+        with tempfile.TemporaryDirectory() as tmp:
+            _write_week(Path(tmp), "equal", 2010, week, runs, scores)
+            got_runs, got_scores = _load_week(Path(tmp), "equal", 2010, week)
+        # repr tells a tuple from a list and spells every NaN alike.
+        plain = [f.name for f in fields(EnsembleRun) if f.name not in ("pmf", "weights")]
+        assert len(got_runs) == len(runs)
+        for got, want in zip(got_runs, runs):
+            assert repr([getattr(got, f) for f in plain]) == repr([getattr(want, f) for f in plain])
+            assert repr(sorted(got.weights.items())) == repr(sorted(want.weights.items()))
+            assert (got.pmf is None) == (want.pmf is None)
+            assert want.pmf is None or np.array_equal(got.pmf, want.pmf)
+        assert repr(got_scores) == repr(scores)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda bundle: bundle["runs"][0].update(extra=1),
+            lambda bundle: bundle["runs"][0].pop("note"),
+            lambda bundle: bundle["runs"][0].pop("has_pmf"),
+            lambda bundle: bundle["runs"].__setitem__(0, [1, 2]),
+            lambda bundle: bundle["scores"][0].update(variant="equal"),
+            lambda bundle: bundle["scores"][0].pop("pit"),
+        ],
+    )
+    def test_malformed_item_names_the_file(self, tmp_path, edit):
+        week = Epiweek(2010, 41)
+        run = EnsembleRun("equal", 2010, "Nat", 1, week.to_int(), 2, None, {}, None)
+        score = ScoreRecord(
+            "equal", "Nat", 1, week.to_int(), week.add_weeks(1).to_int(), -1.5, 0.25, 0.125
+        )
+        _write_week(tmp_path, "equal", 2010, week, [run], [score])
+        path = tmp_path / "runs" / "equal" / "2010" / f"week-{week}.json"
+        bundle = json.loads(path.read_text())
+        edit(bundle)
+        path.write_text(json.dumps(bundle))
+        with pytest.raises(CorruptArtifactError, match=re.escape(str(path))):
+            _load_week(tmp_path, "equal", 2010, week)

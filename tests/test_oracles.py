@@ -174,7 +174,7 @@ class TestCorrelationMatchesOracle:
                 assert ids == want_ids
                 assert sub.shape == (len(ids), len(ids))
                 assert np.array_equal(sub, want_sub)
-                assert data.correlation(stratum, t)[1] is sub
+                assert np.array_equal(data.correlation(stratum, t)[1], sub)
 
 
 class TestGridClusteringMatchesOracle:

@@ -225,6 +225,99 @@ class TestComputeWili:
         assert truth.wili("Nat", Epiweek(2010, 40)) == pytest.approx(3.5)
 
 
+_LONG_HEADER = "Location,Target,Type,Unit,Bin_start_incl,Bin_end_notincl,Value"
+
+
+class TestReaderErrors:
+    """Every reader rejects a missing column or a bad row with a message
+    naming the row; read from a path, the message starts with the path."""
+
+    @pytest.mark.parametrize(
+        "reader, text, message",
+        [
+            (
+                parse_population_csv,
+                "state,Region,pop\naa,HHS1,1\n",
+                "population file missing columns ['population']",
+            ),
+            (
+                parse_population_csv,
+                "state,region,population\naa,HHS1,1\nbb,Mars,2\n",
+                "row 3: unknown region token 'Mars'",
+            ),
+            (
+                parse_population_csv,
+                "state,region,population\naa,HHS1,1\naa,HHS2,2\n",
+                "row 3: duplicate state aa",
+            ),
+            (
+                parse_population_csv,
+                "state,region,population\naa,HHS1\n",
+                "row 2: could not convert",
+            ),
+            (
+                parse_state_ili_csv,
+                " State ,EPIWEEK\naa,201040\n",
+                "state ILI file missing columns ['ili']",
+            ),
+            (
+                parse_state_ili_csv,
+                "state,epiweek,ili\naa,201040,2.0\naa,201041,x\n",
+                "row 3: could not convert",
+            ),
+            (
+                parse_state_ili_csv,
+                "state,epiweek,ili\naa,201040,2.0\naa,201040,3.0\n",
+                "row 3: duplicate ILI",
+            ),
+            (
+                parse_truth_csv,
+                "region,epiweek,wili\nNat,201040,1.5\nNat,201041\n",
+                "row 3: could not convert",
+            ),
+            (parse_truth_csv, "region,wili\nNat,1.5\n", "truth file missing columns ['epiweek']"),
+            (
+                convert_flusight_csv,
+                "Location,Target,Type,Bin_start_incl\n",
+                "long-format file missing columns ['Value']",
+            ),
+            (
+                convert_flusight_csv,
+                _LONG_HEADER + "\nMars,1 wk ahead,Bin,percent,0.0,0.1,0.5\n",
+                "row 2: unknown region token 'Mars'",
+            ),
+            (
+                parse_component_csv,
+                HEADER + "\n" + _row() + "\n" + _row(region="Mars"),
+                "row 3: unknown region token 'Mars'",
+            ),
+        ],
+    )
+    def test_error_names_the_row_and_the_file(self, tmp_path, reader, text, message):
+        args = ("m", Epiweek(2016, 43)) if reader is convert_flusight_csv else ()
+        with pytest.raises(ForecastDataError) as info:
+            reader(io.StringIO(text), *args)
+        assert str(info.value).startswith(message)
+        path = tmp_path / "input.csv"
+        path.write_text(text)
+        with pytest.raises(ForecastDataError) as info:
+            reader(path, *args)
+        assert str(info.value).startswith(f"{path}: {message}")
+
+    def test_flusight_bad_bins_name_the_stratum(self, tmp_path):
+        lines = [_LONG_HEADER]
+        for i in range(N_BINS):
+            value = -0.01 if i == 7 else 1.0 / N_BINS
+            lines.append(
+                f"HHS Region 2,3 wk ahead,Bin,percent,{i / 10:.1f},{(i + 1) / 10:.1f},{value}"
+            )
+        path = tmp_path / "EW43-2016.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ForecastDataError) as info:
+            convert_flusight_csv(path, "m", Epiweek(2016, 43))
+        assert str(info.value).startswith(f"{path}: HHS2 target 3: ")
+
+
 class TestPanel:
     def _small_panel(self):
         fragment, truth = synthetic_archive(

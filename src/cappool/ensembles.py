@@ -59,11 +59,6 @@ def _region_order(region: str) -> tuple[int, int]:
     return (0, int(region[3:])) if region.startswith("HHS") else (1, 0)
 
 
-def stratum_sort_key(stratum: tuple[str, int]) -> tuple:
-    region, target = stratum
-    return (*_region_order(region), target)
-
-
 @dataclass(frozen=True)
 class ClusterForecast:
     """One cluster's representative forecast for the current week.
@@ -78,27 +73,28 @@ class ClusterForecast:
     members_missing: frozenset[str]
 
 
-def _leader_key(medians, model: str) -> tuple:
-    """The one leader order: scored models by descending median, then
-    unscored ones (no median); ties and unscored models in id order."""
-    median = medians.get(model)
-    return (median is None, 0.0 if median is None else -median, model)
+def _leader_order(medians: np.ndarray) -> np.ndarray:
+    """The one leader order, of models given in id order with their median
+    historical log scores (NaN when unscored): scored models by descending
+    median, then unscored ones; ties and unscored models in id order."""
+    scored = ~np.isnan(medians)
+    return np.lexsort((np.where(scored, -medians, 0.0), ~scored))
 
 
 def aggregate_cluster(members, medians, current) -> ClusterForecast:
     """Follow-the-leader aggregation of one cluster.
 
     ``medians`` maps model ids to their median historical log score (models
-    with no scored history are absent). The leader is the member with a
-    current forecast that comes first in ``_leader_key`` order.
+    with no scored history are absent or None). The leader is the member
+    with a current forecast that comes first in ``_leader_order``.
     """
     members = tuple(members)
     if not members:
         raise ValueError("empty cluster")
     missing = frozenset(m for m in members if m not in current)
-    leader = min(
-        (m for m in members if m in current), key=lambda m: _leader_key(medians, m), default=None
-    )
+    ids = sorted(m for m in members if m in current)
+    scores = np.array([medians.get(m) for m in ids], dtype=float)
+    leader = ids[_leader_order(scores)[0]] if ids else None
     return ClusterForecast(members, leader, None if leader is None else current[leader], missing)
 
 
@@ -308,13 +304,13 @@ class SeasonData:
             )
             for key in keys
         }
-        self._place_cache: dict[tuple, np.ndarray] = {}
         self._cluster_cache: dict[tuple, Clustering] = {}
         self._ranked_cache: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
         self._leader_cache: dict[tuple, np.ndarray] = {}
 
     def stratum_keys(self) -> list[tuple[str, int]]:
-        return sorted(self.strata, key=stratum_sort_key)
+        """Strata in region order (HHS1..HHS10, then Nat), then target order."""
+        return list(self.strata)
 
     def week(self, t: int) -> Epiweek:
         """The epiweek of week index t (1-based), which may run past the
@@ -322,35 +318,6 @@ class SeasonData:
         return season_week(self.season, t)
 
     # -- score windows -------------------------------------------------
-
-    def places(self, stratum: tuple[str, int]) -> np.ndarray:
-        """Each roster model's place in the leader preference order at each
-        week, shape (weeks + 1, roster), 0 the first choice: ``_leader_key``
-        over the median of each model's scores in the window known at that
-        week. A week whose window did not grow copies the row before it.
-
-        A grown week sorts its window once (NaN last) and reads every
-        median off the sorted rows. One stable ``np.lexsort`` then puts
-        scored models first by descending median and leaves ties and
-        unscored models in roster order, which is id order."""
-        table = self._place_cache.get(stratum)
-        if table is None:
-            sd = self.strata[stratum]
-            n_models = len(self.roster)
-            table = np.empty((self.n_weeks + 1, n_models), dtype=np.intp)
-            for t in range(self.n_weeks + 1):
-                size = sd.window_size(t)
-                if t and size == sd.window_size(t - 1):
-                    table[t] = table[t - 1]
-                    continue
-                window = sd.S[:, :size]
-                counts = size - np.isnan(window).sum(axis=1)
-                medians = sorted_medians(np.sort(window, axis=1), counts)
-                scored = counts > 0
-                order = np.lexsort((np.where(scored, -medians, 0.0), ~scored))
-                table[t, order] = np.arange(n_models)
-            self._place_cache[stratum] = table
-        return table
 
     def correlation(self, stratum: tuple[str, int], t: int) -> tuple[list[str], np.ndarray]:
         """Week t's clustering universe (models with scored history in the
@@ -361,7 +328,7 @@ class SeasonData:
         window = sd.S[:, : sd.window_size(t)]
         corr, _ = _masked_correlation(window)
         eligible = (~np.isnan(window)).any(axis=1) | sd.sub[t]
-        sel = sorted(np.flatnonzero(eligible).tolist(), key=self.roster.__getitem__)
+        sel = np.flatnonzero(eligible).tolist()
         return [self.roster[c] for c in sel], corr[np.ix_(sel, sel)]
 
     def clusters(self, stratum: tuple[str, int], t: int, phi: float, grid=()) -> Clustering:
@@ -385,7 +352,7 @@ class SeasonData:
     def leaders(self, stratum: tuple[str, int], clustering: Clustering, weeks) -> np.ndarray:
         """Roster index of each cluster's leader at each of ``weeks``, shape
         (weeks, clusters): its member that submitted that week and comes
-        first in that week's ``places`` row, or -1 when none submitted.
+        first in that week's leader order, or -1 when none submitted.
 
         The rows come from the partition's leader table, shape
         (weeks + 1, clusters) and 16-bit for any roster under 32 768 models,
@@ -408,20 +375,35 @@ class SeasonData:
         return table[np.asarray(weeks, dtype=np.intp)]
 
     def _ranked(self, stratum: tuple[str, int]) -> tuple[np.ndarray, np.ndarray]:
-        """``rank``, each roster model's ``places`` entry where it submitted
-        and the roster size where it did not, and ``by_place``, the roster
-        index at each place with -1 after the last, so that
-        ``by_place[t, rank[t, c]]`` is c for a submitter and -1 otherwise.
-        ``by_place`` is 16-bit when the roster allows, like the leader
-        tables read out of it."""
+        """``by_place``, the roster in ``_leader_order`` at each week, shape
+        (weeks + 1, roster + 1) with -1 in the last column, and ``rank``,
+        each roster model's place in that row where it submitted and the
+        roster size where it did not, so that ``by_place[t, rank[t, c]]``
+        is c for a submitter and -1 otherwise. ``by_place`` is 16-bit when
+        the roster allows, like the leader tables read out of it.
+
+        Each week's order ranks the medians of the score window known at
+        that week. A grown week sorts its window once (NaN last) and reads
+        every median off the sorted rows; a week whose window did not grow
+        copies the rows before it."""
         cached = self._ranked_cache.get(stratum)
         if cached is None:
-            places = self.places(stratum)
+            sd = self.strata[stratum]
             n_models = len(self.roster)
-            rank = np.where(self.strata[stratum].sub, places, n_models)
             dtype = np.int16 if n_models < 2**15 else np.intp
             by_place = np.full((self.n_weeks + 1, n_models + 1), -1, dtype=dtype)
-            np.put_along_axis(by_place, places, np.arange(n_models, dtype=dtype)[None, :], axis=1)
+            rank = np.empty((self.n_weeks + 1, n_models), dtype=np.intp)
+            for t in range(self.n_weeks + 1):
+                size = sd.window_size(t)
+                if t and size == sd.window_size(t - 1):
+                    by_place[t], rank[t] = by_place[t - 1], rank[t - 1]
+                    continue
+                window = sd.S[:, :size]
+                counts = size - np.isnan(window).sum(axis=1)
+                order = _leader_order(sorted_medians(np.sort(window, axis=1), counts))
+                by_place[t, :n_models] = order
+                rank[t, order] = np.arange(n_models)
+            rank[~sd.sub] = n_models
             cached = self._ranked_cache[stratum] = (rank, by_place)
         return cached
 

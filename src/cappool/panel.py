@@ -14,9 +14,11 @@ import functools
 import json
 import mmap
 import re
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -104,16 +106,22 @@ def _reads_path(parse):
     return read
 
 
-def _named_columns(stream, names, kind: str) -> tuple[csv.DictReader, dict[str, str]]:
-    """A ``csv.DictReader`` over ``stream`` and the header field of each of
-    ``names``, matched without regard to case or surrounding spaces. A
-    missing column raises; a row too short for a column reads it as ""."""
-    reader = csv.DictReader(stream, restval="")
-    fields = {f.strip().lower(): f for f in reader.fieldnames or []}
-    missing = [name for name in names if name.lower() not in fields]
+def _named_rows(stream, names, kind: str):
+    """Yield ``(number, fields)`` for each record of ``stream`` after its
+    header: its number as ``_records`` counts them from the header's 1, and
+    a tuple of its fields under ``names`` (two or more), whose header fields
+    are matched without regard to case or surrounding spaces. A missing
+    column raises; a row too short for a column reads it as ""."""
+    records = _records(stream, sys.maxsize, 1)
+    header = next(records, (0, 0, [], None))[2]
+    index = {field.strip().lower(): k for k, field in enumerate(header)}
+    missing = [name for name in names if name.lower() not in index]
     if missing:
         raise ForecastDataError(f"{kind} file missing columns {missing}")
-    return reader, {name: fields[name.lower()] for name in names}
+    cols = [index[name.lower()] for name in names]
+    pick, width = itemgetter(*cols), max(cols) + 1
+    for number, n_fields, fields, _ in records:
+        yield number, pick(fields if n_fields >= width else fields + [""] * width)
 
 
 @dataclass(frozen=True, order=True)
@@ -406,19 +414,19 @@ def convert_flusight_csv(
     Bin_start_incl, Bin_end_notincl, Value. Only percent-ILI week-ahead
     bin rows are used; week-based targets and point estimates are skipped.
     """
-    reader, col = _named_columns(
+    rows = _named_rows(
         stream, ("Location", "Target", "Type", "Bin_start_incl", "Value"), "long-format"
     )
     bins: dict[tuple[str, int], dict[int, float]] = {}
-    for row_no, row in enumerate(reader, start=2):
-        m = _WEEK_AHEAD.search(row[col["Target"]])
-        if not m or row[col["Type"]].strip().lower() != "bin":
+    for row_no, (location, target_text, kind, start_text, value_text) in rows:
+        m = _WEEK_AHEAD.search(target_text)
+        if not m or kind.strip().lower() != "bin":
             continue
         try:
-            region = canonical_region(row[col["Location"]])
+            region = canonical_region(location)
             target = _parse_target(m.group(1))
-            start = float(row[col["Bin_start_incl"]])
-            value = float(row[col["Value"]])
+            start = float(start_text)
+            value = float(value_text)
         except ValueError as exc:
             raise ForecastDataError(f"row {row_no}: {exc}") from None
         idx = int(round(start * 10.0))
@@ -475,13 +483,11 @@ def ingest_flusight_tree(root) -> tuple[dict[ForecastKey, np.ndarray], list[str]
 @_reads_path
 def parse_truth_csv(stream) -> TruthTable:
     """Parse observed wILI rows (region, epiweek, wili); duplicates rejected."""
-    reader, col = _named_columns(stream, ("region", "epiweek", "wili"), "truth")
+    rows = _named_rows(stream, ("region", "epiweek", "wili"), "truth")
     table = TruthTable()
-    for row_no, row in enumerate(reader, start=2):
+    for row_no, (region, week, wili) in rows:
         try:
-            region = canonical_region(row[col["region"]])
-            week = Epiweek.parse(row[col["epiweek"]])
-            table.add(region, week, float(row[col["wili"]]))
+            table.add(canonical_region(region), Epiweek.parse(week), float(wili))
         except ValueError as exc:
             raise ForecastDataError(f"row {row_no}: {exc}") from None
     return table
@@ -502,16 +508,16 @@ class StatePopulationTable:
 
 @_reads_path
 def parse_population_csv(stream) -> StatePopulationTable:
-    reader, col = _named_columns(stream, ("state", "region", "population"), "population")
+    rows = _named_rows(stream, ("state", "region", "population"), "population")
     population: dict[str, float] = {}
     region: dict[str, str] = {}
-    for row_no, row in enumerate(reader, start=2):
-        state = row[col["state"]].strip()
+    for row_no, (state, region_text, count) in rows:
+        state = state.strip()
         if state in population:
             raise ForecastDataError(f"row {row_no}: duplicate state {state}")
         try:
-            population[state] = float(row[col["population"]])
-            region[state] = canonical_region(row[col["region"]])
+            population[state] = float(count)
+            region[state] = canonical_region(region_text)
         except ValueError as exc:
             raise ForecastDataError(f"row {row_no}: {exc}") from None
     return StatePopulationTable(population, region)
@@ -519,13 +525,13 @@ def parse_population_csv(stream) -> StatePopulationTable:
 
 @_reads_path
 def parse_state_ili_csv(stream) -> dict[tuple[str, Epiweek], float]:
-    reader, col = _named_columns(stream, ("state", "epiweek", "ili"), "state ILI")
+    rows = _named_rows(stream, ("state", "epiweek", "ili"), "state ILI")
     out: dict[tuple[str, Epiweek], float] = {}
-    for row_no, row in enumerate(reader, start=2):
-        state = row[col["state"]].strip()
+    for row_no, (state, week_text, ili) in rows:
+        state = state.strip()
         try:
-            week = Epiweek.parse(row[col["epiweek"]])
-            value = float(row[col["ili"]])
+            week = Epiweek.parse(week_text)
+            value = float(ili)
         except ValueError as exc:
             raise ForecastDataError(f"row {row_no}: {exc}") from None
         if (state, week) in out:
@@ -760,7 +766,8 @@ def load_panel(directory, seasons=None) -> Panel:
     write/load cycle is bit-exact. A stored pmf with a non-finite or
     negative entry, or a sum more than 1e-6 from 1, is rejected, and so is
     a season file whose forecast count differs from the one its sidecar
-    implies. Every error names the file.
+    implies or a sidecar whose roster is not in ascending id order, the
+    order the replay's tables rely on. Every error names the file.
     """
     directory = Path(directory)
     truth = parse_truth_csv(truth_path(directory))
@@ -783,8 +790,11 @@ def load_panel(directory, seasons=None) -> Panel:
             roster, missing = tuple(sidecar["roster"]), sidecar["missing"]
             cells = len(sidecar["regions"]) * len(sidecar["targets"]) * season_length(season)
             expected = cells * len(roster) - sum(len(absent) for absent in missing.values())
+            in_id_order = all(a < b for a, b in zip(roster, roster[1:]))
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise ForecastDataError(f"{sidecar_path}: unreadable sidecar: {exc!r}") from None
+        if not in_id_order:
+            raise ForecastDataError(f"{sidecar_path}: roster not in ascending id order")
         # A file cut short at a row boundary still parses; its row count
         # no longer matches the cells and missing forecasts its sidecar lists.
         if len(fragment) != expected:

@@ -270,7 +270,8 @@ class TestLeaderRuleMatchesOracle:
     @given(
         st.lists(st.sampled_from("abcdef"), min_size=1, max_size=6, unique=True),
         st.dictionaries(
-            st.sampled_from("abcdefg"), st.sampled_from([None, -9.0, -2.5, -2.5, -1.0, 0.0])
+            st.sampled_from("abcdefg"),
+            st.sampled_from([None, -10.0, -9.0, -2.5, -2.5, -1.0, -0.0, 0.0]),
         ),
         st.sets(st.sampled_from("abcdefg")),
     )

@@ -1,4 +1,5 @@
 import io
+import json
 import logging
 import tempfile
 from pathlib import Path
@@ -304,6 +305,26 @@ class TestReaderErrors:
             reader(path, *args)
         assert str(info.value).startswith(f"{path}: {message}")
 
+    @pytest.mark.parametrize(
+        "reader, text",
+        [
+            (parse_population_csv, "state,region,population\naa,HHS1,1\n\nbb,Mars,2\n"),
+            (parse_state_ili_csv, "state,epiweek,ili\naa,201040,2.0\n\nbb,201040x,1.0\n"),
+            (parse_truth_csv, "region,epiweek,wili\nNat,201040,1.5\n\nMars,201041,1.0\n"),
+            (
+                convert_flusight_csv,
+                _LONG_HEADER + "\nNat,1 wk ahead,Point,percent,,,1.0\n\n"
+                "Mars,1 wk ahead,Bin,percent,0.0,0.1,0.5\n",
+            ),
+        ],
+        ids=["population", "state-ili", "truth", "flusight"],
+    )
+    def test_row_number_counts_blank_lines(self, reader, text):
+        # Line 3 is blank; the bad row is on line 4.
+        args = ("m", Epiweek(2016, 43)) if reader is convert_flusight_csv else ()
+        with pytest.raises(ForecastDataError, match="^row 4: "):
+            reader(io.StringIO(text), *args)
+
     def test_flusight_bad_bins_name_the_stratum(self, tmp_path):
         lines = [_LONG_HEADER]
         for i in range(N_BINS):
@@ -443,6 +464,18 @@ class TestPanel:
         with pytest.raises(ForecastDataError, match=message) as info:
             load_panel(tmp_path / "panel")
         assert str(info.value).startswith(f"{path}: ")
+
+    def test_roster_out_of_id_order_rejected_by_name(self, tmp_path):
+        # The replay's tables break leader ties by roster position, which
+        # must be id order; write_panel always writes it sorted.
+        write_panel(self._small_panel(), tmp_path / "panel")
+        path = tmp_path / "panel" / "season-2010.json"
+        sidecar = json.loads(path.read_text())
+        sidecar["roster"].reverse()
+        path.write_text(json.dumps(sidecar))
+        with pytest.raises(ForecastDataError) as info:
+            load_panel(tmp_path / "panel")
+        assert str(info.value) == f"{path}: roster not in ascending id order"
 
     def test_load_missing_season_rejected(self, tmp_path):
         panel = self._small_panel()

@@ -15,7 +15,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -24,6 +23,7 @@ from .epiweek import Epiweek, season_length, season_week, season_weeks
 from .panel import Panel
 from .pmf import N_BINS, bin_index, linear_pool
 from .pool import AdaptivePrior, WeightFit, em_pool_weights, em_pool_weights_batch, renormalized
+# log_score is unused here, but perfbench/spans.py patches it in this module.
 from .scoring import floored_log, log_score, sorted_medians
 
 __all__ = [
@@ -47,6 +47,10 @@ VARIANTS = ("cap-equal", "cap-adaptive", "equal", "static", "adaptive")
 DEFAULT_PHI_GRID = tuple(round(0.05 * k, 2) for k in range(20))
 
 _INITIAL_PHI = 0.5
+
+# select_phi ties mean log scores this close to the best: regrouped sums move
+# a mean in its last bits, and real margins are orders of magnitude larger.
+_PICK_TOLERANCE = 1e-12
 
 _NO_FORECASTS = "no forecasts submitted"
 
@@ -428,46 +432,24 @@ class SeasonData:
         return self.strata[stratum].prior_mass.copy()
 
 
-class _Pooled(NamedTuple):
-    """One week's pool: the indices of the units present, their weights
-    renormalized over them, and the pooled pmf (both None when no unit is
-    present)."""
+def _pooled_run(
+    variant: str, data: SeasonData, stratum, t: int, units, fitted, keys, **fields
+) -> EnsembleRun:
+    """Week t's run of the linear pool of the present ``units``' forecasts.
 
-    present: np.ndarray
-    weights: np.ndarray | None
-    pmf: np.ndarray | None
-
-
-def _pooled(pmfs, units, fitted) -> _Pooled:
-    """The linear pool of the present ``units``' forecasts.
-
-    ``units`` gives each pooled unit's row of ``pmfs`` (a roster index), or
-    -1 when the unit has no forecast; ``fitted`` is each unit's weight. The
-    weights are renormalized over the present units.
+    ``units`` gives each pooled unit's roster index, or -1 when the unit has
+    no forecast; ``fitted`` is each unit's weight and ``keys`` its name in
+    the run's weights. The weights are renormalized over the present units.
+    With no unit present this is the "no forecasts submitted" run.
     """
     units = np.asarray(units)
     present = np.flatnonzero(units >= 0)
-    if not present.size:
-        return _Pooled(present, None, None)
-    w = renormalized(fitted, present)
-    return _Pooled(present, w, linear_pool(pmfs[units[present]], w))
-
-
-_NOTHING_POOLED = _Pooled(np.zeros(0, dtype=np.intp), None, None)
-
-
-def _pooled_run(
-    variant: str, data: SeasonData, stratum, t: int, pooled: _Pooled, keys, **fields
-) -> EnsembleRun:
-    """Week t's run of a ``_Pooled`` result; ``keys`` names each unit in the
-    run's weights. With no unit present this is the "no forecasts
-    submitted" run.
-    """
-    if pooled.pmf is not None:
+    if present.size:
+        w = renormalized(fitted, present)
         fields.update(
-            pmf=pooled.pmf,
-            weights={keys[i]: float(v) for i, v in zip(pooled.present.tolist(), pooled.weights)},
-            entropy=percent_entropy(pooled.weights),
+            pmf=linear_pool(data.strata[stratum].pmf[t, units[present]], w),
+            weights={keys[i]: float(v) for i, v in zip(present.tolist(), w)},
+            entropy=percent_entropy(w),
         )
     else:
         fields.update(pmf=None, weights={}, entropy=None, note=_NO_FORECASTS)
@@ -575,8 +557,7 @@ class _ModelPool(_VariantBase):
         sd = data.strata[stratum]
         units = np.flatnonzero(sd.sub[t])
         ids = [data.roster[c] for c in units.tolist()]
-        pooled = _pooled(sd.pmf[t], units, fitted[units])
-        return _pooled_run(self.name, data, stratum, t, pooled, ids)
+        return _pooled_run(self.name, data, stratum, t, units, fitted[units], ids)
 
 
 class EqualVariant(_ModelPool):
@@ -674,12 +655,12 @@ class CapVariant(_VariantBase):
 
     def _pool(
         self, data: SeasonData, stratum, t: int, phi: float
-    ) -> tuple[Clustering, np.ndarray, _Pooled]:
-        """Week t's pool of the cluster leaders at threshold phi: the
-        partition, each cluster's leader (roster index, -1 for none) and the
-        pooled result, whose pmf is what a replay scores. t must have a
-        submission, so the submitter's cluster always has a leader. Adaptive
-        weights are the fits ``_replay`` or ``_prefit`` kept."""
+    ) -> tuple[Clustering, np.ndarray, np.ndarray]:
+        """The inputs of week t's pool of the cluster leaders at threshold
+        phi: the partition, each cluster's leader (roster index, -1 for
+        none) and each cluster's weight. t must have a submission, so the
+        submitter's cluster always has a leader. Adaptive weights are the
+        fits ``_replay`` or ``_prefit`` kept."""
         clustering = data.clusters(stratum, t, phi, self.phi_grid)
         leaders = data.leaders(stratum, clustering, [t])[0]
         n = clustering.n_clusters
@@ -687,14 +668,16 @@ class CapVariant(_VariantBase):
             fitted = np.full(n, 1.0 / n)
         else:
             fitted = self._fitted(data, t, n, (stratum, t, clustering.clusters))
-        return clustering, leaders, _pooled(data.strata[stratum].pmf[t], leaders, fitted)
+        return clustering, leaders, fitted
 
     # -- threshold selection -------------------------------------------
 
     def _replay(self, data: SeasonData, weeks) -> None:
         """Replay each (stratum, week) in ``weeks`` and store its score row:
-        every grid phi's replayed log score, pooling each distinct partition
-        once at its first phi.
+        every grid phi's replayed log score, scoring each distinct partition
+        once at its first phi. The log score of a linear pool is the log of
+        its weighted truth-bin mass, so a replay reads the leaders' masses
+        and pools no pmf.
 
         With adaptive pooling, the fits these partitions need that no
         published week made are solved first, in walk order, in one
@@ -720,17 +703,21 @@ class CapVariant(_VariantBase):
             for key, fit in zip(pending, fits):
                 self._keep(data, key, key[0], f"week {key[1]}", fit)
         for stratum, j, partitions, first in walked:
-            truth = data.strata[stratum].truth_target[j]
-            scores = {
-                partition: log_score(self._pool(data, stratum, j, clustering.phi)[2].pmf, truth)
-                for partition, clustering in first.items()
-            }
+            mass = data.strata[stratum].mass[j]
+            scores = {}
+            for partition, clustering in first.items():
+                _, leaders, fitted = self._pool(data, stratum, j, clustering.phi)
+                present = np.flatnonzero(leaders >= 0)
+                scores[partition] = floored_log(
+                    renormalized(fitted, present) @ mass[leaders[present]]
+                )
             self._rows[stratum, j] = [scores[c.clusters] for c in partitions]
 
     def select_phi(self, data: SeasonData, t: int) -> float:
         """Threshold for week t: 1/2 on week one, afterwards the candidate
-        whose replayed ensembles scored best on the season so far (ties to
-        the smaller value).
+        whose replayed ensembles scored best on the season so far. Means
+        within ``_PICK_TOLERANCE`` of the best are tied, and a tie goes to
+        the smaller value.
 
         A single-candidate grid is a pinned threshold: it applies from week
         one, since no data-driven selection is happening at all.
@@ -741,7 +728,8 @@ class CapVariant(_VariantBase):
         so calls made out of order or repeated give the same answer. The
         pick is kept, so the week's other strata only look it up. It is
         logged at INFO on ``cappool.phi`` with the runner-up and the margin
-        between their mean scores.
+        between their mean scores, and says so when the tolerance, not the
+        larger mean, decided it.
         """
         if len(self.phi_grid) == 1:
             return self.phi_grid[0]
@@ -761,17 +749,22 @@ class CapVariant(_VariantBase):
             self._picks[t] = _INITIAL_PHI
             return _INITIAL_PHI
         means = [np.mean(scores) for scores in np.array(rows).T]
-        best = int(np.argmax(means))
+        top = int(np.argmax(means))
+        best = next(k for k, m in enumerate(means) if m >= means[top] - _PICK_TOLERANCE)
         self._picks[t] = self.phi_grid[best]
         if _phi_log.isEnabledFor(logging.INFO):
             # The runner-up is the best of the rest, ties to the smaller phi.
             rest = [k for k in range(len(means)) if k != best]
             runner_up = max(rest, key=lambda k: (means[k], -k))
+            tied = "" if best == top else (
+                f"; phi {self.phi_grid[top]!r} has the larger mean, but within the "
+                f"{_PICK_TOLERANCE:g} tie tolerance"
+            )
             _phi_log.info(
                 "%s: season %d week %d picks phi %r; runner-up phi %r, "
-                "%.6g lower in mean log score",
+                "%.6g lower in mean log score%s",
                 self.name, data.season, t, self.phi_grid[best], self.phi_grid[runner_up],
-                means[best] - means[runner_up],
+                means[best] - means[runner_up], tied,
             )
         return self._picks[t]
 
@@ -795,11 +788,11 @@ class CapVariant(_VariantBase):
     def _run(self, data: SeasonData, stratum, t: int) -> EnsembleRun:
         phi = self.select_phi(data, t)
         if not data.strata[stratum].sub[t].any():
-            return _pooled_run(self.name, data, stratum, t, _NOTHING_POOLED, [], phi=phi)
-        clustering, leaders, pooled = self._pool(data, stratum, t, phi)
+            return _pooled_run(self.name, data, stratum, t, (), None, (), phi=phi)
+        clustering, leaders, fitted = self._pool(data, stratum, t, phi)
         n = clustering.n_clusters
         return _pooled_run(
-            self.name, data, stratum, t, pooled, [f"c{i + 1}" for i in range(n)],
+            self.name, data, stratum, t, leaders, fitted, [f"c{i + 1}" for i in range(n)],
             phi=phi,
             clusters=clustering.clusters,
             leaders=tuple(data.roster[c] if c >= 0 else None for c in leaders.tolist()),

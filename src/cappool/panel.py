@@ -17,7 +17,7 @@ import re
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, count
 from operator import itemgetter
 from pathlib import Path
 
@@ -220,7 +220,8 @@ def parse_prob_rows(tails, row_nos, label: str = "row") -> np.ndarray:
 
 def _records(lines, n_head: int, start: int):
     """Yield ``(number, n_fields, head, tail)`` for each non-blank CSV record
-    of ``lines``, numbering records (blank ones included) from ``start``.
+    of ``lines``, numbered by the line it starts on, counting every line
+    (blank ones and those inside quoted fields included) from ``start``.
 
     ``head`` holds the first ``n_head`` fields and ``tail`` the rest in the
     form ``parse_prob_rows`` takes, or None when there are no more fields.
@@ -233,7 +234,8 @@ def _records(lines, n_head: int, start: int):
     """
     lines = iter(lines)
     limit = csv.field_size_limit()
-    for number, line in enumerate(lines, start):
+    numbers = count(start)
+    for number, line in zip(numbers, lines):
         text = line.rstrip("\r\n")
         if len(text) <= limit and not (
             '"' in text or "\r" in text or "\n" in text or "\0" in text
@@ -247,7 +249,10 @@ def _records(lines, n_head: int, start: int):
                 tail = fields.pop()
                 yield number, n_head + 1 + tail.count(","), fields, tail
             continue
-        row = next(csv.reader(chain([line], lines)))
+        reader = csv.reader(chain([line], lines))
+        row = next(reader)
+        for _ in range(reader.line_num - 1):  # the lines the record read past
+            next(numbers)
         if not row:
             continue
         yield number, len(row), row[:n_head], row[n_head:] or None
@@ -352,8 +357,9 @@ def parse_component_csv(
     maps to a read-only pmf of its own.
     """
     lines = iter(stream)
+    reader = csv.reader(lines)
     try:
-        header = next(csv.reader(lines))
+        header = next(reader)
     except StopIteration:
         raise ForecastDataError("empty forecast file: header row missing") from None
     if [h.strip() for h in header] != _COMPONENT_HEADER:
@@ -397,7 +403,7 @@ def parse_component_csv(
             rows[key] = pmf
         fragment.update(rows)
 
-    read_prob_records(lines, 4, 2, convert)
+    read_prob_records(lines, 4, reader.line_num + 1, convert)
     return fragment
 
 

@@ -317,7 +317,10 @@ def parse_component_csv(stream, renormalize: bool = True) -> dict[ForecastKey, n
     if [h.strip() for h in header] != COMPONENT_HEADER:
         raise ForecastDataError("unexpected forecast header; expected canonical wide format")
     fragment: dict[ForecastKey, np.ndarray] = {}
-    for row_no, row in enumerate(reader, start=2):
+    end = reader.line_num
+    for row in reader:
+        # A row's number is the line it starts on.
+        row_no, end = end + 1, reader.line_num
         if not row:
             continue
         if len(row) != len(COMPONENT_HEADER):

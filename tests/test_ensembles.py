@@ -20,8 +20,9 @@ from cappool.ensembles import (
 )
 from cappool.epiweek import season_weeks
 from cappool.panel import ForecastKey, Panel, TruthTable
-from cappool.pmf import N_BINS, bin_index, gaussian_pmf
+from cappool.pmf import N_BINS, bin_index, gaussian_pmf, linear_pool
 from cappool.pool import AdaptivePrior, em_pool_weights
+from cappool.scoring import log_score
 from cappool.synthetic import synthetic_archive
 
 from conftest import point_mass, random_pmf
@@ -196,6 +197,26 @@ class TestSelectPhi:
         # pipelines, hence tied averages.
         cap = CapVariant("equal", phi_grid=(0.3, 0.6))
         assert cap.select_phi(data, 3) == 0.3
+
+    def test_means_within_tolerance_tie_to_smaller_phi(self, caplog):
+        panel, _ = self._toy_season()
+        data = SeasonData(panel, 2010, (1,))
+        cap = CapVariant("equal", phi_grid=(0.2, 1.0))
+        # Weeks 1-3 are scored by week 4; their rows put the larger mean at
+        # phi 1.0, by less than the tolerance.
+        cap._use_season(data)
+        for j in (1, 2, 3):
+            cap._rows[("Nat", 1), j] = [-1.0, -1.0 + 4e-13]
+        with caplog.at_level(logging.INFO, logger="cappool.phi"):
+            assert cap.select_phi(data, 4) == 0.2
+        margin = np.mean([-1.0] * 3) - np.mean([-1.0 + 4e-13] * 3)
+        assert 0 < -margin < 1e-12
+        (record,) = caplog.records
+        assert record.getMessage() == (
+            f"cap-equal: season 2010 week 4 picks phi 0.2; runner-up phi 1.0, {margin:.6g} "
+            "lower in mean log score; phi 1.0 has the larger mean, but within the 1e-12 "
+            "tie tolerance"
+        )
 
 
 class TestCapPipeline:
@@ -520,6 +541,26 @@ class TestScoreRows:
         again = self._walk(cap, _synthetic_season())
         fresh = self._walk(CapVariant("adaptive", phi_grid=PREFETCH_GRID), _synthetic_season())
         assert _same_runs(again, fresh)
+
+    @pytest.mark.parametrize("pooling", ["equal", "adaptive"])
+    def test_rows_are_log_scores_of_the_pooled_leaders(self, pooling):
+        # The replay scores truth-bin masses; that must be the log score of
+        # the pool of the present leaders' pmfs under _pool's weights.
+        data = _synthetic_season()
+        cap = CapVariant(pooling, phi_grid=PREFETCH_GRID)
+        self._walk(cap, data)
+        checked = 0
+        for (stratum, j), row in cap._rows.items():
+            if row is None:
+                continue
+            sd = data.strata[stratum]
+            for phi, score in zip(PREFETCH_GRID, row):
+                _, leaders, fitted = cap._pool(data, stratum, j, phi)
+                present = np.flatnonzero(leaders >= 0)
+                pmf = linear_pool(sd.pmf[j, leaders[present]], pool.renormalized(fitted, present))
+                assert abs(score - log_score(pmf, sd.truth_target[j])) <= 1e-12
+                checked += 1
+        assert checked > len(PREFETCH_GRID) * len(data.strata)
 
     @pytest.mark.parametrize("pooling", ["equal", "adaptive"])
     def test_out_of_order_calls_match_in_order_walk(self, pooling, monkeypatch):

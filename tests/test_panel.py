@@ -325,6 +325,21 @@ class TestReaderErrors:
         with pytest.raises(ForecastDataError, match="^row 4: "):
             reader(io.StringIO(text), *args)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            HEADER + "\n" + _row(model='"a\nb"') + "\n" + _row(region="Mars") + "\n",
+            '"region\n"' + HEADER[len("region"):] + "\n" + _row() + "\n" + _row(region="Mars"),
+        ],
+        ids=["row", "header"],
+    )
+    def test_row_number_counts_lines_inside_quoted_fields(self, text):
+        # A quoted field with a line break (in a row, or in the header, whose
+        # names match without surrounding spaces) spans two lines; the bad
+        # row is on line 4.
+        with pytest.raises(ForecastDataError, match="^row 4: unknown region token 'Mars'"):
+            parse_component_csv(io.StringIO(text, newline=""))
+
     def test_flusight_bad_bins_name_the_stratum(self, tmp_path):
         lines = [_LONG_HEADER]
         for i in range(N_BINS):

@@ -745,24 +745,33 @@ def _write_truth_csv(path, truth: TruthTable) -> None:
             writer.writerow([region, str(week), repr(float(value))])
 
 
+def _pmf_fault(probs: np.ndarray) -> tuple[int, str] | None:
+    """A stored pmf is finite and non-negative and sums to 1 within 1e-6.
+    Returns the index of the first row of ``probs`` that is not one and what
+    is wrong with it, or None when every row is one."""
+    signed = (probs >= 0.0).all(axis=1)  # false for nan; an inf makes the sum inf
+    totals = probs.sum(axis=1)
+    bad = ~(signed & (np.abs(totals - 1.0) <= 1e-6))
+    if not bad.any():
+        return None
+    i = int(bad.argmax())
+    if not np.isfinite(probs[i]).all():
+        return i, "has a non-finite entry"
+    if not signed[i]:
+        return i, "has a negative entry"
+    return i, f"sums to {float(totals[i])}"
+
+
 def _check_stored(path: Path, fragment: dict[ForecastKey, np.ndarray]) -> None:
-    """Stored pmfs must be finite and non-negative and sum to 1 within 1e-6;
-    the first one in file order that is not raises, naming file and key."""
+    """Every stored pmf must pass ``_pmf_fault``; the first one in file order
+    that does not raises, naming file and key."""
     items = list(fragment.items())
     for start in range(0, len(items), _CHUNK_ROWS):
         block = items[start : start + _CHUNK_ROWS]
-        probs = np.stack([pmf for _, pmf in block])
-        signed = (probs >= 0.0).all(axis=1)  # false for nan; an inf makes the sum inf
-        totals = probs.sum(axis=1)
-        bad = ~(signed & (np.abs(totals - 1.0) <= 1e-6))
-        if bad.any():
-            i = int(bad.argmax())
-            key = block[i][0]
-            if not np.isfinite(probs[i]).all():
-                raise ForecastDataError(f"{path}: stored pmf for {key} has a non-finite entry")
-            if not signed[i]:
-                raise ForecastDataError(f"{path}: stored pmf for {key} has a negative entry")
-            raise ForecastDataError(f"{path}: stored pmf for {key} sums to {float(totals[i])}")
+        fault = _pmf_fault(np.stack([pmf for _, pmf in block]))
+        if fault is not None:
+            i, why = fault
+            raise ForecastDataError(f"{path}: stored pmf for {block[i][0]} {why}")
 
 
 def load_panel(directory, seasons=None) -> Panel:

@@ -17,7 +17,6 @@ import os
 import re
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields
-from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
 
@@ -35,6 +34,7 @@ from .epiweek import Epiweek, season_length, season_week
 from .panel import (
     Panel,
     ForecastDataError,
+    _pmf_fault,
     format_probs,
     ingest_flusight_tree,
     load_panel,
@@ -260,119 +260,31 @@ def _week_paths(out_dir: Path, variant: str, season: int, week: Epiweek) -> tupl
     return base / f"week-{week}.csv", base / f"week-{week}.json"
 
 
-# Week JSON bundles are emitted straight from the records, byte for byte as
-# json.dumps(bundle, indent=1, sort_keys=True) writes them: with an indent,
-# json.dumps falls back to its pure-Python encoder. Strings go through json's
-# C ``encode_basestring_ascii``, as json.dumps would send them. A run's or a
-# score's keys are its record's field names, so ``_load_week`` rebuilds each
-# record from them.
-
-
-def _json_scalar(value) -> str:
-    if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        if value == math.inf:
-            return "Infinity"
-        if value == -math.inf:
-            return "-Infinity"
-        return float.__repr__(value)
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def _json_list(items, depth: int) -> str:
-    """A sequence of scalars, or None, whose items are indented by ``depth``."""
-    if items is None:
-        return "null"
-    if not items:
-        return "[]"
-    pad = "\n" + " " * depth
-    return "[" + pad + ("," + pad).join(map(_json_scalar, items)) + "\n" + " " * (depth - 1) + "]"
-
-
-def _run_json_text(run: EnsembleRun) -> str:
-    if run.clusters:
-        clusters = "[\n    " + ",\n    ".join(_json_list(c, 5) for c in run.clusters) + "\n   ]"
-    else:
-        clusters = _json_list(run.clusters, 4)
-    if run.weights:
-        weights = "{\n    " + ",\n    ".join(
-            f"{encode_basestring_ascii(k)}: {_json_scalar(v)}" for k, v in sorted(run.weights.items())
-        ) + "\n   }"
-    else:
-        weights = "{}"
-    return (
-        "{\n"
-        f'   "clusters": {clusters},\n'
-        f'   "entropy": {_json_scalar(run.entropy)},\n'
-        f'   "has_pmf": {_json_scalar(run.pmf is not None)},\n'
-        f'   "issue_week": {_json_scalar(run.issue_week)},\n'
-        f'   "leaders": {_json_list(run.leaders, 4)},\n'
-        f'   "missing_models": {_json_list(run.missing_models, 4)},\n'
-        f'   "n_clusters": {_json_scalar(run.n_clusters)},\n'
-        f'   "note": {_json_scalar(run.note)},\n'
-        f'   "phi": {_json_scalar(run.phi)},\n'
-        f'   "region": {_json_scalar(run.region)},\n'
-        f'   "target": {_json_scalar(run.target)},\n'
-        f'   "week_index": {_json_scalar(run.week_index)},\n'
-        f'   "weights": {weights}\n'
-        "  }"
-    )
-
-
-def _score_json_text(record: ScoreRecord) -> str:
-    return (
-        "{\n"
-        f'   "brier_integral": {_json_scalar(record.brier_integral)},\n'
-        f'   "issue_week": {_json_scalar(record.issue_week)},\n'
-        f'   "log_score": {_json_scalar(record.log_score)},\n'
-        f'   "pit": {_json_scalar(record.pit)},\n'
-        f'   "region": {_json_scalar(record.region)},\n'
-        f'   "target": {_json_scalar(record.target)},\n'
-        f'   "target_week": {_json_scalar(record.target_week)}\n'
-        "  }"
-    )
-
-
-def _json_items(texts: list[str]) -> str:
-    return "[\n  " + ",\n  ".join(texts) + "\n ]" if texts else "[]"
+# A record's week-JSON keys are its field names, less ``variant`` and
+# ``season``, which the week file's path gives; a run's ``pmf`` is in the
+# week CSV, and ``has_pmf`` says whether it has one. ``_load_week`` passes a
+# record's values by position, in field order: json.loads does not intern
+# its keys, and binding them by keyword took about 2 us more per run.
+_RUN_KEYS = {f.name for f in fields(EnsembleRun)} - {"variant", "season", "pmf"} | {"has_pmf"}
+_SCORE_KEYS = {f.name for f in fields(ScoreRecord)} - {"variant"}
+_run_values = itemgetter(*(f.name for f in fields(EnsembleRun)))
+_score_values = itemgetter(*(f.name for f in fields(ScoreRecord)))
 
 
 def _week_json(
     variant: str, season: int, issue_week: int, runs: list[EnsembleRun], scores: list[ScoreRecord]
 ) -> str:
-    """The week bundle: a JSON object of these five keys, each run and score
-    as its JSON object."""
-    return (
-        "{\n"
-        f' "issue_week": {_json_scalar(issue_week)},\n'
-        f' "runs": {_json_items([_run_json_text(r) for r in runs])},\n'
-        f' "scores": {_json_items([_score_json_text(s) for s in scores])},\n'
-        f' "season": {_json_scalar(season)},\n'
-        f' "variant": {_json_scalar(variant)}\n'
-        "}"
-    )
-
-
-# A record's week-JSON keys are its field names. ``variant`` and ``season``
-# come from the week file's path, and a run's ``pmf`` from the week CSV;
-# ``has_pmf`` says whether the run has one. ``_load_week`` passes a record's
-# values by position, in field order: json.loads does not intern its keys,
-# and binding them by keyword took about 2 us more per run.
-_RUN_KEYS = {f.name for f in fields(EnsembleRun)} - {"variant", "season", "pmf"} | {"has_pmf"}
-_SCORE_KEYS = {f.name for f in fields(ScoreRecord)} - {"variant"}
-_run_values = itemgetter(*(f.name for f in fields(EnsembleRun)))
-_score_values = itemgetter(*(f.name for f in fields(ScoreRecord)))
+    """The week bundle: a JSON object of these five keys, with each run and
+    score as the object of its ``_RUN_KEYS`` or ``_SCORE_KEYS``."""
+    bundle = {
+        "variant": variant, "season": season, "issue_week": issue_week,
+        "runs": [
+            {k: v for k, v in vars(run).items() if k in _RUN_KEYS} | {"has_pmf": run.pmf is not None}
+            for run in runs
+        ],
+        "scores": [{k: v for k, v in vars(s).items() if k in _SCORE_KEYS} for s in scores],
+    }
+    return json.dumps(bundle, indent=1, sort_keys=True)
 
 
 def _write_week(
@@ -399,59 +311,28 @@ def _load_week(
     """Read back one completed week, or None if it was never completed.
 
     Raises CorruptArtifactError naming the file when the week's JSON bundle
-    or pmf CSV is unparsable, truncated, or does not match the other.
+    or pmf CSV is unparsable or truncated, or when the two do not match. A
+    run joins its CSV row on (region, target): a run marked ``has_pmf`` needs
+    one, and a row needs such a run and may not repeat a (region, target).
+    A row's pmf must be finite and non-negative and sum to 1 within 1e-6, as
+    a panel's must. A CSV error names the line.
     """
     csv_path, json_path = _week_paths(out_dir, variant, season, week)
     if not json_path.exists():
         return None
-    pmfs: dict[tuple[str, int], np.ndarray] = {}
-    if csv_path.exists():
-        text = csv_path.read_text()
-        # Every write ends in a newline, so a file without one was cut short,
-        # possibly inside a number that still parses.
-        if not text.endswith("\n"):
-            raise CorruptArtifactError(f"corrupt week file {csv_path}: truncated")
-
-        def convert(records) -> None:
-            records = [r for r in records if r[0] != 1]  # the header
-            for line_no, n_fields, _, _ in records:
-                if n_fields != N_BINS + 2:
-                    raise CorruptArtifactError(
-                        f"corrupt week file {csv_path}, line {line_no}: {n_fields} fields"
-                    )
-            try:
-                probs = parse_prob_rows([r[3] for r in records], [r[0] for r in records], "line")
-            except ValueError as exc:
-                raise CorruptArtifactError(f"corrupt week file {csv_path}, {exc}") from None
-            keys = []
-            for line_no, _, head, _ in records:
-                try:
-                    keys.append((head[0], int(head[1])))
-                except ValueError as exc:
-                    raise CorruptArtifactError(
-                        f"corrupt week file {csv_path}, line {line_no}: {exc}"
-                    ) from None
-            probs.setflags(write=False)
-            pmfs.update(zip(keys, probs))
-
-        read_prob_records(text.splitlines(), 2, 1, convert)
-    runs: list[EnsembleRun] = []
-    missing = []
     try:
         payload = json.loads(json_path.read_text())
-        for item in payload["runs"]:
+        items, wanted = payload["runs"], set()
+        for item in items:
             if item.keys() != _RUN_KEYS:
                 raise KeyError(f"run keys {sorted(item)}")
-            # A run joins its pmf CSV row on (region, target).
-            key = item["region"], item["target"]
-            if item["has_pmf"] and key not in pmfs:
-                missing.append(key)
             clusters, leaders = item["clusters"], item["leaders"]
             item["clusters"] = None if clusters is None else tuple(map(tuple, clusters))
             item["leaders"] = None if leaders is None else tuple(leaders)
             item["missing_models"] = tuple(item["missing_models"])
-            item["variant"], item["season"], item["pmf"] = variant, season, pmfs.get(key)
-            runs.append(EnsembleRun(*_run_values(item)))
+            item["variant"], item["season"] = variant, season
+            if item["has_pmf"]:
+                wanted.add((item["region"], item["target"]))
         scores = []
         for item in payload["scores"]:
             if item.keys() != _SCORE_KEYS:
@@ -460,8 +341,51 @@ def _load_week(
             scores.append(ScoreRecord(*_score_values(item)))
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise CorruptArtifactError(f"corrupt week file {json_path}: {exc!r}") from None
-    if missing:
-        raise CorruptArtifactError(f"corrupt week file {csv_path}: no pmf row for {missing[0]}")
+    pmfs: dict[tuple[str, int], np.ndarray] = {}
+    if csv_path.exists():
+        text = csv_path.read_text()
+        # Every write ends in a newline, so a file without one was cut short,
+        # possibly inside a number that still parses.
+        if not text.endswith("\n"):
+            raise CorruptArtifactError(f"corrupt week file {csv_path}: truncated")
+
+        def bad_line(line_no: int, problem) -> CorruptArtifactError:
+            return CorruptArtifactError(f"corrupt week file {csv_path}, line {line_no}: {problem}")
+
+        def convert(records) -> None:
+            records = [r for r in records if r[0] != 1]  # the header
+            for line_no, n_fields, _, _ in records:
+                if n_fields != N_BINS + 2:
+                    raise bad_line(line_no, f"{n_fields} fields")
+            try:
+                probs = parse_prob_rows([r[3] for r in records], [r[0] for r in records], "line")
+            except ValueError as exc:
+                raise CorruptArtifactError(f"corrupt week file {csv_path}, {exc}") from None
+            probs.setflags(write=False)  # before the row views are taken
+            rows: dict[tuple[str, int], np.ndarray] = {}
+            for (line_no, _, head, _), pmf in zip(records, probs):
+                try:
+                    key = head[0], int(head[1])
+                except ValueError as exc:
+                    raise bad_line(line_no, exc) from None
+                if key in pmfs or key in rows:
+                    raise bad_line(line_no, f"a second row for {key}")
+                if key not in wanted:
+                    raise bad_line(line_no, f"no run marked has_pmf for {key}")
+                rows[key] = pmf
+            fault = _pmf_fault(probs)
+            if fault is not None:
+                raise bad_line(records[fault[0]][0], f"pmf {fault[1]}")
+            pmfs.update(rows)
+
+        read_prob_records(text.splitlines(), 2, 1, convert)
+    runs = []
+    for item in items:
+        key = item["region"], item["target"]
+        if item["has_pmf"] and key not in pmfs:
+            raise CorruptArtifactError(f"corrupt week file {csv_path}: no pmf row for {key}")
+        item["pmf"] = pmfs[key] if item["has_pmf"] else None
+        runs.append(EnsembleRun(*_run_values(item)))
     return runs, scores
 
 

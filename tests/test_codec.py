@@ -402,13 +402,15 @@ class TestWritePanel:
 
 class TestWeekCsv:
     STRATA = [("Nat", 1), ("HHS1", 1), ("Nat", 2)]
+    # More rows than one parse chunk holds.
+    LONG = [(f"R{i}", 1) for i in range(700)]
 
-    def _text(self):
+    def _text(self, strata):
         header = ",".join(["region", "target"] + [f"bin_{i}" for i in range(1, N_BINS + 1)])
-        rows = [f"{r},{t},{format_probs(np.full(N_BINS, 1.0 / N_BINS))}" for r, t in self.STRATA]
+        rows = [f"{r},{t},{format_probs(np.full(N_BINS, 1.0 / N_BINS))}" for r, t in strata]
         return "\n".join([header] + rows) + "\n"
 
-    def _write(self, tmp_path, text):
+    def _write(self, tmp_path, text, strata):
         week = Epiweek(2010, 41)
         base = tmp_path / "runs" / "equal" / "2010"
         base.mkdir(parents=True, exist_ok=True)
@@ -416,10 +418,10 @@ class TestWeekCsv:
         runs = [
             {
                 "region": region, "target": target, "issue_week": week.to_int(), "week_index": 2,
-                "has_pmf": False, "weights": None, "entropy": None, "phi": None, "clusters": None,
+                "has_pmf": True, "weights": None, "entropy": None, "phi": None, "clusters": None,
                 "leaders": None, "n_clusters": None, "missing_models": [], "note": "",
             }
-            for region, target in self.STRATA
+            for region, target in strata
         ]
         (base / f"week-{week}.json").write_text(json.dumps({"runs": runs, "scores": []}))
         return base / f"week-{week}.csv", week
@@ -434,15 +436,46 @@ class TestWeekCsv:
             lambda lines: lines.__setitem__(1, lines[1].replace("0.007", "0_007", 1)),
             lambda lines: lines.insert(2, ""),
             lambda lines: lines.__setitem__(0, '"region' + lines[0]),
+            lambda lines: lines.insert(3, lines[1]),
+            lambda lines: lines.pop(2),
+            lambda lines: lines.__setitem__(2, lines[2].replace("HHS1,", "HHS2,", 1)),
+            lambda lines: lines.__setitem__(3, lines[3].replace(",0.007", ",-0.007", 1)),
+            lambda lines: lines.__setitem__(3, "Nat,2,nan," + lines[3].split(",", 3)[3]),
+            lambda lines: lines.__setitem__(3, "Nat,2,inf," + lines[3].split(",", 3)[3]),
+            lambda lines: lines.__setitem__(3, lines[3].replace(",0.007", ",0.006", 1)),
         ],
     )
     def test_matches_row_at_a_time_loader(self, tmp_path, edit):
-        lines = self._text().split("\n")
+        self._check(tmp_path, edit, self.STRATA)
+
+    # First: in file order a bad pmf, a repeated key and a bad number; the
+    # chunk fails on the number first, but the error names the pmf's line.
+    # Second: a key first seen in the chunk before.
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda lines: None,
+            lambda lines: (
+                lines.__setitem__(200, lines[200].replace(",0.007", ",0.006", 1)),
+                lines.__setitem__(300, lines[5]),
+                lines.__setitem__(400, lines[400].replace("0.007", "0.0x7", 1)),
+            ),
+            lambda lines: (
+                lines.__setitem__(600, lines[2]),
+                lines.__setitem__(650, lines[650].replace(",0.007", ",-0.007", 1)),
+            ),
+        ],
+    )
+    def test_names_the_first_bad_line_of_a_long_file(self, tmp_path, edit):
+        self._check(tmp_path, edit, self.LONG)
+
+    def _check(self, tmp_path, edit, strata):
+        lines = self._text(strata).split("\n")
         edit(lines)
         text = "\n".join(lines)
-        path, week = self._write(tmp_path, text)
+        path, week = self._write(tmp_path, text, strata)
         try:
-            want = ("ok", oracles.parse_week_csv(text, str(path)))
+            want = ("ok", oracles.parse_week_csv(text, str(path), strata))
         except ValueError as exc:
             want = ("error", str(exc))
         try:
@@ -590,6 +623,7 @@ class TestWeekJson:
             assert repr(sorted(got.weights.items())) == repr(sorted(want.weights.items()))
             assert (got.pmf is None) == (want.pmf is None)
             assert want.pmf is None or np.array_equal(got.pmf, want.pmf)
+            assert want.pmf is None or not got.pmf.flags.writeable
         assert repr(got_scores) == repr(scores)
 
     @pytest.mark.parametrize(

@@ -7,7 +7,6 @@ under the run directory given by --out.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import sys
 from pathlib import Path
@@ -42,7 +41,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_replay = sub.add_parser("replay", help="replay configured seasons week by week")
     p_replay.add_argument("--config", required=True)
     p_replay.add_argument("--out", required=True)
-    p_replay.add_argument("--seed", type=int, default=None)
 
     p_report = sub.add_parser("report", help="emit report tables for a finished run")
     p_report.add_argument("--out", required=True)
@@ -225,10 +223,7 @@ def main(argv=None) -> int:
             print(f"wrote panel under {panel_dir}")
             return 0
         if args.command == "replay":
-            config = RunConfig.load(args.config)
-            if args.seed is not None:
-                config = dataclasses.replace(config, seed=args.seed)
-            replay(config, args.out)
+            replay(RunConfig.load(args.config), args.out)
             print(f"replay complete under {args.out}")
             return 0
         if args.command == "report":

@@ -12,12 +12,11 @@ from __future__ import annotations
 import csv
 import functools
 import json
-import mmap
 import re
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, count
+from itertools import chain, count, repeat
 from operator import itemgetter
 from pathlib import Path
 
@@ -57,9 +56,8 @@ __all__ = [
 REGIONS = tuple(f"HHS{i}" for i in range(1, 11)) + ("Nat",)
 TARGETS = (1, 2, 3, 4)
 
-_COMPONENT_HEADER = ["region", "target", "model_id", "issue_epiweek"] + [
-    f"bin_{i}" for i in range(1, N_BINS + 1)
-]
+_KEY_HEADER = ["region", "target", "model_id", "issue_epiweek"]
+_COMPONENT_HEADER = _KEY_HEADER + [f"bin_{i}" for i in range(1, N_BINS + 1)]
 
 
 class ForecastDataError(ValueError):
@@ -173,9 +171,7 @@ _LOADTXT_ONLY_SPACES = ("\x1c", "\x1d", "\x1e", "\x1f")
 def format_probs(pmf) -> str:
     """A probability row as comma-joined shortest round-trip ``repr`` floats,
     which ``parse_prob_rows`` reads back bit for bit. Week files and
-    re-spelled panel rows are written this way; a panel row that ingest
-    kept unchanged is written in its source spelling instead (see
-    ``parse_component_csv``)."""
+    ``write_component_csv`` rows are written this way."""
     return ",".join(map(repr, np.asarray(pmf, dtype=float).tolist()))
 
 
@@ -289,72 +285,57 @@ def read_prob_records(lines, n_head: int, start: int, convert) -> None:
     flush()
 
 
-class _SourceText:
-    """The source spelling of one row's probabilities, kept by ingest: the
-    ASCII bytes ``block[start:stop]``, where ``block`` holds the kept rows of
-    one parsed chunk. ``str()`` gives the text."""
+def _keyed_rows(lines, start: int, width: int, values) -> dict:
+    """The CSV records of ``lines``, numbered from ``start``, keyed by
+    ForecastKey under a forecast file's key rules; each maps to its item of
+    ``values(chunk)`` for its chunk of records (see ``read_prob_records``).
 
-    __slots__ = ("block", "start", "stop")
-
-    def __init__(self, block: mmap.mmap, start: int, stop: int):
-        self.block, self.start, self.stop = block, start, stop
-
-    def __str__(self) -> str:
-        return self.block[self.start : self.stop].decode("ascii")
-
-
-# A kept tail holds only these characters. Spaces, underscores
-# (float("1_0") is 10.0) and quotes are left out, so rows spelled with them
-# are written afresh by format_probs.
-_PLAIN_CHARS = b"0123456789.eE+-,"
-
-
-def _kept_rows(tails, parsed: np.ndarray, normed: np.ndarray) -> list:
-    """Each row's ingest value: its ``_SourceText`` when ``normalize_pmfs``
-    left it bit-unchanged and its tail is plain text, else a read-only copy
-    of its normalized pmf, so the chunk's arrays can be freed.
-
-    The kept spellings are copied into one anonymous memory map per chunk:
-    a few large blocks rather than one string per row, held outside the
-    malloc heap and unmapped once the last of their rows is dropped. The map
-    is sized for every text tail; pages no kept row reaches are never
-    touched, so they take no memory.
+    A record must have ``width`` fields, the first four a region, target,
+    model id and epiweek. The region, target and epiweek must parse, then
+    ``values`` is called, so its errors come after theirs; last, the
+    stripped model id must not be empty and the key may not repeat. A
+    broken rule raises ForecastDataError naming the row.
     """
-    size = sum(len(t) for t in tails if isinstance(t, str))
-    block = mmap.mmap(-1, size) if size else None
-    same = (parsed.view(np.uint64) == normed.view(np.uint64)).all(axis=1).tolist()
-    values = []
-    for unchanged, tail, pmf in zip(same, tails, normed):
-        ascii_text = unchanged and isinstance(tail, str) and tail.isascii()
-        text = tail.encode("ascii") if ascii_text else None
-        if text is not None and not text.translate(None, _PLAIN_CHARS):
-            start = block.tell()
-            block.write(text)
-            values.append(_SourceText(block, start, block.tell()))
-        else:
-            pmf = pmf.copy()
-            pmf.setflags(write=False)
-            values.append(pmf)
-    return values
+    fragment: dict[ForecastKey, object] = {}
+    parsed: dict[tuple[str, str, str], tuple] = {}  # key tokens -> (region, target, issue)
+
+    def convert(records) -> None:
+        cells = []
+        for row_no, n_fields, head, _ in records:
+            if n_fields != width:
+                raise ForecastDataError(f"row {row_no}: expected {width} fields")
+            tokens = (head[0], head[1], head[3])
+            if tokens not in parsed:
+                try:
+                    parsed[tokens] = (
+                        canonical_region(head[0]), _parse_target(head[1]), Epiweek.parse(head[3])
+                    )
+                except ValueError as exc:
+                    raise ForecastDataError(f"row {row_no}: {exc}") from None
+            cells.append(parsed[tokens])
+        rows = {}
+        for (row_no, _, head, _), cell, value in zip(records, cells, values(records)):
+            model_id = head[2].strip()
+            if not model_id:
+                raise ForecastDataError(f"row {row_no}: empty model_id")
+            key = ForecastKey(cell[0], cell[1], model_id, cell[2])
+            if key in fragment or key in rows:
+                raise ForecastDataError(f"row {row_no}: duplicate forecast for {key}")
+            rows[key] = value
+        fragment.update(rows)
+
+    read_prob_records(lines, len(_KEY_HEADER), start, convert)
+    return fragment
 
 
 @_reads_path
-def parse_component_csv(
-    stream, renormalize: bool = True, *, keep_spelling: bool = False
-) -> dict[ForecastKey, np.ndarray]:
+def parse_component_csv(stream) -> dict[ForecastKey, np.ndarray]:
     """Parse canonical wide-format forecasts into a panel fragment.
 
-    Each data row becomes one (key, pmf) pair; row order is irrelevant.
-    Malformed rows fail hard with their row number. The file is streamed,
-    and its probabilities are converted in chunks of rows.
-
-    ``keep_spelling`` is for ``replay.ingest`` alone, which only writes the
-    rows out again. With it, a row that renormalization leaves bit-unchanged
-    and whose probability text (not read through ``csv.reader``) holds only
-    digits, ``.``, ``e``/``E``, signs and commas maps to its source text
-    instead of a pmf. ``write_component_csv`` writes that text as it is, and
-    ``load_panel`` reads it back to the same float64 bits. Every other row
-    maps to a read-only pmf of its own.
+    Each data row becomes one (key, pmf) pair, its pmf a read-only
+    renormalized row; row order is irrelevant. Malformed rows fail hard
+    with their row number. The file is streamed, and its probabilities are
+    converted in chunks of rows.
     """
     lines = iter(stream)
     reader = csv.reader(lines)
@@ -364,47 +345,18 @@ def parse_component_csv(
         raise ForecastDataError("empty forecast file: header row missing") from None
     if [h.strip() for h in header] != _COMPONENT_HEADER:
         raise ForecastDataError("unexpected forecast header; expected canonical wide format")
-    fragment: dict[ForecastKey, np.ndarray] = {}
-    parsed: dict[tuple[str, str, str], tuple] = {}  # key tokens -> (region, target, issue)
 
-    def convert(records) -> None:
-        keys = []
-        for row_no, n_fields, head, _ in records:
-            if n_fields != len(_COMPONENT_HEADER):
-                raise ForecastDataError(f"row {row_no}: expected {len(_COMPONENT_HEADER)} fields")
-            tokens = (head[0], head[1], head[3])
-            if tokens not in parsed:
-                try:
-                    parsed[tokens] = (
-                        canonical_region(head[0]), _parse_target(head[1]), Epiweek.parse(head[3])
-                    )
-                except ValueError as exc:
-                    raise ForecastDataError(f"row {row_no}: {exc}") from None
-            keys.append(parsed[tokens])
+    def pmfs(records) -> np.ndarray:
         row_nos = [r[0] for r in records]
-        tails = [r[3] for r in records]
-        probs = parse_prob_rows(tails, row_nos)
-        if renormalize:
-            try:
-                normed = normalize_pmfs(probs)
-            except MalformedPmfError as exc:
-                raise ForecastDataError(f"row {row_nos[exc.row]}: {exc}") from None
-            probs = _kept_rows(tails, probs, normed) if keep_spelling else normed
-        if isinstance(probs, np.ndarray):
-            probs.setflags(write=False)
-        rows: dict[ForecastKey, np.ndarray] = {}
-        for (row_no, _, head, _), (region, target, issue), pmf in zip(records, keys, probs):
-            model_id = head[2].strip()
-            if not model_id:
-                raise ForecastDataError(f"row {row_no}: empty model_id")
-            key = ForecastKey(region, target, model_id, issue)
-            if key in fragment or key in rows:
-                raise ForecastDataError(f"row {row_no}: duplicate forecast for {key}")
-            rows[key] = pmf
-        fragment.update(rows)
+        probs = parse_prob_rows([r[3] for r in records], row_nos)
+        try:
+            probs = normalize_pmfs(probs)
+        except MalformedPmfError as exc:
+            raise ForecastDataError(f"row {row_nos[exc.row]}: {exc}") from None
+        probs.setflags(write=False)
+        return probs
 
-    read_prob_records(lines, 4, reader.line_num + 1, convert)
-    return fragment
+    return _keyed_rows(lines, reader.line_num + 1, len(_COMPONENT_HEADER), pmfs)
 
 
 _WEEK_AHEAD = re.compile(r"(\d)\s*wk\s*ahead", re.IGNORECASE)
@@ -627,12 +579,10 @@ class Panel:
         return all(np.array_equal(self.entries[k], other.entries[k]) for k in self.entries)
 
 
-def _season_csv(directory: Path, season: int) -> Path:
-    return directory / f"season-{season}.csv"
-
-
-def _season_sidecar(directory: Path, season: int) -> Path:
-    return directory / f"season-{season}.json"
+def _season_file(directory: Path, season: int, suffix: str) -> Path:
+    """A season's key list (``.csv``), pmf array (``.npy``) or sidecar
+    (``.json``)."""
+    return directory / f"season-{season}{suffix}"
 
 
 def _truth_csv(directory: Path) -> Path:
@@ -678,27 +628,28 @@ def _csv_field(text: str) -> str:
     return text
 
 
+def _key_fields(key: ForecastKey) -> str:
+    """A key's four fields, comma-joined as ``csv.writer`` writes them."""
+    return f"{_csv_field(key.region)},{key.target},{_csv_field(key.model_id)},{key.issue}"
+
+
 def write_component_csv(fh, entries: dict[ForecastKey, np.ndarray]) -> None:
     """Write forecasts in the canonical wide format, keys in sorted order,
-    byte for byte as ``csv.writer`` writes the rows. A pmf's probabilities
-    are written by ``format_probs``, and a row's source text kept by
-    ``parse_component_csv(..., keep_spelling=True)`` as it is. Open
-    ``fh`` with ``newline=""``."""
+    byte for byte as ``csv.writer`` writes the rows, probabilities by
+    ``format_probs``. Open ``fh`` with ``newline=""``."""
     fh.write(",".join(_COMPONENT_HEADER) + "\r\n")
     for key in sorted(entries):
-        probs = entries[key]
-        fh.write(
-            f"{_csv_field(key.region)},{key.target},{_csv_field(key.model_id)},{key.issue},"
-            f"{probs if isinstance(probs, _SourceText) else format_probs(probs)}\r\n"
-        )
+        fh.write(f"{_key_fields(key)},{format_probs(entries[key])}\r\n")
 
 
 def write_panel(panel: Panel, directory) -> None:
-    """Persist a panel: one forecasts CSV per season plus a JSON sidecar
-    carrying the roster and explicit missingness, and the truth table.
+    """Persist a panel: per season, a key list, its pmfs and a JSON sidecar
+    carrying the roster and explicit missingness; then the truth table.
 
-    Season rows are written by ``write_component_csv``: a pmf through
-    ``format_probs``, a source text that ingest kept as it is.
+    ``season-<Y>.csv`` lists the season's forecast keys in sorted order
+    under the header ``region,target,model_id,issue_epiweek``, one
+    ``csv.writer`` row each. ``season-<Y>.npy`` holds their pmfs as one
+    float64 array, row i for key i, byte for byte as ``np.save`` writes it.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -710,8 +661,18 @@ def write_panel(panel: Panel, directory) -> None:
         by_season.setdefault(season, {})[key] = pmf
 
     for season, entries in sorted(by_season.items()):
-        with open(_season_csv(directory, season), "w", newline="") as fh:
-            write_component_csv(fh, entries)
+        keys = sorted(entries)
+        with open(_season_file(directory, season, ".csv"), "w", newline="") as fh:
+            fh.write(",".join(_KEY_HEADER) + "\r\n")
+            fh.writelines(f"{_key_fields(key)}\r\n" for key in keys)
+        # The rows are gathered a chunk at a time, so the season's pmfs are
+        # never copied whole.
+        with open(_season_file(directory, season, ".npy"), "wb") as fh:
+            header = {"descr": "<f8", "fortran_order": False, "shape": (len(keys), N_BINS)}
+            np.lib.format.write_array_header_1_0(fh, header)
+            for start in range(0, len(keys), _CHUNK_ROWS):
+                rows = [entries[key] for key in keys[start : start + _CHUNK_ROWS]]
+                fh.write(np.array(rows, dtype="<f8").tobytes())
         missing: dict[str, list[str]] = {}
         season_region = sorted({k.region for k in entries})
         season_target = sorted({k.target for k in entries})
@@ -728,7 +689,7 @@ def write_panel(panel: Panel, directory) -> None:
             "targets": season_target,
             "missing": missing,
         }
-        _season_sidecar(directory, season).write_text(
+        _season_file(directory, season, ".json").write_text(
             json.dumps(sidecar, indent=1, sort_keys=True) + "\n"
         )
 
@@ -762,27 +723,51 @@ def _pmf_fault(probs: np.ndarray) -> tuple[int, str] | None:
     return i, f"sums to {float(totals[i])}"
 
 
-def _check_stored(path: Path, fragment: dict[ForecastKey, np.ndarray]) -> None:
-    """Every stored pmf must pass ``_pmf_fault``; the first one in file order
-    that does not raises, naming file and key."""
-    items = list(fragment.items())
-    for start in range(0, len(items), _CHUNK_ROWS):
-        block = items[start : start + _CHUNK_ROWS]
-        fault = _pmf_fault(np.stack([pmf for _, pmf in block]))
-        if fault is not None:
-            i, why = fault
-            raise ForecastDataError(f"{path}: stored pmf for {block[i][0]} {why}")
+@_reads_path
+def _read_keys(stream) -> list[ForecastKey]:
+    """The keys of a season's key list, in file order. A file whose first
+    line is not the key list's header raises: a panel written in the older
+    one-CSV-per-season format must be deleted and ingested again."""
+    lines = iter(stream)
+    if next(lines, "").rstrip("\r\n") != ",".join(_KEY_HEADER):
+        raise ForecastDataError(
+            f"not a key list (expected the header {','.join(_KEY_HEADER)}); "
+            "delete a panel/ written by an older cappool and ingest again"
+        )
+    return list(_keyed_rows(lines, 2, len(_KEY_HEADER), lambda records: repeat(None)))
+
+
+def _stored_pmfs(path: Path, keys: list[ForecastKey]) -> np.ndarray:
+    """A season's stored pmfs, read-only: a float64 ``.npy`` array of one row
+    of ``N_BINS`` per key, every row passing ``_pmf_fault``. Anything else
+    raises ForecastDataError naming the file, and a bad pmf's key."""
+    try:
+        with open(path, "rb") as fh:  # a .npy file only; np.load would also open a zip
+            probs = np.lib.format.read_array(fh, allow_pickle=False)
+    except (OSError, ValueError) as exc:
+        raise ForecastDataError(f"{path}: unreadable pmf array: {exc}") from None
+    shape = (len(keys), N_BINS)
+    if probs.dtype != np.float64 or probs.shape != shape:
+        raise ForecastDataError(
+            f"{path}: expected a float64 array of shape {shape}, got {probs.dtype} {probs.shape}"
+        )
+    fault = _pmf_fault(probs)
+    if fault is not None:
+        raise ForecastDataError(f"{path}: stored pmf for {keys[fault[0]]} {fault[1]}")
+    probs.setflags(write=False)
+    return probs
 
 
 def load_panel(directory, seasons=None) -> Panel:
     """Load a persisted panel, optionally restricted to given seasons.
 
     Stored probabilities are read back exactly (no renormalization), so a
-    write/load cycle is bit-exact. A stored pmf with a non-finite or
-    negative entry, or a sum more than 1e-6 from 1, is rejected, and so is
-    a season file whose forecast count differs from the one its sidecar
-    implies or a sidecar whose roster is not in ascending id order, the
-    order the replay's tables rely on. Every error names the file.
+    write/load cycle is bit-exact, and each entry is a read-only row view of
+    its season's array. A key list that breaks a key rule or whose count
+    differs from the one its sidecar implies, a sidecar whose roster is not
+    in ascending id order (the order the replay's tables rely on), and a
+    pmf array that ``_stored_pmfs`` rejects all raise. Every error names
+    the file.
     """
     directory = Path(directory)
     truth = parse_truth_csv(truth_path(directory))
@@ -795,11 +780,9 @@ def load_panel(directory, seasons=None) -> Panel:
             raise ForecastDataError(f"panel missing seasons {sorted(wanted - set(found))}")
         found = [s for s in found if s in wanted]
     for season in found:
-        path = _season_csv(directory, season)
-        fragment = parse_component_csv(path, renormalize=False)
-        _check_stored(path, fragment)
-        entries.update(fragment)
-        sidecar_path = _season_sidecar(directory, season)
+        path = _season_file(directory, season, ".csv")
+        keys = _read_keys(path)
+        sidecar_path = _season_file(directory, season, ".json")
         try:
             sidecar = json.loads(sidecar_path.read_text())
             roster, missing = tuple(sidecar["roster"]), sidecar["missing"]
@@ -810,12 +793,13 @@ def load_panel(directory, seasons=None) -> Panel:
             raise ForecastDataError(f"{sidecar_path}: unreadable sidecar: {exc!r}") from None
         if not in_id_order:
             raise ForecastDataError(f"{sidecar_path}: roster not in ascending id order")
-        # A file cut short at a row boundary still parses; its row count
+        # A key list cut short at a row boundary still parses; its row count
         # no longer matches the cells and missing forecasts its sidecar lists.
-        if len(fragment) != expected:
+        if len(keys) != expected:
             raise ForecastDataError(
-                f"{path}: {len(fragment)} forecasts, but {sidecar_path.name} implies {expected}"
+                f"{path}: {len(keys)} forecasts, but {sidecar_path.name} implies {expected}"
             )
+        entries.update(zip(keys, _stored_pmfs(_season_file(directory, season, ".npy"), keys)))
         rosters.append(roster)
     if rosters and len(set(rosters)) != 1:
         raise ForecastDataError("inconsistent rosters across season sidecars")

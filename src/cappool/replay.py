@@ -16,7 +16,7 @@ import math
 import os
 import re
 from collections.abc import Callable
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from operator import itemgetter
 from pathlib import Path
 
@@ -64,9 +64,6 @@ __all__ = [
 ]
 
 _log = logging.getLogger("cappool")
-# Each source's kept and re-spelled row counts, at INFO; a child of
-# "cappool", so it can be enabled alone.
-_ingest_log = logging.getLogger("cappool.ingest")
 
 
 class ConfigError(ValueError):
@@ -98,7 +95,6 @@ class RunConfig:
     delta: float = 5.0
     seed: int = 0
     brier_mode: str = "standard"
-    source_text: str = field(default="", compare=False)
 
     @classmethod
     def parse(cls, text: str) -> "RunConfig":
@@ -111,45 +107,37 @@ class RunConfig:
                 raise ConfigError(f"line {line_no}: expected key = value")
             key, _, value = line.partition("=")
             key = key.strip()
-            if key not in _CONFIG_KEYS:
+            if key not in _CONFIG_VALUES:
                 raise ConfigError(f"line {line_no}: unknown config key {key!r}")
             if key in values:
                 raise ConfigError(f"line {line_no}: duplicate config key {key!r}")
             values[key] = value.strip()
-
-        def split(key: str) -> list[str]:
-            return [v.strip() for v in values[key].split(",") if v.strip()]
-
-        kwargs: dict = {"source_text": text}
         try:
-            if "forecasts" in values:
-                kwargs["forecasts"] = tuple(split("forecasts"))
-            for key in ("flusight_dir", "truth", "state_ili", "populations"):
-                if key in values:
-                    kwargs[key] = values[key]
-            if "seasons" in values:
-                kwargs["seasons"] = tuple(int(v) for v in split("seasons"))
-            if "targets" in values:
-                kwargs["targets"] = tuple(sorted(int(v) for v in split("targets")))
-            if "variants" in values:
-                kwargs["variants"] = tuple(split("variants"))
-            if "phi_grid" in values:
-                kwargs["phi_grid"] = tuple(float(v) for v in split("phi_grid"))
-            if "delta" in values:
-                kwargs["delta"] = float(values["delta"])
-            if "seed" in values:
-                kwargs["seed"] = int(values["seed"])
-            if "brier_mode" in values:
-                kwargs["brier_mode"] = values["brier_mode"]
+            config = cls(**{key: _CONFIG_VALUES[key](value) for key, value in values.items()})
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        config = cls(**kwargs)
         config.validate()
         return config
 
     @classmethod
     def load(cls, path) -> "RunConfig":
         return cls.parse(Path(path).read_text())
+
+    def text(self) -> str:
+        """The config as ``parse`` reads it: one ``key = value`` line per
+        field that is not None, in field order, tuples comma-joined and
+        floats by ``repr``. A value holding ``#``, ``,`` or a line break
+        does not read back equal; ``replay`` refuses such a config."""
+        return "".join(f"{name} = {value}\n" for name, value in self._spelled())
+
+    def _spelled(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None:
+                items = value if isinstance(value, tuple) else (value,)
+                yield f.name, ",".join(
+                    repr(float(v)) if isinstance(v, float) else str(v) for v in items
+                )
 
     def validate(self) -> None:
         unknown = set(self.variants) - set(VARIANTS)
@@ -181,7 +169,21 @@ class RunConfig:
             raise ConfigError(f"unknown brier_mode {self.brier_mode!r}")
 
 
-_CONFIG_KEYS = frozenset(f.name for f in fields(RunConfig)) - {"source_text"}
+def _items(text: str) -> list[str]:
+    return [v.strip() for v in text.split(",") if v.strip()]
+
+
+# Each config key, a RunConfig field, and how its value text is read.
+_CONFIG_VALUES = {
+    "forecasts": lambda v: tuple(_items(v)),
+    **dict.fromkeys(("flusight_dir", "truth", "state_ili", "populations", "brier_mode"), str),
+    "seasons": lambda v: tuple(int(s) for s in _items(v)),
+    "targets": lambda v: tuple(sorted(int(t) for t in _items(v))),
+    "variants": lambda v: tuple(_items(v)),
+    "phi_grid": lambda v: tuple(float(p) for p in _items(v)),
+    "delta": float,
+    "seed": int,
+}
 
 
 def _config_path(out_dir) -> Path:
@@ -200,31 +202,12 @@ def recorded_config(out_dir) -> RunConfig | None:
         raise CorruptArtifactError(f"{path}: {exc}") from None
 
 
-def _log_spellings(source, fragment) -> None:
-    if _ingest_log.isEnabledFor(logging.INFO):
-        respelled = sum(isinstance(pmf, np.ndarray) for pmf in fragment.values())
-        _ingest_log.info(
-            "%s: %d rows kept their source spelling, %d re-spelled",
-            source, len(fragment) - respelled, respelled,
-        )
-
-
 def ingest(config: RunConfig, out_dir) -> Path:
-    """Build the persisted panel (per-season forecasts, sidecars, truth).
-
-    A canonical forecast row that renormalization leaves bit-unchanged, and
-    whose probabilities are plainly spelled, is written to the panel in its
-    source spelling; every other row is written by ``format_probs``. Either
-    way ``load_panel`` reads back the float64 bits that
-    ``parse_component_csv`` gives for the source. With INFO enabled on the
-    ``cappool.ingest`` logger (off by default), each source's kept and
-    re-spelled row counts are logged.
-    """
+    """Build the persisted panel (per-season key lists, pmf arrays and
+    sidecars, and the truth table); ``load_panel`` reads back the float64
+    bits that ``parse_component_csv`` gives for each source row."""
     out_dir = Path(out_dir)
-    fragments = []
-    for path in config.forecasts:
-        fragments.append(parse_component_csv(path, keep_spelling=True))
-        _log_spellings(path, fragments[-1])
+    fragments = [parse_component_csv(path) for path in config.forecasts]
     if config.flusight_dir:
         fragment, skipped = ingest_flusight_tree(config.flusight_dir)
         if skipped:
@@ -233,7 +216,6 @@ def ingest(config: RunConfig, out_dir) -> Path:
                 len(skipped), ", ".join(skipped),
             )
         fragments.append(fragment)
-        _log_spellings(config.flusight_dir, fragment)
     if not fragments:
         raise ForecastDataError("no forecast sources configured")
     if config.truth:
@@ -260,11 +242,12 @@ def _week_paths(out_dir: Path, variant: str, season: int, week: Epiweek) -> tupl
     return base / f"week-{week}.csv", base / f"week-{week}.json"
 
 
-# A record's week-JSON keys are its field names, less ``variant`` and
-# ``season``, which the week file's path gives; a run's ``pmf`` is in the
-# week CSV, and ``has_pmf`` says whether it has one. ``_load_week`` passes a
-# record's values by position, in field order: json.loads does not intern
-# its keys, and binding them by keyword took about 2 us more per run.
+# A bundle's keys. A record's week-JSON keys are its field names, less
+# ``variant`` and ``season``, which the bundle gives once; a run's ``pmf`` is
+# in the week CSV, and ``has_pmf`` says whether it has one. ``_load_week``
+# passes a record's values by position, in field order: json.loads does not
+# intern its keys, and binding them by keyword took about 2 us more per run.
+_WEEK_KEYS = {"variant", "season", "issue_week", "runs", "scores"}
 _RUN_KEYS = {f.name for f in fields(EnsembleRun)} - {"variant", "season", "pmf"} | {"has_pmf"}
 _SCORE_KEYS = {f.name for f in fields(ScoreRecord)} - {"variant"}
 _run_values = itemgetter(*(f.name for f in fields(EnsembleRun)))
@@ -274,8 +257,8 @@ _score_values = itemgetter(*(f.name for f in fields(ScoreRecord)))
 def _week_json(
     variant: str, season: int, issue_week: int, runs: list[EnsembleRun], scores: list[ScoreRecord]
 ) -> str:
-    """The week bundle: a JSON object of these five keys, with each run and
-    score as the object of its ``_RUN_KEYS`` or ``_SCORE_KEYS``."""
+    """The week bundle: a JSON object of the ``_WEEK_KEYS``, with each run
+    and score as the object of its ``_RUN_KEYS`` or ``_SCORE_KEYS``."""
     bundle = {
         "variant": variant, "season": season, "issue_week": issue_week,
         "runs": [
@@ -311,9 +294,12 @@ def _load_week(
     """Read back one completed week, or None if it was never completed.
 
     Raises CorruptArtifactError naming the file when the week's JSON bundle
-    or pmf CSV is unparsable or truncated, or when the two do not match. A
-    run joins its CSV row on (region, target): a run marked ``has_pmf`` needs
-    one, and a row needs such a run and may not repeat a (region, target).
+    or pmf CSV is unparsable or truncated, or when the two do not match. The
+    bundle must be the week its path names: its ``variant``, ``season`` and
+    ``issue_week``, each run's ``issue_week`` and each score's
+    ``target_week`` must be the path's. A run joins its CSV row on (region,
+    target): a run marked ``has_pmf`` needs one, and a row needs such a run
+    and may not repeat a (region, target).
     A row's pmf must be finite and non-negative and sum to 1 within 1e-6, as
     a panel's must. A CSV error names the line.
     """
@@ -322,10 +308,18 @@ def _load_week(
         return None
     try:
         payload = json.loads(json_path.read_text())
+        if payload.keys() != _WEEK_KEYS:
+            raise KeyError(f"bundle keys {sorted(payload)}")
+        week_int = week.to_int()
+        named = payload["variant"], payload["season"], payload["issue_week"]
+        if named != (variant, season, week_int):
+            raise ValueError(f"the bundle of {named} at the path of {(variant, season, week_int)}")
         items, wanted = payload["runs"], set()
         for item in items:
             if item.keys() != _RUN_KEYS:
                 raise KeyError(f"run keys {sorted(item)}")
+            if item["issue_week"] != week_int:
+                raise ValueError(f"a run issued in week {item['issue_week']}")
             clusters, leaders = item["clusters"], item["leaders"]
             item["clusters"] = None if clusters is None else tuple(map(tuple, clusters))
             item["leaders"] = None if leaders is None else tuple(leaders)
@@ -337,6 +331,8 @@ def _load_week(
         for item in payload["scores"]:
             if item.keys() != _SCORE_KEYS:
                 raise KeyError(f"score keys {sorted(item)}")
+            if item["target_week"] != week_int:
+                raise ValueError(f"a score of target week {item['target_week']}")
             item["variant"] = variant
             scores.append(ScoreRecord(*_score_values(item)))
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
@@ -429,13 +425,14 @@ def replay(config: RunConfig, out_dir) -> None:
     # Refused before the run directory is touched, so it is not recorded there.
     if not config.seasons:
         raise ConfigError("no seasons configured")
+    text = _recordable(config)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     recorded = recorded_config(out_dir)
     if recorded is not None:
         _check_recorded_config(recorded, config, _config_path(out_dir))
-    elif config.source_text:
-        _atomic_write(_config_path(out_dir), config.source_text)
+    else:
+        _atomic_write(_config_path(out_dir), text)
     stored = panel_dir(out_dir)
     if not stored.exists():
         ingest(config, out_dir)
@@ -475,12 +472,32 @@ def replay(config: RunConfig, out_dir) -> None:
             del data
 
 
+def _recordable(config: RunConfig) -> str:
+    """``config.text()``, once it parses back equal to ``config``; else
+    ConfigError naming the first field whose line does not."""
+    text = config.text()
+    try:
+        if RunConfig.parse(text) == config:
+            return text
+    except ConfigError:
+        pass
+    for name, value in config._spelled():
+        try:
+            back = getattr(RunConfig.parse(f"{name} = {value}\n"), name)
+        except ConfigError as exc:
+            raise ConfigError(f"{name} cannot be recorded in run.cfg: {exc}") from None
+        if back != getattr(config, name):
+            raise ConfigError(
+                f"{name} = {getattr(config, name)!r} reads back from run.cfg as {back!r}"
+            )
+    raise ConfigError("this config does not read back from run.cfg")
+
+
 def _check_recorded_config(recorded: RunConfig, config: RunConfig, cfg_path: Path) -> None:
     """Refuse to add to a run directory whose ``run.cfg`` records another
-    config. ``seed`` is not compared: replay never reads it, and
-    ``replay --seed`` overrides it without rewriting ``run.cfg``."""
+    config. ``seed`` is not compared: replay never reads it."""
     for f in fields(RunConfig):
-        if f.name in ("seed", "source_text"):
+        if f.name == "seed":
             continue
         old, new = getattr(recorded, f.name), getattr(config, f.name)
         if old != new:

@@ -304,11 +304,11 @@ def normalize_pmf(raw) -> np.ndarray:
     return probs / total
 
 
-def parse_component_csv(stream, renormalize: bool = True) -> dict[ForecastKey, np.ndarray]:
+def parse_component_csv(stream) -> dict[ForecastKey, np.ndarray]:
     """The canonical forecast parser with ``csv.reader`` and ``float()`` per value."""
     if isinstance(stream, (str, Path)):
         with open(stream, newline="") as fh:
-            return parse_component_csv(fh, renormalize)
+            return parse_component_csv(fh)
     reader = csv.reader(stream)
     try:
         header = next(reader)
@@ -330,7 +330,7 @@ def parse_component_csv(stream, renormalize: bool = True) -> dict[ForecastKey, n
             target = _parse_target(row[1])
             issue = Epiweek.parse(row[3])
             probs = np.array([float(v) for v in row[4:]])
-            pmf = normalize_pmf(probs) if renormalize else probs
+            pmf = normalize_pmf(probs)
         except ValueError as exc:
             raise ForecastDataError(f"row {row_no}: {exc}") from None
         model_id = row[2].strip()

@@ -340,8 +340,8 @@ def test_criterion_10_end_to_end_determinism(tmp_path):
         "seed = 7\n"
     )
     out_a, out_b = tmp_path / "a", tmp_path / "b"
-    assert cli_main(["replay", "--config", str(cfg), "--out", str(out_a), "--seed", "7"]) == 0
-    assert cli_main(["replay", "--config", str(cfg), "--out", str(out_b), "--seed", "7"]) == 0
+    assert cli_main(["replay", "--config", str(cfg), "--out", str(out_a)]) == 0
+    assert cli_main(["replay", "--config", str(cfg), "--out", str(out_b)]) == 0
 
     def tree(root: Path) -> dict[str, bytes]:
         return {

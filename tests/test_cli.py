@@ -43,6 +43,13 @@ class TestCliExitCodes:
         assert main(["replay"]) == 2
         capsys.readouterr()
 
+    def test_replay_takes_no_seed(self, run_setup, capsys):
+        # Replay is seed-free; the config's seed key is only recorded.
+        cfg, out = run_setup
+        assert main(["replay", "--config", str(cfg), "--out", str(out), "--seed", "1"]) == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_invalid_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("bogus = 1\n")

@@ -32,6 +32,7 @@ from cappool.panel import (
     load_panel,
     parse_component_csv,
     parse_prob_rows,
+    write_component_csv,
     write_panel,
 )
 from cappool.pmf import N_BINS, normalize_pmfs
@@ -244,9 +245,9 @@ def render(rng, rows, newline: str) -> str:
     return out.getvalue()
 
 
-def parse_both(text: str, renormalize: bool):
-    got = outcome(parse_component_csv, io.StringIO(text, newline=""), renormalize)
-    want = outcome(oracles.parse_component_csv, io.StringIO(text, newline=""), renormalize)
+def parse_both(text: str):
+    got = outcome(parse_component_csv, io.StringIO(text, newline=""))
+    want = outcome(oracles.parse_component_csv, io.StringIO(text, newline=""))
     return got, want
 
 
@@ -266,16 +267,15 @@ class TestParseComponentCsv:
         st.integers(0, 2**32 - 1),
         st.sampled_from([0, 1, 511, 512, 513, 1030]),
         st.sampled_from(["\n", "\r\n"]),
-        st.booleans(),
     )
-    def test_matches_csv_reader_parser(self, seed, n_rows, newline, renormalize):
+    def test_matches_csv_reader_parser(self, seed, n_rows, newline):
         text, _ = component_text(np.random.default_rng(seed), n_rows, newline)
-        assert_same(*parse_both(text, renormalize))
+        assert_same(*parse_both(text))
 
     @pytest.mark.parametrize("n_rows", [0, 1, 511, 512, 513, 1030])
     def test_row_counts(self, n_rows):
         text, _ = component_text(np.random.default_rng(n_rows), n_rows, "\r\n")
-        got, want = parse_both(text, True)
+        got, want = parse_both(text)
         assert got[0] == "ok" and len(got[1]) == n_rows
         assert_same(got, want)
 
@@ -326,16 +326,14 @@ class TestParseComponentCsv:
                 row[7] = row[7].replace(".", ",")  # quoted, as "0,25"
             elif kind == "newline":
                 row[8] += "\n"  # quoted; float() strips it
-        text = render(rng, rows, newline)
-        for renormalize in (True, False):
-            assert_same(*parse_both(text, renormalize))
+        assert_same(*parse_both(render(rng, rows, newline)))
 
     def test_bad_row_after_first_chunk(self):
         _, rows = component_text(np.random.default_rng(3), 700, "\n")
         rows[650][4 + 7] = "x"
         rows[600][0] = "Mars"  # an earlier bad row of another kind wins
         text = render(np.random.default_rng(4), rows, "\n")
-        got, want = parse_both(text, True)
+        got, want = parse_both(text)
         assert got == want
         assert got[1].startswith("row ") and "Mars" in got[1]
 
@@ -381,6 +379,9 @@ class TestWritePanel:
     )
     @example(models=["a\rb", "c\nd", "e,f", 'g"h', "i\r\nj", "k"], seed=0)
     def test_bytes_match_csv_writer_and_reload(self, tmp_path_factory, models, seed):
+        # The key list is csv.writer's rows of the four key fields, and
+        # write_component_csv, which writes synthetic archives, csv.writer's
+        # rows of the keys and the repr of each probability.
         rng = np.random.default_rng(seed)
         entries = {}
         for model in models:
@@ -391,10 +392,20 @@ class TestWritePanel:
         panel = Panel(entries, TruthTable({("Nat", Epiweek(2010, 41)): 1.5}))
         directory = tmp_path_factory.mktemp("panel")
         write_panel(panel, directory)
+        keys = sorted(entries)
         expected = io.StringIO(newline="")
-        oracles.write_component_csv(expected, entries)
+        writer = csv.writer(expected)
+        writer.writerow(oracles.COMPONENT_HEADER[:4])
+        writer.writerows([k.region, k.target, k.model_id, str(k.issue)] for k in keys)
         with open(directory / "season-2010.csv", newline="") as fh:
             assert fh.read() == expected.getvalue()
+        saved = io.BytesIO()
+        np.save(saved, np.array([entries[k] for k in keys]), allow_pickle=False)
+        assert (directory / "season-2010.npy").read_bytes() == saved.getvalue()
+        written, expected = io.StringIO(newline=""), io.StringIO(newline="")
+        write_component_csv(written, entries)
+        oracles.write_component_csv(expected, entries)
+        assert written.getvalue() == expected.getvalue()
         loaded = load_panel(directory)
         assert loaded == panel
         assert all(bits(loaded.entries[k]) == bits(entries[k]) for k in entries)
@@ -423,7 +434,8 @@ class TestWeekCsv:
             }
             for region, target in strata
         ]
-        (base / f"week-{week}.json").write_text(json.dumps({"runs": runs, "scores": []}))
+        bundle = {"variant": "equal", "season": 2010, "issue_week": week.to_int()}
+        (base / f"week-{week}.json").write_text(json.dumps(bundle | {"runs": runs, "scores": []}))
         return base / f"week-{week}.csv", week
 
     @pytest.mark.parametrize(
@@ -590,7 +602,7 @@ class TestWeekJson:
             entropy=0.5, phi=0.4, clusters=(("m1", "m2"), ("m3",)), leaders=("m2", None),
             n_clusters=2, missing_models=("m4",), note="",
         )
-        score = ScoreRecord("cap-equal", "Nat", 1, week.to_int(), week.add_weeks(1).to_int(), -1.5, 0.25, 0.125)
+        score = ScoreRecord("cap-equal", "Nat", 1, 201040, week.to_int(), -1.5, 0.25, 0.125)
         _write_week(tmp_path, "cap-equal", 2010, week, [run], [score])
         payload = _week_dict("cap-equal", 2010, week.to_int(), [run], [score])
         text = (tmp_path / "runs" / "cap-equal" / "2010" / f"week-{week}.json").read_text()
@@ -603,12 +615,12 @@ class TestWeekJson:
     @given(
         runs=st.lists(
             st.tuples(ensemble_runs, st.sampled_from(["Nat", "HHS1", "HHS10"])).map(
-                lambda pair: replace(pair[0], region=pair[1])
+                lambda pair: replace(pair[0], region=pair[1], issue_week=201041)
             ),
             max_size=4,
             unique_by=lambda r: (r.region, r.target),
         ),
-        scores=st.lists(score_records, max_size=4),
+        scores=st.lists(score_records.map(lambda s: replace(s, target_week=201041)), max_size=4),
     )
     def test_load_rebuilds_the_written_records(self, runs, scores):
         week = Epiweek(2010, 41)
@@ -635,14 +647,19 @@ class TestWeekJson:
             lambda bundle: bundle["runs"].__setitem__(0, [1, 2]),
             lambda bundle: bundle["scores"][0].update(variant="equal"),
             lambda bundle: bundle["scores"][0].pop("pit"),
+            # A bundle must be the week its path names.
+            lambda bundle: bundle.update(variant="cap-equal"),
+            lambda bundle: bundle.update(season=2011),
+            lambda bundle: bundle.update(issue_week=201042),
+            lambda bundle: bundle["runs"][0].update(issue_week=201042),
+            lambda bundle: bundle["scores"][0].update(target_week=201042),
+            lambda bundle: bundle.update(extra=1),
         ],
     )
     def test_malformed_item_names_the_file(self, tmp_path, edit):
         week = Epiweek(2010, 41)
         run = EnsembleRun("equal", 2010, "Nat", 1, week.to_int(), 2, None, {}, None)
-        score = ScoreRecord(
-            "equal", "Nat", 1, week.to_int(), week.add_weeks(1).to_int(), -1.5, 0.25, 0.125
-        )
+        score = ScoreRecord("equal", "Nat", 1, 201040, week.to_int(), -1.5, 0.25, 0.125)
         _write_week(tmp_path, "equal", 2010, week, [run], [score])
         path = tmp_path / "runs" / "equal" / "2010" / f"week-{week}.json"
         bundle = json.loads(path.read_text())

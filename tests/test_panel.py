@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cappool.epiweek import Epiweek, season_of
+from cappool.epiweek import Epiweek
 from cappool.panel import (
     ForecastDataError,
     ForecastKey,
@@ -19,7 +19,6 @@ from cappool.panel import (
     canonical_region,
     compute_wili,
     convert_flusight_csv,
-    format_probs,
     load_panel,
     panel_dir,
     parse_component_csv,
@@ -416,19 +415,16 @@ class TestPanel:
 
     def _corrupt_stored_row(self, tmp_path, edit):
         """Write the panel, apply ``edit`` to one stored row's probabilities
-        and return the season file and that row's key."""
+        and return the season's pmf array file and that row's key."""
         panel = self._small_panel()
         write_panel(panel, tmp_path / "panel")
-        path = tmp_path / "panel" / "season-2010.csv"
-        with open(path, newline="") as fh:
-            lines = fh.read().split("\r\n")
-        fields = lines[5].split(",")
-        probs = [float(v) for v in fields[4:]]
-        edit(probs)
-        lines[5] = ",".join(fields[:4] + [repr(v) for v in probs])
-        with open(path, "w", newline="") as fh:
-            fh.write("\r\n".join(lines))
-        key = ForecastKey(fields[0], int(fields[1]), fields[2], Epiweek.parse(fields[3]))
+        path = tmp_path / "panel" / "season-2010.npy"
+        probs = np.load(path)
+        edit(probs[4])
+        np.save(path, probs)
+        with open(tmp_path / "panel" / "season-2010.csv", newline="") as fh:
+            region, target, model_id, issue = fh.read().split("\r\n")[5].split(",")
+        key = ForecastKey(region, int(target), model_id, Epiweek.parse(issue))
         return path, key
 
     def test_stored_nan_rejected(self, tmp_path):
@@ -463,7 +459,7 @@ class TestPanel:
     @pytest.mark.parametrize(
         "name, cut, message",
         [
-            ("season-2010.csv", "mid-row", "expected 135 fields"),
+            ("season-2010.csv", "mid-row", "expected 4 fields"),
             ("season-2010.csv", "row boundary", " forecasts, but season-2010.json implies "),
             ("season-2010.json", "mid-row", "unreadable sidecar"),
         ],
@@ -475,10 +471,60 @@ class TestPanel:
         end = len(data) // 2
         if cut == "row boundary":
             end = data.index(b"\r\n", end) + 2
+        elif name.endswith(".csv"):  # after the first field of the next row
+            end = data.index(b",", data.index(b"\r\n", end)) + 1
         path.write_bytes(data[:end])
         with pytest.raises(ForecastDataError, match=message) as info:
             load_panel(tmp_path / "panel")
         assert str(info.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda data, probs: data[: len(data) // 2], "unreadable pmf array: "),
+            (lambda data, probs: data[: len(data) - probs.nbytes], "unreadable pmf array: "),
+            (lambda data, probs: b"", "unreadable pmf array: "),
+            (lambda data, probs: b"region,target\r\n", "unreadable pmf array: "),
+            (lambda data, probs: _npy(probs, np.savez), "unreadable pmf array: "),
+            (lambda data, probs: _npy(probs.astype(object)), "unreadable pmf array: "),
+            (lambda data, probs: _npy(probs.astype(np.float32)), "got float32 "),
+            (lambda data, probs: _npy(probs[:, :-1]), rf"got float64 \(\d+, {N_BINS - 1}\)"),
+            (lambda data, probs: _npy(probs.ravel()), r"got float64 \(\d+,\)$"),
+            (lambda data, probs: _npy(probs[:-1]), "expected a float64 array of shape "),
+        ],
+        ids=[
+            "truncated", "header only", "empty", "not npy", "npz", "pickled", "dtype",
+            "columns", "one-dimensional", "row count",
+        ],
+    )
+    def test_bad_pmf_array_rejected_by_name(self, tmp_path, damage, message):
+        write_panel(self._small_panel(), tmp_path / "panel")
+        path = tmp_path / "panel" / "season-2010.npy"
+        path.write_bytes(damage(path.read_bytes(), np.load(path)))
+        with pytest.raises(ForecastDataError, match=message) as info:
+            load_panel(tmp_path / "panel")
+        assert str(info.value).startswith(f"{path}: ")
+
+    def test_missing_pmf_array_rejected_by_name(self, tmp_path):
+        write_panel(self._small_panel(), tmp_path / "panel")
+        path = tmp_path / "panel" / "season-2010.npy"
+        path.unlink()
+        with pytest.raises(ForecastDataError, match="unreadable pmf array: ") as info:
+            load_panel(tmp_path / "panel")
+        assert str(info.value).startswith(f"{path}: ")
+
+    def test_older_one_csv_panel_rejected_by_name(self, tmp_path):
+        # Before the key list and .npy array, season-<Y>.csv held the keys
+        # and the probabilities as write_component_csv writes them.
+        panel = self._small_panel()
+        write_panel(panel, tmp_path / "panel")
+        path = tmp_path / "panel" / "season-2010.csv"
+        (tmp_path / "panel" / "season-2010.npy").unlink()
+        with open(path, "w", newline="") as fh:
+            write_component_csv(fh, panel.entries)
+        with pytest.raises(ForecastDataError, match="delete a panel/ .* and ingest again") as info:
+            load_panel(tmp_path / "panel")
+        assert str(info.value).startswith(f"{path}: not a key list")
 
     def test_roster_out_of_id_order_rejected_by_name(self, tmp_path):
         # The replay's tables break leader ties by roster position, which
@@ -520,16 +566,21 @@ class TestPanel:
         with pytest.raises(ForecastDataError, match="off-season"):
             panel.seasons()
 
-    def test_row_order_irrelevant(self, tmp_path):
-        panel = self._small_panel()
-        write_panel(panel, tmp_path / "panel")
-        path = next((tmp_path / "panel").glob("season-*.csv"))
-        lines = path.read_text().splitlines()
+    def test_row_order_irrelevant(self):
+        text = io.StringIO(newline="")
+        write_component_csv(text, self._small_panel().entries)
+        lines = text.getvalue().splitlines()
         reversed_text = "\n".join([lines[0]] + lines[:0:-1]) + "\n"
         shuffled = parse_component_csv(io.StringIO(reversed_text))
-        straight = parse_component_csv(path)
+        straight = parse_component_csv(io.StringIO(text.getvalue()))
         assert shuffled.keys() == straight.keys()
         assert all(np.array_equal(shuffled[k], straight[k]) for k in straight)
+
+
+def _npy(array, save=np.save) -> bytes:
+    buffer = io.BytesIO()
+    save(buffer, array, allow_pickle=True)
+    return buffer.getvalue()
 
 
 def _trailing_zeros(v: float) -> str:
@@ -543,21 +594,17 @@ def _underscored(v: float) -> str:
 
 
 # Exact spellings of a float: each reads back to the same float64 bits.
-PLAIN_SPELLINGS = {
+SPELLINGS = {
     "repr": repr,
     "%.17g": lambda v: "%.17g" % v,
     "upper-case E": lambda v: repr(v).upper(),
     "leading +": lambda v: repr(v) if repr(v).startswith("-") else "+" + repr(v),
     "trailing zeros": _trailing_zeros,
     "0 and 1": lambda v: "0" if v == 0.0 and repr(v) == "0.0" else "1" if v == 1.0 else repr(v),
-}
-# Exact too, but never kept: ingest writes these rows through format_probs.
-RESPELLED_SPELLINGS = {
     "space": lambda v: " " + repr(v),
     "underscore": _underscored,
     "quotes": lambda v: f'"{v!r}"',
 }
-SPELLINGS = {**PLAIN_SPELLINGS, **RESPELLED_SPELLINGS}
 
 
 def _spelled_source(path, rows, spell) -> None:
@@ -579,18 +626,6 @@ def _ingested(tmp, name, rows, spell, truth_text="region,epiweek,wili\r\nNat,201
     out = tmp / name
     ingest(RunConfig(forecasts=(str(source),), truth=str(truth), seasons=(2010,)), out)
     return source, out
-
-
-def _panel_tails(directory, season=2010) -> dict[ForecastKey, str]:
-    """The probability text of each row of a stored season file."""
-    with open(panel_dir(directory) / f"season-{season}.csv", newline="") as fh:
-        lines = fh.read().split("\r\n")
-    tails = {}
-    for line in lines[1:]:
-        if line:
-            region, target, model_id, issue, tail = line.split(",", 4)
-            tails[ForecastKey(region, int(target), model_id, Epiweek.parse(issue))] = tail
-    return tails
 
 
 def _bits(pmf) -> bytes:
@@ -629,38 +664,32 @@ def _drawn_row(kind: str, seed: int) -> np.ndarray:
 
 
 class TestIngestKeepsSourceSpelling:
-    """Ingest writes a row's source probability text to the panel when
-    renormalization leaves the row bit-unchanged and the text is plain; the
-    panel must load to the same bits whatever the source spelling."""
+    """Ingest keeps a source row's float64 bits, not its spelling: every
+    exact spelling of the same rows gives the same ``panel/`` bytes, which
+    load to the bits ``parse_component_csv`` gives for the source."""
 
     @settings(max_examples=20, deadline=None)
     @given(st.lists(st.tuples(_row_kinds, st.integers(0, 2**32 - 1)), min_size=1, max_size=6))
     @example([(kind, seed) for seed, kind in enumerate(_ROW_KINDS)])
     @example([("subnormal", 51)])
     @example([("subnormal", 651)])
-    def test_every_spelling_loads_bit_identical_and_only_plain_rows_are_kept(self, drawn):
+    def test_every_spelling_writes_one_panel_that_loads_bit_identical(self, drawn):
         rows = {
             ForecastKey("Nat", 1, f"m{i}", Epiweek(2010, 40)): _drawn_row(kind, seed)
             for i, (kind, seed) in enumerate(drawn)
         }
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
+            panels = {}
             for name, spell in SPELLINGS.items():
                 source, out = _ingested(tmp, name.replace(" ", "-"), rows, spell)
                 parsed = parse_component_csv(source)
-                raw = parse_component_csv(source, renormalize=False)
-                assert all(_bits(raw[k]) == _bits(rows[k]) for k in rows), name
                 loaded = load_panel(panel_dir(out)).entries
-                assert loaded.keys() == parsed.keys()
+                assert loaded.keys() == parsed.keys() == rows.keys()
                 assert all(_bits(loaded[k]) == _bits(parsed[k]) for k in parsed), name
-                tails = _panel_tails(out)
-                for key, probs in rows.items():
-                    unchanged = _bits(raw[key]) == _bits(parsed[key])
-                    if unchanged and name in PLAIN_SPELLINGS:
-                        expected = ",".join(spell(float(v)) for v in probs)
-                    else:
-                        expected = format_probs(parsed[key])
-                    assert tails[key] == expected, (name, key)
+                panels[name] = {p.name: p.read_bytes() for p in panel_dir(out).iterdir()}
+            for name, panel in panels.items():
+                assert panel == panels["repr"], name
 
     def test_every_spelling_replays_and_reports_byte_identical(self, tmp_path):
         fragment, truth = synthetic_archive(
@@ -693,8 +722,8 @@ class TestIngestKeepsSourceSpelling:
 
 
 class TestIngestPanelBytes:
-    """Ingest's season files equal ``write_component_csv`` of what they hold
-    whenever the source was itself written by ``format_probs``."""
+    """Ingest's panel files equal ``write_panel`` of what they hold, which is
+    what ``parse_component_csv`` gives for the source."""
 
     def test_synthetic_archive_panel_equals_rewritten_entries(self, tmp_path):
         forecasts, truth = write_synthetic_archive(
@@ -704,54 +733,12 @@ class TestIngestPanelBytes:
         out = tmp_path / "run"
         ingest(RunConfig(forecasts=(str(forecasts),), truth=str(truth)), out)
         panel = load_panel(panel_dir(out))
-        for season in (2010, 2011):
-            entries = {k: v for k, v in panel.entries.items() if season_of(k.issue) == season}
-            expected = io.StringIO(newline="")
-            write_component_csv(expected, entries)
-            stored = (panel_dir(out) / f"season-{season}.csv").read_bytes()
-            assert stored == expected.getvalue().encode()
-
-    @pytest.mark.parametrize("quoted", [False, True])
-    def test_stream_source_writes_what_its_arrays_write(self, quoted):
-        rows = [
-            _row(model="a", probs=_drawn_row("dyadic", 1)),
-            _row(model="b", probs=[0.97 / N_BINS] * N_BINS),  # renormalized
-            _row(model="c", probs=_drawn_row("point mass", 2)),
-        ]
-        if quoted:
-            rows = [",".join(f'"{field}"' for field in row.split(",")) for row in rows]
-        text = HEADER + "\r\n" + "\r\n".join(rows) + "\r\n"
-        kept = parse_component_csv(io.StringIO(text), keep_spelling=True)
-        arrays = parse_component_csv(io.StringIO(text))
-        # Quoted fields are read through csv.reader, so no row keeps its text.
-        respelled = [model for model in "abc" if isinstance(kept[_key(model)], np.ndarray)]
-        assert respelled == (["a", "b", "c"] if quoted else ["b"])
-        written, expected = io.StringIO(newline=""), io.StringIO(newline="")
-        write_component_csv(written, kept)
-        write_component_csv(expected, arrays)
-        assert written.getvalue() == expected.getvalue()
-
-
-def _key(model: str) -> ForecastKey:
-    return ForecastKey("Nat", 1, model, Epiweek(2010, 40))
-
-
-class TestIngestLogging:
-    def test_kept_and_respelled_counts_logged_on_child_logger(self, tmp_path, caplog):
-        rows = {
-            ForecastKey("Nat", 1, "a", Epiweek(2010, 40)): _drawn_row("point mass", 1),
-            ForecastKey("Nat", 1, "b", Epiweek(2010, 40)): _drawn_row("dyadic", 2),
-            ForecastKey("Nat", 1, "c", Epiweek(2010, 40)): _drawn_row("off unit", 3),
-        }
-        with caplog.at_level(logging.INFO, logger="cappool.ingest"):
-            source, _ = _ingested(tmp_path, "logged", rows, repr)
-        records = [r for r in caplog.records if r.name == "cappool.ingest"]
-        assert [r.levelno for r in records] == [logging.INFO]
-        assert records[0].getMessage() == (
-            f"{source}: 2 rows kept their source spelling, 1 re-spelled"
-        )
-
-    def test_off_by_default(self, tmp_path, caplog):
-        rows = {ForecastKey("Nat", 1, "a", Epiweek(2010, 40)): _drawn_row("point mass", 1)}
-        _ingested(tmp_path, "quiet", rows, repr)
-        assert not [r for r in caplog.records if r.name.startswith("cappool")]
+        parsed = parse_component_csv(forecasts)
+        assert panel.entries.keys() == parsed.keys()
+        assert all(_bits(panel.entries[k]) == _bits(parsed[k]) for k in parsed)
+        rewritten = tmp_path / "rewritten"
+        write_panel(panel, rewritten)
+        stored = sorted(panel_dir(out).iterdir())
+        assert [p.name for p in stored] == sorted(p.name for p in rewritten.iterdir())
+        for path in stored:
+            assert (rewritten / path.name).read_bytes() == path.read_bytes()

@@ -5,13 +5,16 @@ import re
 import shutil
 import weakref
 from collections import Counter
-from dataclasses import fields
+from dataclasses import fields, replace
 from importlib import import_module
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cappool.ensembles import VARIANTS
 from cappool.epiweek import Epiweek, season_length
 from cappool.panel import ForecastDataError
 from cappool.replay import (
@@ -20,6 +23,7 @@ from cappool.replay import (
     CorruptArtifactError,
     RunConfig,
     load_run_artifacts,
+    recorded_config,
     replay,
 )
 from cappool.report import write_report
@@ -56,7 +60,47 @@ def small_run(tmp_path_factory):
     return config, out
 
 
+# Paths that read back: no comma, "#" or line break, and no surrounding spaces.
+_paths = st.text(
+    st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp"), blacklist_characters="#,\x85"),
+    min_size=1,
+).filter(lambda s: s == s.strip())
+_finite = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+_configs = st.builds(
+    RunConfig,
+    forecasts=st.lists(_paths, max_size=3).map(tuple),
+    flusight_dir=st.none() | _paths,
+    truth=st.none() | _paths,
+    state_ili=st.none() | _paths,
+    populations=st.none() | _paths,
+    seasons=st.lists(st.integers(1990, 2030), max_size=3, unique=True).map(tuple),
+    targets=st.sets(st.sampled_from((1, 2, 3, 4)), min_size=1).map(lambda t: tuple(sorted(t))),
+    variants=st.permutations(VARIANTS).flatmap(
+        lambda order: st.integers(1, len(order)).map(lambda n: tuple(order[:n]))
+    ),
+    phi_grid=st.lists(_finite, min_size=1, max_size=4, unique=True).map(tuple),
+    delta=_finite,
+    seed=st.integers(-(2**40), 2**40),
+    brier_mode=st.sampled_from(["standard", "strict"]),
+)
+
+
 class TestRunConfig:
+    @settings(max_examples=200, deadline=None)
+    @given(_configs)
+    def test_text_parses_back_equal(self, config):
+        assert RunConfig.parse(config.text()) == config
+        assert RunConfig.parse(config.text()).text() == config.text()
+
+    def test_text_is_one_line_per_field(self):
+        config = RunConfig(forecasts=("a.csv", "b.csv"), truth="t.csv", seasons=(2010,))
+        assert config.text() == (
+            "forecasts = a.csv,b.csv\ntruth = t.csv\nseasons = 2010\ntargets = 1,2,3,4\n"
+            "variants = cap-equal,cap-adaptive,equal,static,adaptive\n"
+            f"phi_grid = {','.join(repr(p) for p in config.phi_grid)}\n"
+            "delta = 5.0\nseed = 0\nbrier_mode = standard\n"
+        )
+
     def test_parse_roundtrip(self, tmp_path):
         text = "# comment\nseasons = 2010, 2011\ntargets = 2,1\ndelta = 3.5\n"
         cfg = RunConfig.parse(text)
@@ -267,6 +311,39 @@ class TestRecordedConfig:
         before = _tree_bytes(run)
         replay(RunConfig.parse(_config_text(data_dir, **overrides, seed="3")), run)
         assert _tree_bytes(run) == before
+
+    def test_code_built_config_is_recorded_and_refuses_a_changed_delta(self, cap_run, tmp_path):
+        data_dir, overrides, out = cap_run
+        config = RunConfig(
+            forecasts=(str(data_dir / "forecasts.csv"),), truth=str(data_dir / "truth.csv"),
+            seasons=(2010,), targets=(1,), variants=("cap-equal",), phi_grid=(0.9,),
+        )
+        run = tmp_path / "run"
+        replay(config, run)
+        assert recorded_config(run) == config
+        before = _tree_bytes(run)
+        assert before == _tree_bytes(out)  # run.cfg included: the parsed config's text
+        with pytest.raises(ConfigMismatchError, match="records delta = 5.0 but this config has"):
+            replay(replace(config, delta=1.0), run)
+        assert _tree_bytes(run) == before
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("truth", "data#1/truth.csv", "truth = 'data#1/truth.csv' reads back from run.cfg as"),
+            ("forecasts", ("a,b.csv",), "forecasts = ('a,b.csv',) reads back from run.cfg as"),
+            ("truth", "a\nb.csv", "truth cannot be recorded in run.cfg: line 2"),
+            ("targets", (2, 1), "targets = (2, 1) reads back from run.cfg as (1, 2)"),
+            ("variants", ("stacked",), "variants cannot be recorded in run.cfg: unknown variants"),
+        ],
+    )
+    def test_unrecordable_config_is_refused_before_the_directory(
+        self, tmp_path, field, value, message
+    ):
+        config = replace(RunConfig(seasons=(2010,), truth="truth.csv"), **{field: value})
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            replay(config, tmp_path / "run")
+        assert not (tmp_path / "run").exists()
 
     def test_unreadable_recorded_config_is_corrupt(self, cap_run, tmp_path):
         data_dir, overrides, _ = cap_run
@@ -617,8 +694,11 @@ class TestReport:
         config = RunConfig.parse(_config_text(data_dir, targets="1", variants="equal"))
         out = tmp_path / "run"
         replay(config, out)
-        # clone the artifacts under a second variant name
+        # clone the artifacts under a second variant name, which each bundle
+        # names too
         shutil.copytree(out / "runs" / "equal", out / "runs" / "adaptive")
+        for path in (out / "runs" / "adaptive").rglob("week-*.json"):
+            path.write_text(json.dumps(json.loads(path.read_text()) | {"variant": "adaptive"}))
         report_dir = write_report(out)
         with open(report_dir / "summary.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
@@ -664,6 +744,23 @@ class TestReport:
             load_run_artifacts(copy)
         with pytest.raises(CorruptArtifactError, match=re.escape(str(path))):
             write_report(copy)
+
+    def test_week_copied_over_the_next_is_corrupt_and_recomputed(self, small_run, tmp_path):
+        # The copy is valid week data for 201045; under 201046's name it
+        # loaded as that week.
+        config, out = small_run
+        copy = tmp_path / "run"
+        shutil.copytree(out, copy, ignore=shutil.ignore_patterns("reports"))
+        base = copy / "runs" / "equal" / "2010"
+        for suffix in (".json", ".csv"):
+            shutil.copy(base / f"week-201045{suffix}", base / f"week-201046{suffix}")
+        path = base / "week-201046.json"
+        with pytest.raises(CorruptArtifactError, match=re.escape(str(path))):
+            load_run_artifacts(copy)
+        with pytest.raises(CorruptArtifactError, match=re.escape(str(path))):
+            write_report(copy)
+        replay(config, copy)
+        assert _tree_bytes(copy / "runs") == _tree_bytes(out / "runs")
 
     @pytest.mark.parametrize("stray", ["week-copy", "bad-week", "season-dir"])
     def test_stray_names_under_runs_are_rejected_by_name(self, small_run, tmp_path, stray):

@@ -160,6 +160,19 @@ class TestRecordedBrierMode:
         assert library == _emitted(out, strict=True)
         assert library["brier_by_threshold"] != _emitted(out, strict=False)["brier_by_threshold"]
 
+    def test_code_built_strict_run_reports_strict(self, strict_run, tmp_path):
+        # A config built in code records itself as a parsed one does.
+        data_dir = strict_run.parent / "data"
+        config = RunConfig(
+            forecasts=(str(data_dir / "forecasts.csv"),), truth=str(data_dir / "truth.csv"),
+            seasons=(2010,), targets=(1,), variants=("equal",), brier_mode="strict",
+        )
+        out = tmp_path / "code-built"
+        replay(config, out)
+        parsed = _read_tables(write_report(_copy(strict_run, tmp_path)))
+        assert _read_tables(write_report(out)) == parsed
+        assert _read_tables(out / "reports") == _emitted(out, strict=True)
+
     def test_directory_without_run_cfg_reports_standard(self, strict_run, tmp_path):
         out = _copy(strict_run, tmp_path)
         (out / "run.cfg").unlink()

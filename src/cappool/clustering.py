@@ -35,9 +35,6 @@ class Clustering:
     def n_clusters(self) -> int:
         return len(self.clusters)
 
-    def members(self) -> frozenset[str]:
-        return frozenset(m for cluster in self.clusters for m in cluster)
-
 
 def cluster_models(corr: np.ndarray, phi: float, model_ids) -> Clustering:
     """Greedy threshold partition of models given their correlation matrix,

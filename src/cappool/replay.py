@@ -10,6 +10,7 @@ what an uninterrupted run would have written.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import math
@@ -19,8 +20,6 @@ from collections.abc import Callable
 from dataclasses import dataclass, fields
 from operator import itemgetter
 from pathlib import Path
-
-import numpy as np
 
 from .ensembles import (
     DEFAULT_PHI_GRID,
@@ -34,7 +33,6 @@ from .epiweek import Epiweek, season_length, season_week
 from .panel import (
     Panel,
     ForecastDataError,
-    _pmf_fault,
     format_probs,
     ingest_flusight_tree,
     load_panel,
@@ -44,7 +42,6 @@ from .panel import (
     parse_prob_rows,
     parse_state_ili_csv,
     parse_truth_csv,
-    read_prob_records,
     stored_seasons,
     truth_from_state_ili,
     write_panel,
@@ -121,7 +118,11 @@ class RunConfig:
 
     @classmethod
     def load(cls, path) -> "RunConfig":
-        return cls.parse(Path(path).read_text())
+        """Parse a UTF-8 config file; a ConfigError names the file."""
+        try:
+            return cls.parse(Path(path).read_text(encoding="utf-8"))
+        except (ConfigError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"{path}: {exc}") from None
 
     def text(self) -> str:
         """The config as ``parse`` reads it: one ``key = value`` line per
@@ -199,7 +200,7 @@ def recorded_config(out_dir) -> RunConfig | None:
     try:
         return RunConfig.load(path)
     except ConfigError as exc:
-        raise CorruptArtifactError(f"{path}: {exc}") from None
+        raise CorruptArtifactError(str(exc)) from None
 
 
 def ingest(config: RunConfig, out_dir) -> Path:
@@ -231,9 +232,9 @@ def ingest(config: RunConfig, out_dir) -> Path:
     return panel_dir(out_dir)
 
 
-def _atomic_write(path: Path, text: str) -> None:
+def _atomic_write(path: Path, data: bytes) -> None:
     tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(text)
+    tmp.write_bytes(data)
     os.replace(tmp, path)
 
 
@@ -242,12 +243,13 @@ def _week_paths(out_dir: Path, variant: str, season: int, week: Epiweek) -> tupl
     return base / f"week-{week}.csv", base / f"week-{week}.json"
 
 
-# A bundle's keys. A record's week-JSON keys are its field names, less
-# ``variant`` and ``season``, which the bundle gives once; a run's ``pmf`` is
-# in the week CSV, and ``has_pmf`` says whether it has one. ``_load_week``
-# passes a record's values by position, in field order: json.loads does not
-# intern its keys, and binding them by keyword took about 2 us more per run.
-_WEEK_KEYS = {"variant", "season", "issue_week", "runs", "scores"}
+# A bundle's keys; ``csv_sha256`` is the hex SHA-256 of the week CSV's bytes.
+# A record's week-JSON keys are its field names, less ``variant`` and
+# ``season``, which the bundle gives once; a run's ``pmf`` is in the week
+# CSV, and ``has_pmf`` says whether it has one. ``_load_week`` passes a
+# record's values by position, in field order: json.loads does not intern
+# its keys, and binding them by keyword took about 2 us more per run.
+_WEEK_KEYS = {"variant", "season", "issue_week", "runs", "scores", "csv_sha256"}
 _RUN_KEYS = {f.name for f in fields(EnsembleRun)} - {"variant", "season", "pmf"} | {"has_pmf"}
 _SCORE_KEYS = {f.name for f in fields(ScoreRecord)} - {"variant"}
 _run_values = itemgetter(*(f.name for f in fields(EnsembleRun)))
@@ -255,7 +257,12 @@ _score_values = itemgetter(*(f.name for f in fields(ScoreRecord)))
 
 
 def _week_json(
-    variant: str, season: int, issue_week: int, runs: list[EnsembleRun], scores: list[ScoreRecord]
+    variant: str,
+    season: int,
+    issue_week: int,
+    runs: list[EnsembleRun],
+    scores: list[ScoreRecord],
+    csv_sha256: str,
 ) -> str:
     """The week bundle: a JSON object of the ``_WEEK_KEYS``, with each run
     and score as the object of its ``_RUN_KEYS`` or ``_SCORE_KEYS``."""
@@ -266,6 +273,7 @@ def _week_json(
             for run in runs
         ],
         "scores": [{k: v for k, v in vars(s).items() if k in _SCORE_KEYS} for s in scores],
+        "csv_sha256": csv_sha256,
     }
     return json.dumps(bundle, indent=1, sort_keys=True)
 
@@ -284,8 +292,12 @@ def _write_week(
     for run in runs:
         if run.pmf is not None:
             lines.append(f"{run.region},{run.target},{format_probs(run.pmf)}")
-    _atomic_write(csv_path, "\n".join(lines) + "\n")
-    _atomic_write(json_path, _week_json(variant, season, week.to_int(), runs, scores) + "\n")
+    # Bytes, not text, so no platform translates the newlines the digest covers.
+    data = ("\n".join(lines) + "\n").encode()
+    _atomic_write(csv_path, data)
+    digest = hashlib.sha256(data).hexdigest()
+    bundle = _week_json(variant, season, week.to_int(), runs, scores, digest)
+    _atomic_write(json_path, (bundle + "\n").encode())
 
 
 def _load_week(
@@ -294,14 +306,13 @@ def _load_week(
     """Read back one completed week, or None if it was never completed.
 
     Raises CorruptArtifactError naming the file when the week's JSON bundle
-    or pmf CSV is unparsable or truncated, or when the two do not match. The
-    bundle must be the week its path names: its ``variant``, ``season`` and
-    ``issue_week``, each run's ``issue_week`` and each score's
-    ``target_week`` must be the path's. A run joins its CSV row on (region,
-    target): a run marked ``has_pmf`` needs one, and a row needs such a run
-    and may not repeat a (region, target).
-    A row's pmf must be finite and non-negative and sum to 1 within 1e-6, as
-    a panel's must. A CSV error names the line.
+    is unparsable, when the week CSV is missing or its bytes are not the
+    ones whose SHA-256 the bundle records, or when the two do not match.
+    The bundle must be the week its path names: its ``variant``, ``season``
+    and ``issue_week``, each run's ``issue_week`` and each score's
+    ``target_week`` must be the path's. The CSV's rows, keyed by (region,
+    target), must be the runs marked ``has_pmf``; each such run gets its
+    row's pmf, a read-only row of one array.
     """
     csv_path, json_path = _week_paths(out_dir, variant, season, week)
     if not json_path.exists():
@@ -337,50 +348,32 @@ def _load_week(
             scores.append(ScoreRecord(*_score_values(item)))
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise CorruptArtifactError(f"corrupt week file {json_path}: {exc!r}") from None
-    pmfs: dict[tuple[str, int], np.ndarray] = {}
-    if csv_path.exists():
-        text = csv_path.read_text()
-        # Every write ends in a newline, so a file without one was cut short,
-        # possibly inside a number that still parses.
-        if not text.endswith("\n"):
-            raise CorruptArtifactError(f"corrupt week file {csv_path}: truncated")
-
-        def bad_line(line_no: int, problem) -> CorruptArtifactError:
-            return CorruptArtifactError(f"corrupt week file {csv_path}, line {line_no}: {problem}")
-
-        def convert(records) -> None:
-            records = [r for r in records if r[0] != 1]  # the header
-            for line_no, n_fields, _, _ in records:
-                if n_fields != N_BINS + 2:
-                    raise bad_line(line_no, f"{n_fields} fields")
-            try:
-                probs = parse_prob_rows([r[3] for r in records], [r[0] for r in records], "line")
-            except ValueError as exc:
-                raise CorruptArtifactError(f"corrupt week file {csv_path}, {exc}") from None
-            probs.setflags(write=False)  # before the row views are taken
-            rows: dict[tuple[str, int], np.ndarray] = {}
-            for (line_no, _, head, _), pmf in zip(records, probs):
-                try:
-                    key = head[0], int(head[1])
-                except ValueError as exc:
-                    raise bad_line(line_no, exc) from None
-                if key in pmfs or key in rows:
-                    raise bad_line(line_no, f"a second row for {key}")
-                if key not in wanted:
-                    raise bad_line(line_no, f"no run marked has_pmf for {key}")
-                rows[key] = pmf
-            fault = _pmf_fault(probs)
-            if fault is not None:
-                raise bad_line(records[fault[0]][0], f"pmf {fault[1]}")
-            pmfs.update(rows)
-
-        read_prob_records(text.splitlines(), 2, 1, convert)
+    try:
+        data = csv_path.read_bytes()
+    except FileNotFoundError:
+        raise CorruptArtifactError(f"corrupt week file {csv_path}: missing") from None
+    if hashlib.sha256(data).hexdigest() != payload["csv_sha256"]:
+        raise CorruptArtifactError(
+            f"corrupt week file {csv_path}: its SHA-256 is not the bundle's csv_sha256"
+        )
+    keys, tails = [], []
+    try:
+        for line in data.decode().splitlines()[1:]:
+            region, target, tail = line.split(",", 2)
+            keys.append((region, int(target)))
+            tails.append(tail)
+        probs = parse_prob_rows(tails, range(2, len(tails) + 2), "line")
+    except ValueError as exc:
+        raise CorruptArtifactError(f"corrupt week file {csv_path}: {exc}") from None
+    probs.setflags(write=False)  # before the row views are taken
+    pmfs = dict(zip(keys, probs))
+    if pmfs.keys() != wanted:
+        raise CorruptArtifactError(
+            f"corrupt week file {csv_path}: its rows are not the runs marked has_pmf"
+        )
     runs = []
     for item in items:
-        key = item["region"], item["target"]
-        if item["has_pmf"] and key not in pmfs:
-            raise CorruptArtifactError(f"corrupt week file {csv_path}: no pmf row for {key}")
-        item["pmf"] = pmfs[key] if item["has_pmf"] else None
+        item["pmf"] = pmfs[item["region"], item["target"]] if item["has_pmf"] else None
         runs.append(EnsembleRun(*_run_values(item)))
     return runs, scores
 
@@ -432,7 +425,7 @@ def replay(config: RunConfig, out_dir) -> None:
     if recorded is not None:
         _check_recorded_config(recorded, config, _config_path(out_dir))
     else:
-        _atomic_write(_config_path(out_dir), text)
+        _atomic_write(_config_path(out_dir), text.encode())
     stored = panel_dir(out_dir)
     if not stored.exists():
         ingest(config, out_dir)

@@ -354,41 +354,6 @@ def write_component_csv(fh, entries) -> None:
         )
 
 
-def parse_week_csv(text: str, name: str, marked) -> dict[tuple[str, int], np.ndarray]:
-    """A week file's pooled pmfs by (region, target), one row at a time;
-    ``marked`` lists the (region, target) of each run marked ``has_pmf``, in
-    run order. A row needs such a run, may not repeat a (region, target), and
-    must hold finite, non-negative probabilities whose numpy sum is within
-    1e-6 of 1; each marked run needs a row. A bad row or a missing one
-    raises ValueError with the message the week loader gives."""
-    pmfs = {}
-    for line_no, row in enumerate(csv.reader(text.splitlines()), start=1):
-        if line_no == 1 or not row:
-            continue
-        try:
-            if len(row) != N_BINS + 2:
-                raise ValueError(f"{len(row)} fields")
-            pmf = np.array([float(v) for v in row[2:]])
-            key = (row[0], int(row[1]))
-            if key in pmfs:
-                raise ValueError(f"a second row for {key}")
-            if key not in marked:
-                raise ValueError(f"no run marked has_pmf for {key}")
-            if not all(math.isfinite(p) for p in pmf):
-                raise ValueError("pmf has a non-finite entry")
-            if any(p < 0.0 for p in pmf):
-                raise ValueError("pmf has a negative entry")
-            if abs(pmf.sum() - 1.0) > 1e-6:
-                raise ValueError(f"pmf sums to {float(pmf.sum())}")
-        except ValueError as exc:
-            raise ValueError(f"corrupt week file {name}, line {line_no}: {exc}") from None
-        pmfs[key] = pmf
-    for key in marked:
-        if key not in pmfs:
-            raise ValueError(f"corrupt week file {name}: no pmf row for {key}")
-    return pmfs
-
-
 def brier_by_threshold_rows(runs, scores, truth, strict_brier: bool = False) -> list[list]:
     """The report's ``brier_by_threshold`` table, one ``brier_score`` call
     per (score record, group, cutpoint), summed into a running total."""

@@ -56,6 +56,14 @@ class TestCliExitCodes:
         assert main(["replay", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "unknown config key" in capsys.readouterr().err
 
+    def test_undecodable_config_is_named(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"seasons = 2010\n\xff\n")
+        assert main(["replay", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {cfg}: 'utf-8' codec can't decode byte 0xff" in err
+        assert not (tmp_path / "o").exists()
+
     def test_duplicate_targets_rejected_before_ingest(self, run_setup, capsys):
         cfg, out = run_setup
         cfg.write_text(cfg.read_text().replace("targets = 1\n", "targets = 1,1\n"))
@@ -99,6 +107,17 @@ class TestCliExitCodes:
         capsys.readouterr()
         assert main(["report", "--out", str(out)]) == 1
         assert str(out / "run.cfg") in capsys.readouterr().err
+
+    def test_report_with_undecodable_run_cfg(self, run_setup, capsys):
+        cfg, out = run_setup
+        assert main(["replay", "--config", str(cfg), "--out", str(out)]) == 0
+        path = out / "run.cfg"
+        path.write_bytes(path.read_bytes() + b"\xff\n")
+        capsys.readouterr()
+        assert main(["report", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {path}: 'utf-8' codec can't decode byte 0xff" in err
+        assert err.count(str(path)) == 1
 
     def test_trajectory_without_truth_table(self, run_setup, capsys):
         cfg, out = run_setup

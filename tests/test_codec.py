@@ -3,10 +3,12 @@
 Formatting must match ``repr`` of each value, parsing must match ``float()``
 bit for bit, and a streamed, chunked parse must accept, reject and name rows
 exactly as the one-row-at-a-time ``csv.reader`` parser did. Week JSON
-bundles must match ``json.dumps(payload, indent=1, sort_keys=True)``.
+bundles must match ``json.dumps(payload, indent=1, sort_keys=True)``, and a
+week CSV loads only as the bytes whose SHA-256 its bundle records.
 """
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -412,31 +414,22 @@ class TestWritePanel:
 
 
 class TestWeekCsv:
+    """A week CSV loads only as the bytes whose SHA-256 its bundle records:
+    any edit makes the week corrupt, named by the CSV."""
+
     STRATA = [("Nat", 1), ("HHS1", 1), ("Nat", 2)]
-    # More rows than one parse chunk holds.
+    # More rows than one chunk of a forecast file's parse.
     LONG = [(f"R{i}", 1) for i in range(700)]
+    WEEK = Epiweek(2010, 41)
+    PMF = np.full(N_BINS, 1.0 / N_BINS)
 
-    def _text(self, strata):
-        header = ",".join(["region", "target"] + [f"bin_{i}" for i in range(1, N_BINS + 1)])
-        rows = [f"{r},{t},{format_probs(np.full(N_BINS, 1.0 / N_BINS))}" for r, t in strata]
-        return "\n".join([header] + rows) + "\n"
-
-    def _write(self, tmp_path, text, strata):
-        week = Epiweek(2010, 41)
-        base = tmp_path / "runs" / "equal" / "2010"
-        base.mkdir(parents=True, exist_ok=True)
-        (base / f"week-{week}.csv").write_text(text)
+    def _write(self, tmp_path, strata):
         runs = [
-            {
-                "region": region, "target": target, "issue_week": week.to_int(), "week_index": 2,
-                "has_pmf": True, "weights": None, "entropy": None, "phi": None, "clusters": None,
-                "leaders": None, "n_clusters": None, "missing_models": [], "note": "",
-            }
+            EnsembleRun("equal", 2010, region, target, self.WEEK.to_int(), 2, self.PMF, {}, None)
             for region, target in strata
         ]
-        bundle = {"variant": "equal", "season": 2010, "issue_week": week.to_int()}
-        (base / f"week-{week}.json").write_text(json.dumps(bundle | {"runs": runs, "scores": []}))
-        return base / f"week-{week}.csv", week
+        _write_week(tmp_path, "equal", 2010, self.WEEK, runs, [])
+        return tmp_path / "runs" / "equal" / "2010" / f"week-{self.WEEK}.csv"
 
     @pytest.mark.parametrize(
         "edit",
@@ -455,14 +448,14 @@ class TestWeekCsv:
             lambda lines: lines.__setitem__(3, "Nat,2,nan," + lines[3].split(",", 3)[3]),
             lambda lines: lines.__setitem__(3, "Nat,2,inf," + lines[3].split(",", 3)[3]),
             lambda lines: lines.__setitem__(3, lines[3].replace(",0.007", ",0.006", 1)),
+            lambda lines: lines.pop(),  # the last newline
         ],
     )
     def test_matches_row_at_a_time_loader(self, tmp_path, edit):
+        """The written file loads as csv.reader and float() read it, row by
+        row; every edit is corrupt."""
         self._check(tmp_path, edit, self.STRATA)
 
-    # First: in file order a bad pmf, a repeated key and a bad number; the
-    # chunk fails on the number first, but the error names the pmf's line.
-    # Second: a key first seen in the chunk before.
     @pytest.mark.parametrize(
         "edit",
         [
@@ -478,29 +471,44 @@ class TestWeekCsv:
             ),
         ],
     )
-    def test_names_the_first_bad_line_of_a_long_file(self, tmp_path, edit):
+    def test_every_edit_of_a_long_file_names_the_file(self, tmp_path, edit):
         self._check(tmp_path, edit, self.LONG)
 
     def _check(self, tmp_path, edit, strata):
-        lines = self._text(strata).split("\n")
+        path = self._write(tmp_path, strata)
+        text = path.read_text()
+        lines = text.split("\n")
         edit(lines)
-        text = "\n".join(lines)
-        path, week = self._write(tmp_path, text, strata)
-        try:
-            want = ("ok", oracles.parse_week_csv(text, str(path), strata))
-        except ValueError as exc:
-            want = ("error", str(exc))
-        try:
-            runs, _ = _load_week(tmp_path, "equal", 2010, week)
-            got = ("ok", {(r.region, r.target): r.pmf for r in runs if r.pmf is not None})
-        except CorruptArtifactError as exc:
-            got = ("error", str(exc))
-        assert got[0] == want[0]
-        if got[0] == "ok":
-            assert got[1].keys() == want[1].keys()
-            assert all(bits(got[1][k]) == bits(want[1][k]) for k in want[1])
-        else:
-            assert got[1] == want[1]
+        if lines == text.split("\n"):
+            # Unedited: each pmf is what float() gives for its row's fields.
+            rows = list(csv.reader(text.splitlines()))[1:]
+            want = {(row[0], int(row[1])): [float(v) for v in row[2:]] for row in rows}
+            runs, _ = _load_week(tmp_path, "equal", 2010, self.WEEK)
+            assert [(r.region, r.target) for r in runs] == list(want)
+            for run in runs:
+                assert bits(run.pmf) == bits(np.array(want[run.region, run.target]))
+                assert not run.pmf.flags.writeable
+            return
+        path.write_text("\n".join(lines))
+        assert path.read_text() != text
+        with pytest.raises(CorruptArtifactError, match=re.escape(f"{path}: its SHA-256")):
+            _load_week(tmp_path, "equal", 2010, self.WEEK)
+
+    def test_missing_file_names_the_file(self, tmp_path):
+        path = self._write(tmp_path, [])
+        path.unlink()
+        with pytest.raises(CorruptArtifactError, match=re.escape(f"{path}: missing")):
+            _load_week(tmp_path, "equal", 2010, self.WEEK)
+
+    def test_edited_has_pmf_names_the_file(self, tmp_path):
+        path = self._write(tmp_path, self.STRATA)
+        bundle_path = path.with_suffix(".json")
+        bundle = json.loads(bundle_path.read_text())
+        bundle["runs"][1]["has_pmf"] = False
+        bundle_path.write_text(json.dumps(bundle))
+        message = f"{path}: its rows are not the runs marked has_pmf"
+        with pytest.raises(CorruptArtifactError, match=re.escape(message)):
+            _load_week(tmp_path, "equal", 2010, self.WEEK)
 
 
 # Ids and notes with quotes, backslashes, control and non-ASCII characters.
@@ -569,13 +577,14 @@ def _score_dict(record):
     }
 
 
-def _week_dict(variant, season, issue_week, runs, scores):
+def _week_dict(variant, season, issue_week, runs, scores, csv_sha256):
     return {
         "variant": variant,
         "season": season,
         "issue_week": issue_week,
         "runs": [_run_dict(r) for r in runs],
         "scores": [_score_dict(s) for s in scores],
+        "csv_sha256": csv_sha256,
     }
 
 
@@ -587,10 +596,12 @@ class TestWeekJson:
         issue_week=st.integers(200040, 203052),
         runs=st.lists(ensemble_runs, max_size=4),
         scores=st.lists(score_records, max_size=4),
+        csv_bytes=st.binary(max_size=8),
     )
-    def test_matches_json_dumps(self, variant, season, issue_week, runs, scores):
-        payload = _week_dict(variant, season, issue_week, runs, scores)
-        assert _week_json(variant, season, issue_week, runs, scores) == json.dumps(
+    def test_matches_json_dumps(self, variant, season, issue_week, runs, scores, csv_bytes):
+        digest = hashlib.sha256(csv_bytes).hexdigest()
+        payload = _week_dict(variant, season, issue_week, runs, scores, digest)
+        assert _week_json(variant, season, issue_week, runs, scores, digest) == json.dumps(
             payload, indent=1, sort_keys=True
         )
 
@@ -604,8 +615,10 @@ class TestWeekJson:
         )
         score = ScoreRecord("cap-equal", "Nat", 1, 201040, week.to_int(), -1.5, 0.25, 0.125)
         _write_week(tmp_path, "cap-equal", 2010, week, [run], [score])
-        payload = _week_dict("cap-equal", 2010, week.to_int(), [run], [score])
-        text = (tmp_path / "runs" / "cap-equal" / "2010" / f"week-{week}.json").read_text()
+        base = tmp_path / "runs" / "cap-equal" / "2010"
+        digest = hashlib.sha256((base / f"week-{week}.csv").read_bytes()).hexdigest()
+        payload = _week_dict("cap-equal", 2010, week.to_int(), [run], [score], digest)
+        text = (base / f"week-{week}.json").read_text()
         assert text == json.dumps(payload, indent=1, sort_keys=True) + "\n"
         runs, scores = _load_week(tmp_path, "cap-equal", 2010, week)
         assert scores == [score]
@@ -654,6 +667,8 @@ class TestWeekJson:
             lambda bundle: bundle["runs"][0].update(issue_week=201042),
             lambda bundle: bundle["scores"][0].update(target_week=201042),
             lambda bundle: bundle.update(extra=1),
+            # A bundle written before weeks recorded their CSV's digest.
+            lambda bundle: bundle.pop("csv_sha256"),
         ],
     )
     def test_malformed_item_names_the_file(self, tmp_path, edit):

@@ -354,6 +354,23 @@ class TestRecordedConfig:
             replay(RunConfig.parse(_config_text(data_dir, **overrides)), run)
 
 
+    def test_undecodable_recorded_config_is_corrupt(self, cap_run, tmp_path):
+        data_dir, overrides, out = cap_run
+        run = tmp_path / "run"
+        shutil.copytree(out, run)
+        path = run / "run.cfg"
+        path.write_bytes(path.read_bytes() + b"\xff\n")
+        before = _tree_bytes(run)
+        for call in (lambda: recorded_config(run), lambda: write_report(run)):
+            with pytest.raises(CorruptArtifactError) as caught:
+                call()
+            assert str(caught.value).startswith(f"{path}: 'utf-8' codec can't decode byte 0xff")
+            assert str(caught.value).count(str(path)) == 1
+        with pytest.raises(CorruptArtifactError, match=re.escape(str(path))):
+            replay(RunConfig.parse(_config_text(data_dir, **overrides)), run)
+        assert _tree_bytes(run) == before
+
+
 class TestDeterminismAndResume:
     def test_rerun_is_byte_identical(self, tmp_path):
         data_dir = tmp_path / "data"
@@ -760,6 +777,38 @@ class TestReport:
         with pytest.raises(CorruptArtifactError, match=re.escape(str(path))):
             write_report(copy)
         replay(config, copy)
+        assert _tree_bytes(copy / "runs") == _tree_bytes(out / "runs")
+
+    @pytest.mark.parametrize("fault", ["mass-moved", "copied", "undecodable", "long-field"])
+    def test_changed_week_csv_is_corrupt_and_recomputed(self, small_run, tmp_path, caplog, fault):
+        # Mass moved between two bins of a row, which still sums to 1; the
+        # CSV alone copied from the week before; a byte that is not UTF-8;
+        # a quoted field longer than csv's field size limit.
+        config, out = small_run
+        copy = tmp_path / "run"
+        shutil.copytree(out, copy, ignore=shutil.ignore_patterns("reports"))
+        base = copy / "runs" / "equal" / "2010"
+        path = base / "week-201046.csv"
+        data = path.read_bytes()
+        if fault == "mass-moved":
+            header, row, rest = data.split(b"\n", 2)
+            cells = row.split(b",")
+            cells[2:4] = [repr(float(cells[2]) + float(cells[3])).encode(), b"0.0"]
+            path.write_bytes(b"\n".join([header, b",".join(cells), rest]))
+        elif fault == "copied":
+            shutil.copy(base / "week-201045.csv", path)
+        elif fault == "undecodable":
+            path.write_bytes(data + b"\xff")
+        else:
+            path.write_bytes(data + b'Nat,1,"' + b"0" * 131_073 + b'"\n')
+        assert path.read_bytes() != data
+        for read in (load_run_artifacts, write_report):
+            with pytest.raises(CorruptArtifactError, match=re.escape(str(path))):
+                read(copy)
+        with caplog.at_level(logging.WARNING, logger="cappool"):
+            replay(config, copy)
+        warned = [r.getMessage() for r in caplog.records if r.name == "cappool"]
+        assert len(warned) == 1 and str(path) in warned[0]
         assert _tree_bytes(copy / "runs") == _tree_bytes(out / "runs")
 
     @pytest.mark.parametrize("stray", ["week-copy", "bad-week", "season-dir"])

@@ -300,9 +300,35 @@ def _write_week(
     _atomic_write(json_path, (bundle + "\n").encode())
 
 
-def _load_week(
-    out_dir: Path, variant: str, season: int, week: Epiweek
-) -> tuple[list[EnsembleRun], list[ScoreRecord]] | None:
+@dataclass(frozen=True)
+class _StoredWeek:
+    """A completed week as ``_load_week`` read and checked it, its pmf text
+    not yet parsed: each run's fields but its pmf, in bundle order, the pmf
+    text of each run marked ``has_pmf``, in the same order, and the scores."""
+
+    csv_path: Path
+    items: list[dict]
+    tails: list[str]
+    scores: list[ScoreRecord]
+
+    def runs(self) -> list[EnsembleRun]:
+        """The week's runs, their pmfs parsed in one ``parse_prob_rows`` call
+        as read-only rows of one array. A row that does not parse raises
+        CorruptArtifactError naming the CSV and the line."""
+        try:
+            probs = parse_prob_rows(self.tails, range(2, len(self.tails) + 2), "line")
+        except ValueError as exc:
+            raise CorruptArtifactError(f"corrupt week file {self.csv_path}: {exc}") from None
+        probs.setflags(write=False)  # before the row views are taken
+        rows = iter(probs)
+        runs = []
+        for item in self.items:
+            item["pmf"] = next(rows) if item["has_pmf"] else None
+            runs.append(EnsembleRun(*_run_values(item)))
+        return runs
+
+
+def _load_week(out_dir: Path, variant: str, season: int, week: Epiweek) -> _StoredWeek | None:
     """Read back one completed week, or None if it was never completed.
 
     Raises CorruptArtifactError naming the file when the week's JSON bundle
@@ -310,9 +336,9 @@ def _load_week(
     ones whose SHA-256 the bundle records, or when the two do not match.
     The bundle must be the week its path names: its ``variant``, ``season``
     and ``issue_week``, each run's ``issue_week`` and each score's
-    ``target_week`` must be the path's. The CSV's rows, keyed by (region,
-    target), must be the runs marked ``has_pmf``; each such run gets its
-    row's pmf, a read-only row of one array.
+    ``target_week`` must be the path's. The CSV must hold one row per run
+    marked ``has_pmf``, in run order, whose first two fields are the run's
+    region and target. The rows' pmf text is left for ``_StoredWeek.runs``.
     """
     csv_path, json_path = _week_paths(out_dir, variant, season, week)
     if not json_path.exists():
@@ -325,7 +351,7 @@ def _load_week(
         named = payload["variant"], payload["season"], payload["issue_week"]
         if named != (variant, season, week_int):
             raise ValueError(f"the bundle of {named} at the path of {(variant, season, week_int)}")
-        items, wanted = payload["runs"], set()
+        items, wanted = payload["runs"], []
         for item in items:
             if item.keys() != _RUN_KEYS:
                 raise KeyError(f"run keys {sorted(item)}")
@@ -337,7 +363,7 @@ def _load_week(
             item["missing_models"] = tuple(item["missing_models"])
             item["variant"], item["season"] = variant, season
             if item["has_pmf"]:
-                wanted.add((item["region"], item["target"]))
+                wanted.append((item["region"], item["target"]))
         scores = []
         for item in payload["scores"]:
             if item.keys() != _SCORE_KEYS:
@@ -362,36 +388,36 @@ def _load_week(
             region, target, tail = line.split(",", 2)
             keys.append((region, int(target)))
             tails.append(tail)
-        probs = parse_prob_rows(tails, range(2, len(tails) + 2), "line")
     except ValueError as exc:
         raise CorruptArtifactError(f"corrupt week file {csv_path}: {exc}") from None
-    probs.setflags(write=False)  # before the row views are taken
-    pmfs = dict(zip(keys, probs))
-    if pmfs.keys() != wanted:
+    if keys != wanted:
         raise CorruptArtifactError(
             f"corrupt week file {csv_path}: its rows are not the runs marked has_pmf"
         )
-    runs = []
-    for item in items:
-        item["pmf"] = pmfs[item["region"], item["target"]] if item["has_pmf"] else None
-        runs.append(EnsembleRun(*_run_values(item)))
-    return runs, scores
+    return _StoredWeek(csv_path, items, tails, scores)
 
 
 def _score_runs_targeting(
-    data: SeasonData, runs_by_week: list[list[EnsembleRun]], t: int, targets, strict: bool
+    data: SeasonData,
+    runs_by_week: list[list[EnsembleRun] | _StoredWeek],
+    t: int,
+    targets,
+    strict: bool,
 ) -> list[ScoreRecord]:
-    """Score every stored run whose target week realizes at week index t.
+    """Score every run whose target week realizes at week index t.
 
     ``runs_by_week[j]`` holds week j's runs in ``stratum_keys()`` order, as
     they are computed and written, so the records follow that order within
-    each target."""
+    each target. A week read back from disk is held as its ``_StoredWeek``
+    and replaced by its parsed runs the first time a week scores it."""
     records = []
     week_int = data.week(t).to_int()
     for target in sorted(targets):
         j = t - target
         if j < 1:
             continue
+        if isinstance(runs_by_week[j], _StoredWeek):
+            runs_by_week[j] = runs_by_week[j].runs()
         for run in runs_by_week[j]:
             if run.target != target or run.pmf is None:
                 continue
@@ -508,14 +534,15 @@ def _replay_season_runs(
 
     ``season_data(season)`` is called on the first week that is not stored,
     to compute it and score its runs; its SeasonData is returned, or None
-    when every week file was reused."""
+    when every week file was reused. A stored week's pmf text is parsed
+    only when a week that is computed scores its runs."""
     strict = config.brier_mode == "strict"
     horizon = max(config.targets)
     n_weeks = season_length(season)
     data = None
     for name in config.variants:
         variant = make_variant(name, phi_grid=config.phi_grid, delta=config.delta)
-        runs_by_week: list[list[EnsembleRun]] = [[]]
+        runs_by_week: list[list[EnsembleRun] | _StoredWeek] = [[]]
         for t in range(1, n_weeks + horizon + 1):
             week = season_week(season, t)
             try:
@@ -524,7 +551,7 @@ def _replay_season_runs(
                 _log.warning("%s; recomputing that week", exc)
                 cached = None
             if cached is not None:
-                runs_by_week.append(cached[0])
+                runs_by_week.append(cached)
                 continue
             if data is None:
                 _log.info(
@@ -589,6 +616,6 @@ def load_run_artifacts(out_dir) -> tuple[list[EnsembleRun], list[ScoreRecord]]:
                 loaded = _load_week(out_dir, variant_dir.name, season, week)
                 if loaded is None:
                     continue
-                all_runs.extend(loaded[0])
-                all_scores.extend(loaded[1])
+                all_runs.extend(loaded.runs())
+                all_scores.extend(loaded.scores)
     return all_runs, all_scores

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -461,3 +462,65 @@ class TestPanelFitInputs:
         with open(out / "diagnostics" / "restarts_summary.csv", newline="") as fh:
             models = [row[0] for row in csv.reader(fh)][1:-2]
         assert models == ["m1", "m2", "m3", "m4", "m5"]
+
+
+def _forge_week_csv(csv_path: Path, edit) -> None:
+    """Edit a week CSV's lines and rewrite its bundle's ``csv_sha256`` to
+    match, as only editing both files together can."""
+    lines = csv_path.read_text().split("\n")
+    edit(lines)
+    data = "\n".join(lines).encode()
+    csv_path.write_bytes(data)
+    bundle_path = csv_path.with_suffix(".json")
+    bundle = json.loads(bundle_path.read_text())
+    bundle["csv_sha256"] = hashlib.sha256(data).hexdigest()
+    bundle_path.write_text(json.dumps(bundle, indent=1, sort_keys=True) + "\n")
+
+
+class TestForgedWeekDigest:
+    @pytest.fixture()
+    def finished(self, run_setup, capsys):
+        cfg, out = run_setup
+        assert main(["replay", "--config", str(cfg), "--out", str(out)]) == 0
+        capsys.readouterr()
+        weeks = sorted((out / "runs" / "equal" / "2010").glob("week-*.json"))
+        return cfg, out, weeks[4].with_suffix(".csv"), weeks[5]
+
+    @staticmethod
+    def _runs(out: Path) -> dict[Path, bytes]:
+        return {p: p.read_bytes() for p in sorted(out.glob("runs/*/*/week-*"))}
+
+    def test_unparsable_row_is_kept_until_a_replay_scores_it(self, finished, capsys):
+        cfg, out, week_csv, next_json = finished
+
+        def oops(lines):
+            region, target, _, rest = lines[1].split(",", 3)
+            lines[1] = ",".join([region, target, "oops", rest])
+
+        _forge_week_csv(week_csv, oops)
+        before = self._runs(out)
+        # Nothing to compute: no pmf text is parsed, and the week is kept.
+        assert main(["replay", "--config", str(cfg), "--out", str(out)]) == 0
+        assert self._runs(out) == before
+        message = f"error: corrupt week file {week_csv}: line 2: could not convert string to float: 'oops'"
+        capsys.readouterr()
+        assert main(["report", "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        # The next week, recomputed, scores the forged week's run: replay
+        # names the CSV before it writes that week.
+        next_json.unlink()
+        assert main(["replay", "--config", str(cfg), "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not next_json.exists()
+
+    def test_repeated_row_is_corrupt(self, finished, capsys):
+        # The reader used to key rows by (region, target), so a repeated
+        # row silently became its run's pmf.
+        cfg, out, week_csv, _ = finished
+        before = self._runs(out)
+        _forge_week_csv(week_csv, lambda lines: lines.insert(2, lines[1]))
+        assert main(["report", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: corrupt week file {week_csv}: its rows are not the runs marked has_pmf" in err
+        assert main(["replay", "--config", str(cfg), "--out", str(out)]) == 0
+        assert self._runs(out) == before

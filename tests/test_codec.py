@@ -319,7 +319,9 @@ class TestParseComponentCsv:
             elif kind == "model":
                 row[2] = "  "
             elif kind == "sum":
-                row[4:] = [repr(v * 1.5) for v in map(float, row[4:])]
+                # An earlier edit of this row may have left a field that
+                # float() rejects ("0.0x", "0,25"); it stays as it is.
+                row[4:] = [v if "x" in v or "," in v else repr(float(v) * 1.5) for v in row[4:]]
             elif kind == "negative":
                 row[5] = "-" + row[5].lstrip("-")
             elif kind == "underscore":
@@ -483,7 +485,7 @@ class TestWeekCsv:
             # Unedited: each pmf is what float() gives for its row's fields.
             rows = list(csv.reader(text.splitlines()))[1:]
             want = {(row[0], int(row[1])): [float(v) for v in row[2:]] for row in rows}
-            runs, _ = _load_week(tmp_path, "equal", 2010, self.WEEK)
+            runs = _load_week(tmp_path, "equal", 2010, self.WEEK).runs()
             assert [(r.region, r.target) for r in runs] == list(want)
             for run in runs:
                 assert bits(run.pmf) == bits(np.array(want[run.region, run.target]))
@@ -620,7 +622,8 @@ class TestWeekJson:
         payload = _week_dict("cap-equal", 2010, week.to_int(), [run], [score], digest)
         text = (base / f"week-{week}.json").read_text()
         assert text == json.dumps(payload, indent=1, sort_keys=True) + "\n"
-        runs, scores = _load_week(tmp_path, "cap-equal", 2010, week)
+        stored = _load_week(tmp_path, "cap-equal", 2010, week)
+        runs, scores = stored.runs(), stored.scores
         assert scores == [score]
         assert runs[0].clusters == run.clusters and runs[0].weights == run.weights
 
@@ -639,7 +642,8 @@ class TestWeekJson:
         week = Epiweek(2010, 41)
         with tempfile.TemporaryDirectory() as tmp:
             _write_week(Path(tmp), "equal", 2010, week, runs, scores)
-            got_runs, got_scores = _load_week(Path(tmp), "equal", 2010, week)
+            stored = _load_week(Path(tmp), "equal", 2010, week)
+            got_runs, got_scores = stored.runs(), stored.scores
         # repr tells a tuple from a list and spells every NaN alike.
         plain = [f.name for f in fields(EnsembleRun) if f.name not in ("pmf", "weights")]
         assert len(got_runs) == len(runs)

@@ -484,11 +484,13 @@ def three_season_run(tmp_path_factory):
 
 @pytest.fixture
 def replay_calls(monkeypatch):
-    """Record replay's panel loads and SeasonData builds (by season) and its
-    week-file reads (by variant, season and week)."""
+    """Record replay's panel loads and SeasonData builds (by season), its
+    week-file reads (by variant, season and week) and the pmf text of each
+    ``parse_prob_rows`` call it makes."""
     replay_mod = import_module("cappool.replay")
-    calls = {"loads": [], "built": [], "reads": Counter()}
+    calls = {"loads": [], "built": [], "reads": Counter(), "parsed": []}
     original_load, original_read = replay_mod.load_panel, replay_mod._load_week
+    original_parse = replay_mod.parse_prob_rows
 
     class Counted(replay_mod.SeasonData):
         def __init__(self, panel, season, *args, **kwargs):
@@ -503,10 +505,20 @@ def replay_calls(monkeypatch):
         calls["reads"][variant, season, week] += 1
         return original_read(out_dir, variant, season, week)
 
+    def parse_prob_rows(tails, *args):
+        calls["parsed"].append(list(tails))
+        return original_parse(tails, *args)
+
     monkeypatch.setattr(replay_mod, "SeasonData", Counted)
     monkeypatch.setattr(replay_mod, "load_panel", load_panel)
     monkeypatch.setattr(replay_mod, "_load_week", load_week)
+    monkeypatch.setattr(replay_mod, "parse_prob_rows", parse_prob_rows)
     return calls
+
+
+def _pmf_text(csv_path: Path) -> list[str]:
+    """The pmf text of each row of a week CSV, after its region and target."""
+    return [line.split(",", 2)[2] for line in csv_path.read_text().splitlines()[1:]]
 
 
 def _n_week_files(config: RunConfig, season: int) -> int:
@@ -558,6 +570,35 @@ class TestResumeLoadsOnlyWhatItComputes:
             "season 2011: equal week 201215 is not stored; loading the panel",
             f"season 2012: all {2 * _n_week_files(config, 2012)} {reused}",
         ]
+
+    def test_finished_directory_parses_no_pmf_text(
+        self, three_season_run, tmp_path, replay_calls
+    ):
+        config, full = three_season_run
+        run = tmp_path / "run"
+        shutil.copytree(full, run)
+        replay(config, run)
+        assert replay_calls["parsed"] == []
+        assert _tree_bytes(run) == _tree_bytes(full)
+
+    @pytest.mark.parametrize("variant", ["equal", "cap-adaptive"])
+    def test_recomputed_week_parses_only_the_weeks_it_scores(
+        self, small_run, tmp_path, replay_calls, variant
+    ):
+        # Targets 1 and 2: week t scores the runs of weeks t - 1 and t - 2.
+        config, full = small_run
+        run = tmp_path / "run"
+        shutil.copytree(full, run, ignore=shutil.ignore_patterns("reports"))
+        weeks = sorted(run.glob(f"runs/{variant}/2010/week-*.json"))
+        t = len(weeks) // 2  # weeks[t - 1] is week index t
+        for path in (weeks[t - 1], weeks[t - 1].with_suffix(".csv")):
+            path.unlink()
+        replay(config, run)
+        assert replay_calls["parsed"] == [
+            _pmf_text(weeks[t - 1 - k].with_suffix(".csv")) for k in config.targets
+        ]
+        assert set(replay_calls["reads"].values()) == {1}
+        assert _tree_bytes(run / "runs") == _tree_bytes(full / "runs")
 
     def test_corrupt_week_is_warned_once_and_recomputed(
         self, three_season_run, tmp_path, replay_calls, caplog

@@ -497,6 +497,7 @@ class TestForgedWeekDigest:
             region, target, _, rest = lines[1].split(",", 3)
             lines[1] = ",".join([region, target, "oops", rest])
 
+        original = self._runs(out)
         _forge_week_csv(week_csv, oops)
         before = self._runs(out)
         # Nothing to compute: no pmf text is parsed, and the week is kept.
@@ -512,6 +513,11 @@ class TestForgedWeekDigest:
         assert main(["replay", "--config", str(cfg), "--out", str(out)]) == 1
         assert message in capsys.readouterr().err
         assert not next_json.exists()
+        # Recovery: delete the forged week's two files and replay again.
+        week_csv.unlink()
+        week_csv.with_suffix(".json").unlink()
+        assert main(["replay", "--config", str(cfg), "--out", str(out)]) == 0
+        assert self._runs(out) == original
 
     def test_repeated_row_is_corrupt(self, finished, capsys):
         # The reader used to key rows by (region, target), so a repeated

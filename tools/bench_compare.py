@@ -1,13 +1,17 @@
 """Compare perfbench's end-to-end metrics between a parent revision and this tree.
 
-    python3 tools/bench_compare.py --parent HEAD~1 --out BENCH_<n>.json \\
-        --pairs 10 --seed 3 --seconds 12 [--workload long-io ...] [--parent-dir DIR]
+    git archive REV | tar -x -C DIR      # or: git clone . DIR && git -C DIR checkout REV
+    python3 tools/bench_compare.py --parent REV --parent-dir DIR --out BENCH_<n>.json \\
+        --pairs 10 --seed 3 --seconds 12 [--workload long-io ...]
 
-The parent revision is checked out with ``git worktree add --detach`` under
-a fresh temporary directory (removed again at the end); ``--parent-dir``
-names an existing checkout of it instead, say one unpacked by ``git
-archive``. For each workload (by default those of ``BENCHMARK.json``) the
-script runs ``--pairs`` pairs of
+``--parent-dir`` is a plain checkout of ``--parent``; the change side is this
+tree. Before any run, both trees are checked against git: every file under
+``src/`` and ``perfbench/`` that git tracks at the side's revision (``--parent``
+or ``HEAD``), and every ``*.py`` file there, must be present in the tree with
+the same blob hash. So uncommitted edits to the code perfbench runs stop the
+script, and the commits in the record name exactly what was measured. For
+each workload (by default those of ``BENCHMARK.json``) the script runs
+``--pairs`` pairs of
 
     python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
 
@@ -26,22 +30,39 @@ pairs the change won per metric (strictly better, in the direction
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import platform
 import statistics
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+CODE_DIRS = ("src", "perfbench")
 
 
 def _git(*args: str, cwd: Path = ROOT) -> str:
     return subprocess.run(
         ["git", *args], cwd=cwd, check=True, capture_output=True, text=True
     ).stdout.strip()
+
+
+def check_tree(tree: Path, rev: str) -> None:
+    """Raise unless ``tree``'s code under CODE_DIRS is ``rev``'s, blob for blob."""
+    listing = _git("ls-tree", "-r", rev, "--", *CODE_DIRS)
+    tracked = {}
+    for line in listing.splitlines():
+        meta, path = line.split("\t", 1)
+        tracked[path] = meta.split()[2]
+    found = {str(f.relative_to(tree)) for d in CODE_DIRS for f in (tree / d).rglob("*.py")}
+    for path in sorted(tracked.keys() | found):
+        file = tree / path
+        data = file.read_bytes() if file.is_file() else None
+        blob = None if data is None else hashlib.sha1(b"blob %d\0" % len(data) + data).hexdigest()
+        if blob != tracked.get(path):
+            raise SystemExit(f"error: {file} does not match {rev}:{path}; commit or check out {rev} first")
 
 
 def run_side(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -122,32 +143,26 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=3)
     parser.add_argument("--seconds", type=float, default=12.0)
     parser.add_argument("--workload", action="append", help="default: BENCHMARK.json's")
-    parser.add_argument("--parent-dir", type=Path, help="an existing checkout of --parent")
+    parser.add_argument(
+        "--parent-dir", required=True, type=Path, help="a plain checkout of --parent"
+    )
     args = parser.parse_args(argv)
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     workloads = args.workload or [w["name"] for w in bench["workloads"]]
-    parent_commit = _git("rev-parse", args.parent)
+    trees = {"parent": args.parent_dir.resolve(), "change": ROOT}
+    revs = {"parent": _git("rev-parse", args.parent), "change": _git("rev-parse", "HEAD")}
+    for side in SIDES:
+        check_tree(trees[side], revs[side])
     record = {
-        "parent": {"revision": args.parent, "commit": parent_commit},
-        "change": {"commit": _git("rev-parse", "HEAD"), "dirty": bool(_git("status", "--porcelain"))},
+        "parent": {"revision": args.parent, "commit": revs["parent"]},
+        "change": {"commit": revs["change"]},
+        "checked_dirs": list(CODE_DIRS),
         "settings": {"pairs": args.pairs, "seed": args.seed, "seconds": args.seconds, "trace": 0},
         "machine": {"python": platform.python_version(), "platform": platform.platform()},
+        "workloads": compare(trees, workloads, args.pairs, args.seed, args.seconds, better),
     }
-    with tempfile.TemporaryDirectory(prefix="bench-parent-") as scratch:
-        parent_dir = args.parent_dir
-        if parent_dir is None:
-            parent_dir = Path(scratch) / "parent"
-            _git("worktree", "add", "--detach", str(parent_dir), parent_commit)
-        try:
-            trees = {"parent": parent_dir.resolve(), "change": ROOT}
-            record["workloads"] = compare(
-                trees, workloads, args.pairs, args.seed, args.seconds, better
-            )
-        finally:
-            if args.parent_dir is None:
-                _git("worktree", "remove", "--force", str(parent_dir))
     args.out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     for workload, result in record["workloads"].items():
         for name, ratio in result["ratio"].items():

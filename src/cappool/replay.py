@@ -3,9 +3,10 @@ forecasts as their target weeks realize, and persist artifacts incrementally.
 
 At week t a variant sees only forecasts issued at or before t and truths for
 weeks at or before t. Week artifacts are written atomically (CSV of pooled
-pmfs first, then the JSON bundle that marks the week complete), so an
-interrupted run resumes at the first incomplete week and reproduces exactly
-what an uninterrupted run would have written.
+pmfs first, then the JSON bundle that marks the week complete). A resume
+walks each variant-season with a week missing from week one, as an
+uninterrupted run does, and writes only the missing weeks, so it computes
+exactly what an uninterrupted run computes and writes the same bytes.
 """
 
 from __future__ import annotations
@@ -398,26 +399,19 @@ def _load_week(out_dir: Path, variant: str, season: int, week: Epiweek) -> _Stor
 
 
 def _score_runs_targeting(
-    data: SeasonData,
-    runs_by_week: list[list[EnsembleRun] | _StoredWeek],
-    t: int,
-    targets,
-    strict: bool,
+    data: SeasonData, runs_by_week: list[list[EnsembleRun]], t: int, targets, strict: bool
 ) -> list[ScoreRecord]:
     """Score every run whose target week realizes at week index t.
 
     ``runs_by_week[j]`` holds week j's runs in ``stratum_keys()`` order, as
-    they are computed and written, so the records follow that order within
-    each target. A week read back from disk is held as its ``_StoredWeek``
-    and replaced by its parsed runs the first time a week scores it."""
+    this process computed them, so the records follow that order within
+    each target."""
     records = []
     week_int = data.week(t).to_int()
     for target in sorted(targets):
         j = t - target
         if j < 1:
             continue
-        if isinstance(runs_by_week[j], _StoredWeek):
-            runs_by_week[j] = runs_by_week[j].runs()
         for run in runs_by_week[j]:
             if run.target != target or run.pmf is None:
                 continue
@@ -532,40 +526,46 @@ def _replay_season_runs(
     """Walk one season for each configured variant. Variants keep no state
     from one season to the next, so each season makes its own.
 
-    ``season_data(season)`` is called on the first week that is not stored,
-    to compute it and score its runs; its SeasonData is returned, or None
-    when every week file was reused. A stored week's pmf text is parsed
-    only when a week that is computed scores its runs."""
+    Every week file of a variant is checked with ``_load_week`` first; one
+    that does not read back is warned about and counts as missing. A variant
+    with no week missing is skipped. Any other is walked from week one, as
+    an uninterrupted run walks it, up to its last missing week, and only the
+    missing weeks are written: a stored week never feeds the computation, so
+    a replay parses no stored pmf text. ``season_data(season)`` is called for
+    the first variant walked; its SeasonData is returned, or None when every
+    week file was reused."""
     strict = config.brier_mode == "strict"
-    horizon = max(config.targets)
     n_weeks = season_length(season)
+    weeks = [season_week(season, t) for t in range(1, n_weeks + max(config.targets) + 1)]
     data = None
     for name in config.variants:
-        variant = make_variant(name, phi_grid=config.phi_grid, delta=config.delta)
-        runs_by_week: list[list[EnsembleRun] | _StoredWeek] = [[]]
-        for t in range(1, n_weeks + horizon + 1):
-            week = season_week(season, t)
+        missing = set()
+        for t, week in enumerate(weeks, start=1):
             try:
-                cached = _load_week(out_dir, variant.name, season, week)
+                if _load_week(out_dir, name, season, week) is None:
+                    missing.add(t)
             except CorruptArtifactError as exc:
                 _log.warning("%s; recomputing that week", exc)
-                cached = None
-            if cached is not None:
-                runs_by_week.append(cached)
-                continue
-            if data is None:
-                _log.info(
-                    "season %d: %s week %s is not stored; loading the panel", season, name, week
-                )
-                data = season_data(season)
-            runs = variant.week_runs(data, t) if t <= n_weeks else []
-            runs_by_week.append(runs)
-            scores = _score_runs_targeting(data, runs_by_week, t, config.targets, strict)
-            _write_week(out_dir, variant.name, season, week, runs, scores)
+                missing.add(t)
+        if not missing:
+            continue
+        if data is None:
+            _log.info(
+                "season %d: %s week %s is not stored; loading the panel",
+                season, name, weeks[min(missing) - 1],
+            )
+            data = season_data(season)
+        variant = make_variant(name, phi_grid=config.phi_grid, delta=config.delta)
+        runs_by_week: list[list[EnsembleRun]] = [[]]
+        for t in range(1, max(missing) + 1):
+            runs_by_week.append(variant.week_runs(data, t) if t <= n_weeks else [])
+            if t in missing:
+                scores = _score_runs_targeting(data, runs_by_week, t, config.targets, strict)
+                _write_week(out_dir, name, season, weeks[t - 1], runs_by_week[t], scores)
     if data is None:
         _log.info(
             "season %d: all %d week files reused, panel not loaded",
-            season, len(config.variants) * (n_weeks + horizon),
+            season, len(config.variants) * len(weeks),
         )
     return data
 

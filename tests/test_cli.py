@@ -490,7 +490,7 @@ class TestForgedWeekDigest:
     def _runs(out: Path) -> dict[Path, bytes]:
         return {p: p.read_bytes() for p in sorted(out.glob("runs/*/*/week-*"))}
 
-    def test_unparsable_row_is_kept_until_a_replay_scores_it(self, finished, capsys):
+    def test_unparsable_row_is_kept_by_every_replay(self, finished, capsys):
         cfg, out, week_csv, next_json = finished
 
         def oops(lines):
@@ -499,25 +499,51 @@ class TestForgedWeekDigest:
 
         original = self._runs(out)
         _forge_week_csv(week_csv, oops)
-        before = self._runs(out)
+        forged = self._runs(out)
         # Nothing to compute: no pmf text is parsed, and the week is kept.
         assert main(["replay", "--config", str(cfg), "--out", str(out)]) == 0
-        assert self._runs(out) == before
+        assert self._runs(out) == forged
         message = f"error: corrupt week file {week_csv}: line 2: could not convert string to float: 'oops'"
         capsys.readouterr()
         assert main(["report", "--out", str(out)]) == 1
         assert message in capsys.readouterr().err
-        # The next week, recomputed, scores the forged week's run: replay
-        # names the CSV before it writes that week.
+        # The next week is recomputed by a walk from week one, which scores
+        # the runs it computed: the forged week is kept, and the next week is
+        # written as the uninterrupted run wrote it.
         next_json.unlink()
-        assert main(["replay", "--config", str(cfg), "--out", str(out)]) == 1
+        assert main(["replay", "--config", str(cfg), "--out", str(out)]) == 0
+        assert self._runs(out) == forged
+        capsys.readouterr()
+        assert main(["report", "--out", str(out)]) == 1
         assert message in capsys.readouterr().err
-        assert not next_json.exists()
         # Recovery: delete the forged week's two files and replay again.
         week_csv.unlink()
         week_csv.with_suffix(".json").unlink()
         assert main(["replay", "--config", str(cfg), "--out", str(out)]) == 0
         assert self._runs(out) == original
+
+    def test_forged_pmf_does_not_reach_a_recomputed_week(self, finished):
+        # Mass moved between the row's two largest bins: the text parses
+        # and the digest matches, so no check can tell the week was forged.
+        cfg, out, week_csv, next_json = finished
+        next_csv = next_json.with_suffix(".csv")
+        original = self._runs(out)
+
+        def move_mass(lines):
+            cells = lines[1].split(",")
+            probs = [float(v) for v in cells[2:]]
+            a, b = (int(k) + 2 for k in np.argsort(probs)[-2:])
+            cells[a], cells[b] = repr(float(cells[a]) + float(cells[b])), "0.0"
+            lines[1] = ",".join(cells)
+
+        _forge_week_csv(week_csv, move_mass)
+        forged = self._runs(out)[week_csv]
+        next_json.unlink()
+        next_csv.unlink()
+        assert main(["replay", "--config", str(cfg), "--out", str(out)]) == 0
+        runs = self._runs(out)
+        assert runs[week_csv] == forged != original[week_csv]
+        assert (runs[next_json], runs[next_csv]) == (original[next_json], original[next_csv])
 
     def test_repeated_row_is_corrupt(self, finished, capsys):
         # The reader used to key rows by (region, target), so a repeated

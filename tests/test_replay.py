@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cappool.ensembles import VARIANTS
-from cappool.epiweek import Epiweek, season_length
+from cappool.epiweek import Epiweek, season_length, season_week
 from cappool.panel import ForecastDataError
 from cappool.replay import (
     ConfigError,
@@ -371,6 +371,43 @@ class TestRecordedConfig:
         assert _tree_bytes(run) == before
 
 
+def _made_variants(monkeypatch) -> list:
+    """Record every variant replay makes, in order."""
+    replay_mod = import_module("cappool.replay")
+    made, original = [], replay_mod.make_variant
+
+    def make_variant(*args, **kwargs):
+        made.append(original(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(replay_mod, "make_variant", make_variant)
+    return made
+
+
+def _by_walk(made: list) -> dict:
+    """The variants that walked a season, by (name, season)."""
+    return {(v.name, v._season.season): v for v in made if v._season is not None}
+
+
+@pytest.fixture(scope="module")
+def adaptive_walk(tmp_path_factory):
+    """A cold two-season cap-adaptive and adaptive run, targets 1 and 2,
+    and the variants that walked it, by (name, season)."""
+    root = tmp_path_factory.mktemp("adaptive_walk")
+    data_dir = root / "data"
+    write_synthetic_archive(
+        data_dir, seasons=(2010, 2011), regions=("Nat",), targets=(1, 2), seed=3,
+        missing_rate=0.05,
+    )
+    config = RunConfig.parse(
+        _config_text(data_dir, seasons="2010,2011", variants="cap-adaptive,adaptive")
+    )
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        made = _made_variants(monkeypatch)
+        replay(config, root / "run")
+    return config, root / "run", _by_walk(made)
+
+
 class TestDeterminismAndResume:
     def test_rerun_is_byte_identical(self, tmp_path):
         data_dir = tmp_path / "data"
@@ -397,6 +434,34 @@ class TestDeterminismAndResume:
         assert removed > 0
         replay(config, out_cut)
         assert _tree_bytes(out_full) == _tree_bytes(out_cut)
+
+    @pytest.mark.parametrize("cut", ["2010 first", "2010 middle", "2010 last", "2011 middle"])
+    def test_resumed_state_equals_the_cold_walk(self, adaptive_walk, tmp_path, monkeypatch, cut):
+        # Every week file from the cut on is gone, as when a run is stopped
+        # there. The variants that walk the resumed seasons must hold the
+        # cold run's fits, phi score rows and picks, bit for bit.
+        config, full, cold = adaptive_walk
+        season, at = cut.split()
+        season = int(season)
+        last = season_length(season) + max(config.targets)
+        t = {"first": 1, "middle": season_length(season) // 2, "last": last}[at]
+        run = tmp_path / "run"
+        shutil.copytree(full, run)
+        for path in run.glob("runs/*/*/week-*.*"):
+            if int(path.stem[5:]) >= season_week(season, t).to_int():
+                path.unlink()
+        made = _made_variants(monkeypatch)
+        replay(config, run)
+        resumed = _by_walk(made)
+        assert resumed.keys() == {key for key in cold if key[1] >= season}
+        for key, variant in resumed.items():
+            assert variant._fits.keys() == cold[key]._fits.keys()
+            for fit, weights in variant._fits.items():
+                assert np.array_equal(weights, cold[key]._fits[fit]), (key, fit)
+            if key[0] == "cap-adaptive":
+                assert variant._rows == cold[key]._rows
+                assert variant._picks == cold[key]._picks
+        assert _tree_bytes(run / "runs") == _tree_bytes(full / "runs")
 
     def test_corrupt_week_files_are_recomputed(self, tmp_path, caplog):
         data_dir = tmp_path / "data"
@@ -582,10 +647,11 @@ class TestResumeLoadsOnlyWhatItComputes:
         assert _tree_bytes(run) == _tree_bytes(full)
 
     @pytest.mark.parametrize("variant", ["equal", "cap-adaptive"])
-    def test_recomputed_week_parses_only_the_weeks_it_scores(
+    def test_resume_parses_no_pmf_text(
         self, small_run, tmp_path, replay_calls, variant
     ):
-        # Targets 1 and 2: week t scores the runs of weeks t - 1 and t - 2.
+        # Targets 1 and 2: week t scores the runs of weeks t - 1 and t - 2,
+        # which the walk from week one computes rather than reads back.
         config, full = small_run
         run = tmp_path / "run"
         shutil.copytree(full, run, ignore=shutil.ignore_patterns("reports"))
@@ -594,9 +660,8 @@ class TestResumeLoadsOnlyWhatItComputes:
         for path in (weeks[t - 1], weeks[t - 1].with_suffix(".csv")):
             path.unlink()
         replay(config, run)
-        assert replay_calls["parsed"] == [
-            _pmf_text(weeks[t - 1 - k].with_suffix(".csv")) for k in config.targets
-        ]
+        assert replay_calls["parsed"] == []
+        assert replay_calls["built"] == [2010]
         assert set(replay_calls["reads"].values()) == {1}
         assert _tree_bytes(run / "runs") == _tree_bytes(full / "runs")
 

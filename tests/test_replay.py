@@ -443,8 +443,8 @@ class TestDeterminismAndResume:
         config, full, cold = adaptive_walk
         season, at = cut.split()
         season = int(season)
-        last = season_length(season) + max(config.targets)
-        t = {"first": 1, "middle": season_length(season) // 2, "last": last}[at]
+        n_weeks = season_length(season)
+        t = {"first": 1, "middle": n_weeks // 2, "last": n_weeks + max(config.targets)}[at]
         run = tmp_path / "run"
         shutil.copytree(full, run)
         for path in run.glob("runs/*/*/week-*.*"):
@@ -581,11 +581,6 @@ def replay_calls(monkeypatch):
     return calls
 
 
-def _pmf_text(csv_path: Path) -> list[str]:
-    """The pmf text of each row of a week CSV, after its region and target."""
-    return [line.split(",", 2)[2] for line in csv_path.read_text().splitlines()[1:]]
-
-
 def _n_week_files(config: RunConfig, season: int) -> int:
     """Week files one variant writes for a season: every issue week, then
     one per week of the forecast horizon past the season's end."""
@@ -647,9 +642,7 @@ class TestResumeLoadsOnlyWhatItComputes:
         assert _tree_bytes(run) == _tree_bytes(full)
 
     @pytest.mark.parametrize("variant", ["equal", "cap-adaptive"])
-    def test_resume_parses_no_pmf_text(
-        self, small_run, tmp_path, replay_calls, variant
-    ):
+    def test_resume_parses_no_pmf_text(self, small_run, tmp_path, replay_calls, variant):
         # Targets 1 and 2: week t scores the runs of weeks t - 1 and t - 2,
         # which the walk from week one computes rather than reads back.
         config, full = small_run

@@ -3,8 +3,9 @@
 Five variants share one season walk. The cluster-aggregate-pool ("cap")
 variants partition models by historical log-score correlation, reduce each
 cluster to its best-median member's forecast, and pool cluster forecasts
-with equal or adaptively fitted weights. Comparators pool raw component
-forecasts directly with equal, season-static, or adaptive weights.
+with equal or adaptively fitted weights. The comparators run the same
+path on the partition of the roster into singletons, with equal,
+season-static, or adaptive weights.
 
 All decisions at week t use only forecasts issued at or before t and truths
 realized at or before t; later data never changes earlier artifacts.
@@ -288,6 +289,9 @@ class SeasonData:
         self.regions = tuple(sorted(panel.regions, key=_region_order))
         self.roster = panel.roster
         self.index = {m: k for k, m in enumerate(self.roster)}
+        # The comparators' partition: the roster in singletons, as at phi 1.
+        self.singletons = Clustering(tuple((m,) for m in self.roster), 1.0)
+        self._index_dtype = np.int16 if len(self.roster) < 2**15 else np.intp
         keys = [(region, target) for region in self.regions for target in self.targets]
         shape = (self.n_weeks + 1, len(self.roster))
         pmf = {key: np.zeros((*shape, N_BINS)) for key in keys}
@@ -361,20 +365,22 @@ class SeasonData:
         The rows come from the partition's leader table, shape
         (weeks + 1, clusters) and 16-bit for any roster under 32 768 models,
         built for every week of the season on the partition's first use in
-        the stratum."""
-        key = (stratum, clustering.clusters)
+        the stratum. An all-singleton partition's table is the submission
+        mask, each member where it submitted, and needs no ranking."""
+        key = (stratum, clusters := clustering.clusters)
         table = self._leader_cache.get(key)
         if table is None:
-            rank, by_place = self._ranked(stratum)
-            if clustering.clusters:
+            if all(len(cluster) == 1 for cluster in clusters):
+                cols = np.array([self.index[m] for (m,) in clusters], dtype=self._index_dtype)
+                table = np.where(self.strata[stratum].sub[:, cols], cols, -1)
+            else:
+                rank, by_place = self._ranked(stratum)
                 # Members in cluster order; each cluster's best place is the
                 # minimum over its run of columns.
-                cols = [self.index[m] for cluster in clustering.clusters for m in cluster]
-                starts = np.cumsum([0] + [len(c) for c in clustering.clusters[:-1]])
+                cols = [self.index[m] for cluster in clusters for m in cluster]
+                starts = np.cumsum([0] + [len(c) for c in clusters[:-1]])
                 best = np.minimum.reduceat(rank[:, cols], starts, axis=1)
                 table = by_place[np.arange(len(best))[:, None], best]
-            else:
-                table = by_place[:, :0]
             self._leader_cache[key] = table
         return table[np.asarray(weeks, dtype=np.intp)]
 
@@ -394,8 +400,7 @@ class SeasonData:
         if cached is None:
             sd = self.strata[stratum]
             n_models = len(self.roster)
-            dtype = np.int16 if n_models < 2**15 else np.intp
-            by_place = np.full((self.n_weeks + 1, n_models + 1), -1, dtype=dtype)
+            by_place = np.full((self.n_weeks + 1, n_models + 1), -1, dtype=self._index_dtype)
             rank = np.empty((self.n_weeks + 1, n_models), dtype=np.intp)
             for t in range(self.n_weeks + 1):
                 size = sd.window_size(t)
@@ -421,9 +426,10 @@ class SeasonData:
         leader = self.leaders(stratum, clustering, obs)
         return np.where(leader >= 0, sd.mass[obs[:, None], leader], 0.0)
 
+    # Unused here, but perfbench/spans.py patches it on this class.
     def model_mass_matrix(self, stratum: tuple[str, int], t: int) -> np.ndarray:
         """Truth-bin mass per roster model at past scored weeks (0 when
-        missing), for the comparator weight fits."""
+        missing): ``cluster_mass_matrix`` over ``singletons``."""
         sd = self.strata[stratum]
         return sd.mass[sd.scored_weeks(t)]
 
@@ -467,13 +473,19 @@ def _pooled_run(
 
 
 class _VariantBase:
-    """A weekly ensemble recipe; subclasses fill in the pooling."""
+    """A weekly ensemble recipe: pool the leaders of a partition of the
+    roster under ``pooling``'s weights, "equal", "static" (fit once on the
+    prior seasons) or "adaptive" (refit each week on the season so far).
+    The partition is the roster in singletons unless a subclass picks one."""
 
     name: str
+    pooling: str
     delta: float  # tempering strength of the adaptive fits
 
     def __init__(self) -> None:
-        # Weight fits kept for reuse, under a key each variant chooses.
+        # Weight fits kept for reuse, keyed (stratum, fitted week or None for
+        # the prior seasons, partition): distinct thresholds often give one
+        # partition, and a fit depends only on it.
         self._fits: dict[tuple, np.ndarray] = {}
         self._season: SeasonData | None = None
 
@@ -483,34 +495,72 @@ class _VariantBase:
         self._prefit(data, t)
         return [self._run(data, stratum, t) for stratum in data.stratum_keys()]
 
-    def _prefit(self, data: SeasonData, t: int) -> None:
-        """Make, with ``_fit_all``, every weight fit week t's runs read from
-        ``_fits``; nothing to do for a variant without fits."""
+    def _partition(self, data: SeasonData, stratum, t: int) -> Clustering:
+        """The partition whose cluster leaders week t pools in ``stratum``."""
+        return data.singletons
+
+    def _labels(self, data: SeasonData, t: int, clustering, leaders):
+        """Each pooled cluster's key in the run's weights, and the run's
+        further fields (``clustering`` None: nobody submitted). A roster
+        singleton is keyed by its model id, and adds no field."""
+        return data.roster, {}
 
     def _run(self, data: SeasonData, stratum, t: int) -> EnsembleRun:
-        raise NotImplementedError
+        clustering, leaders, fitted = None, (), None
+        if data.strata[stratum].sub[t].any():
+            clustering = self._partition(data, stratum, t)
+            leaders = data.leaders(stratum, clustering, [t])[0]
+            fitted = self._fitted(data, stratum, t, clustering.clusters)
+        keys, fields = self._labels(data, t, clustering, leaders)
+        return _pooled_run(self.name, data, stratum, t, leaders, fitted, keys, **fields)
 
     def _use_season(self, data: SeasonData) -> None:
         """Drop what was kept for another ``SeasonData``."""
         if data is not self._season:
             self._season, self._fits = data, {}
 
+    def _fit_week(self, t: int) -> int | None:
+        """The week whose fit weighs week t's clusters: t, or None for the
+        static fit on the prior seasons."""
+        return None if self.pooling == "static" else t
+
     def _alpha(self, data: SeasonData, t: int | None) -> float | None:
         """Dirichlet concentration of the weight fit for week t: flat for a
         fit on prior seasons (t None), the tempering ``AdaptivePrior``
-        within the season, and None at week one, when nothing is scored yet
-        and the weights are equal without a fit."""
+        within the season, and None when the weights are equal without a
+        fit: under equal pooling, and at week one, when nothing is scored."""
+        if self.pooling == "equal":
+            return None
         if t is None:
             return 1.0
         return None if t == 1 else AdaptivePrior(t, data.n_weeks, self.delta).concentration
 
-    def _fitted(self, data: SeasonData, t: int | None, n_units: int, key) -> np.ndarray:
-        """Pool weights of ``n_units`` units for week t (None: the season
-        start): equal at week one, else the fit kept under ``key`` before
-        any run was pooled. Nothing here fits."""
-        if self._alpha(data, t) is None:
-            return np.full(n_units, 1.0 / n_units)
-        return self._fits[key]
+    def _fitted(self, data: SeasonData, stratum, t: int, partition) -> np.ndarray:
+        """Week t's weights of the clusters of ``partition``: equal when
+        ``_alpha`` asks for no fit, else the fit kept under (stratum, fitted
+        week, partition) before any run was pooled. Nothing here fits."""
+        week = self._fit_week(t)
+        if self._alpha(data, week) is None:
+            return np.full(len(partition), 1.0 / len(partition))
+        return self._fits[stratum, week, partition]
+
+    def _prefit(self, data: SeasonData, t: int) -> None:
+        """Make, with ``_fit_all``, every weight fit week t's runs read from
+        ``_fits``: that of each stratum with a submission at t, unless an
+        earlier week or a replay made it. A fit on the prior seasons fits
+        their masses, any other its partition's past masses."""
+        week = self._fit_week(t)
+        if self._alpha(data, week) is None:
+            return
+        problems = {}
+        for stratum in data.stratum_keys():
+            if data.strata[stratum].sub[t].any():
+                clustering = self._partition(data, stratum, t)
+                key = (stratum, week, clustering.clusters)
+                if key not in self._fits:
+                    problems[key] = (stratum, data.prior_mass_matrix(stratum) if week is None
+                                     else data.cluster_mass_matrix(stratum, clustering, t))
+        self._fit_all(data, week, problems)
 
     def _keep(self, data: SeasonData, key, stratum, fitted_for: str, fit: WeightFit) -> None:
         """Keep ``fit``'s weights under ``key``, logged when the fit stopped
@@ -545,70 +595,30 @@ class _VariantBase:
                 self._keep(data, key, problems[key][0], fitted_for, fit)
 
 
-class _ModelPool(_VariantBase):
-    """Pools the components that submitted this week under per-roster-model
-    weights from ``_weights``."""
-
-    def _weights(self, data: SeasonData, stratum, t: int) -> np.ndarray:
-        raise NotImplementedError
-
-    def _run(self, data: SeasonData, stratum, t: int) -> EnsembleRun:
-        fitted = self._weights(data, stratum, t)
-        sd = data.strata[stratum]
-        units = np.flatnonzero(sd.sub[t])
-        ids = [data.roster[c] for c in units.tolist()]
-        return _pooled_run(self.name, data, stratum, t, units, fitted[units], ids)
-
-
-class EqualVariant(_ModelPool):
+class EqualVariant(_VariantBase):
     """Equal weights over every component that submitted this week."""
 
-    name = "equal"
-
-    def _weights(self, data: SeasonData, stratum, t: int) -> np.ndarray:
-        return np.full(len(data.roster), 1.0 / max(len(data.roster), 1))
+    name = pooling = "equal"
 
 
-class StaticVariant(_ModelPool):
+class StaticVariant(_VariantBase):
     """Weights fit once per season on all prior seasons, then frozen.
 
     With no prior seasons the fit degenerates to equal weights.
     """
 
-    name = "static"
-
-    def _weights(self, data: SeasonData, stratum, t: int) -> np.ndarray:
-        return self._fitted(data, None, len(data.roster), stratum)
-
-    def _prefit(self, data: SeasonData, t: int) -> None:
-        self._fit_all(data, None, {
-            stratum: (stratum, data.prior_mass_matrix(stratum))
-            for stratum in data.stratum_keys()
-            if stratum not in self._fits
-        })
+    name = pooling = "static"
 
 
-class AdaptiveVariant(_ModelPool):
+class AdaptiveVariant(_VariantBase):
     """Weights refit each week on the season so far, tempered toward equal
     by a Dirichlet penalty that relaxes as the season ages."""
 
-    name = "adaptive"
+    name = pooling = "adaptive"
 
     def __init__(self, delta: float = 5.0) -> None:
         super().__init__()
         self.delta = delta
-
-    def _weights(self, data: SeasonData, stratum, t: int) -> np.ndarray:
-        return self._fitted(data, t, len(data.roster), (stratum, t))
-
-    def _prefit(self, data: SeasonData, t: int) -> None:
-        if self._alpha(data, t) is None:
-            return
-        self._fit_all(data, t, {
-            (stratum, t): (stratum, data.model_mass_matrix(stratum, t))
-            for stratum in data.stratum_keys()
-            if (stratum, t) not in self._fits
-        })
 
 
 class CapVariant(_VariantBase):
@@ -638,9 +648,6 @@ class CapVariant(_VariantBase):
         self._rows: dict[tuple, list[float] | None] = {}
         # week -> the threshold select_phi picked for it.
         self._picks: dict[int, float] = {}
-        # _fits keys the fitted cluster weights by (stratum, week, partition).
-        # Distinct thresholds often give one partition, and a fit depends
-        # only on it.
 
     @property
     def name(self) -> str:
@@ -663,12 +670,7 @@ class CapVariant(_VariantBase):
         fits ``_replay`` or ``_prefit`` kept."""
         clustering = data.clusters(stratum, t, phi, self.phi_grid)
         leaders = data.leaders(stratum, clustering, [t])[0]
-        n = clustering.n_clusters
-        if self.pooling == "equal":
-            fitted = np.full(n, 1.0 / n)
-        else:
-            fitted = self._fitted(data, t, n, (stratum, t, clustering.clusters))
-        return clustering, leaders, fitted
+        return clustering, leaders, self._fitted(data, stratum, t, clustering.clusters)
 
     # -- threshold selection -------------------------------------------
 
@@ -693,7 +695,7 @@ class CapVariant(_VariantBase):
             for clustering in partitions:
                 first.setdefault(clustering.clusters, clustering)
             walked.append((stratum, j, partitions, first))
-            if self.pooling == "adaptive" and (alpha := self._alpha(data, j)) is not None:
+            if (alpha := self._alpha(data, j)) is not None:
                 for partition, clustering in first.items():
                     if (stratum, j, partition) not in self._fits:
                         f = data.cluster_mass_matrix(stratum, clustering, j)
@@ -770,34 +772,19 @@ class CapVariant(_VariantBase):
 
     # -- weekly run ------------------------------------------------------
 
-    def _prefit(self, data: SeasonData, t: int) -> None:
-        """Pick week t's threshold, then fit every stratum's published
-        cluster weights that no replay has fitted, batched by shape."""
-        if self.pooling == "equal" or self._alpha(data, t) is None:
-            return
-        phi = self.select_phi(data, t)
-        problems = {}
-        for stratum in data.stratum_keys():
-            if data.strata[stratum].sub[t].any():
-                clustering = data.clusters(stratum, t, phi, self.phi_grid)
-                key = (stratum, t, clustering.clusters)
-                if key not in self._fits:
-                    problems[key] = (stratum, data.cluster_mass_matrix(stratum, clustering, t))
-        self._fit_all(data, t, problems)
+    def _partition(self, data: SeasonData, stratum, t: int) -> Clustering:
+        """Week t's partition at the threshold ``select_phi`` picks."""
+        return data.clusters(stratum, t, self.select_phi(data, t), self.phi_grid)
 
-    def _run(self, data: SeasonData, stratum, t: int) -> EnsembleRun:
-        phi = self.select_phi(data, t)
-        if not data.strata[stratum].sub[t].any():
-            return _pooled_run(self.name, data, stratum, t, (), None, (), phi=phi)
-        clustering, leaders, fitted = self._pool(data, stratum, t, phi)
-        n = clustering.n_clusters
-        return _pooled_run(
-            self.name, data, stratum, t, leaders, fitted, [f"c{i + 1}" for i in range(n)],
-            phi=phi,
-            clusters=clustering.clusters,
-            leaders=tuple(data.roster[c] if c >= 0 else None for c in leaders.tolist()),
-            n_clusters=n,
-        )
+    def _labels(self, data: SeasonData, t: int, clustering, leaders):
+        """Clusters are keyed c1, c2, ...; a run records the week's phi and,
+        when anyone submitted, the partition and its leaders."""
+        fields = {"phi": self.select_phi(data, t)}
+        if clustering is None:
+            return (), fields
+        named = tuple(data.roster[c] if c >= 0 else None for c in leaders.tolist())
+        fields.update(clusters=clustering.clusters, leaders=named, n_clusters=clustering.n_clusters)
+        return [f"c{i + 1}" for i in range(clustering.n_clusters)], fields
 
 
 def make_variant(name: str, phi_grid=DEFAULT_PHI_GRID, delta: float = 5.0) -> _VariantBase:

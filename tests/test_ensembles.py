@@ -370,6 +370,81 @@ class TestComparators:
         assert run.weights["good"] == pytest.approx(1.0)
         assert run.missing_models == ("bad",)
 
+    def test_runs_are_the_pool_of_the_submitters_under_solo_fits(self):
+        # A formula that reads no partition or leader table: the submitters'
+        # pmfs pooled under 1/n, a solo fit on the prior seasons' masses or
+        # a solo fit on the season's per-model masses, renormalized over the
+        # submitters.
+        fragment, truth = synthetic_archive(
+            seasons=(2010, 2011), regions=("Nat", "HHS1"), targets=(1, 2), seed=5,
+            missing_rate=0.05,
+        )
+        panel, history = Panel(fragment, truth), HistoryStore()
+        variants = [EqualVariant(), StaticVariant(), AdaptiveVariant(delta=3.0)]
+        checked = 0
+        for season in (2010, 2011):
+            data = SeasonData(panel, season, (1, 2), history)
+            n = len(data.roster)
+            static = {
+                stratum: em_pool_weights(data.prior_mass_matrix(stratum), alpha=1.0).weights
+                for stratum in data.stratum_keys()
+            }
+            for t in range(1, data.n_weeks + 1):
+                for variant in variants:
+                    for stratum, run in zip(data.stratum_keys(), variant.week_runs(data, t)):
+                        if variant.name == "static":
+                            w = static[stratum]
+                        elif variant.name == "adaptive" and t > 1:
+                            alpha = AdaptivePrior(t, data.n_weeks, 3.0).concentration
+                            w = em_pool_weights(data.model_mass_matrix(stratum, t), alpha=alpha).weights
+                        else:
+                            w = np.full(n, 1.0 / n)
+                        assert (run.phi, run.clusters, run.leaders, run.n_clusters) == (None,) * 4
+                        sd = data.strata[stratum]
+                        submitters = np.flatnonzero(sd.sub[t])
+                        if not submitters.size:
+                            assert run.pmf is None and run.weights == {}
+                            continue
+                        expected = pool.renormalized(w, submitters)
+                        assert np.array_equal(run.pmf, linear_pool(sd.pmf[t, submitters], expected))
+                        assert list(run.weights.items()) == [
+                            (data.roster[c], float(v)) for c, v in zip(submitters.tolist(), expected)
+                        ]
+                        checked += 1
+            history.absorb(data)
+        assert checked > 3 * 4 * 60
+
+    @pytest.mark.parametrize("name", ["static", "adaptive"])
+    def test_no_fit_for_a_stratum_nobody_submitted_to(self, name, monkeypatch):
+        # Nat targets 1 and 2, where nobody forecasts target 2 at week 3.
+        weeks = season_weeks(2010)
+        truth = TruthTable({("Nat", week): 1.0 + 0.5 * (i % 3) for i, week in enumerate(weeks[:8])})
+        entries = {
+            ForecastKey("Nat", target, model, weeks[i - 1]): soft_mass(10 + shift + i, 0.8)
+            for target in (1, 2)
+            for i in range(1, 5)
+            if (target, i) != (2, 3)
+            for model, shift in (("good", 0), ("bad", 20))
+        }
+        data = SeasonData(Panel(entries, truth), 2010, (1, 2))
+        fitted = []
+
+        def solo(f, alpha=1.0):
+            fitted.append(f)
+            return pool.em_pool_weights(f, alpha=alpha)
+
+        def batch(problems):
+            fitted.extend(f for f, _ in problems)
+            return pool.em_pool_weights_batch(problems)
+
+        monkeypatch.setattr(ensembles, "em_pool_weights", solo)
+        monkeypatch.setattr(ensembles, "em_pool_weights_batch", batch)
+        variant = make_variant(name)
+        runs = variant.week_runs(data, 3)
+        assert runs[0].pmf is not None and runs[1].note == "no forecasts submitted"
+        assert len(fitted) == 1
+        assert [key[0] for key in variant._fits] == [("Nat", 1)]
+
 
 def _synthetic_season(seed: int = 5) -> SeasonData:
     """The replay tests' synthetic archive, first season only."""

@@ -114,6 +114,12 @@ class TestDenseBuildersMatchOracle:
                 assert np.array_equal(
                     data.model_mass_matrix(stratum, t), looped.model_mass_matrix(stratum, t)
                 )
+                # The comparators' fits read the roster-singleton partition's
+                # masses, which must be the per-model masses bit for bit.
+                assert np.array_equal(
+                    data.cluster_mass_matrix(stratum, data.singletons, t),
+                    looped.model_mass_matrix(stratum, t),
+                )
                 universe, _ = data.correlation(stratum, t)
                 if not universe:
                     continue
@@ -230,12 +236,13 @@ class TestLeaderRuleMatchesOracle:
     @given(two_seasons())
     def test_every_leader_table_row_equals_the_looped_oracle(self, seasons):
         # The whole table, week 0 included, read in one call after the
-        # partition was first used for one week.
+        # partition was first used for one week. The roster in singletons,
+        # the comparators' partition, builds its table from the submission
+        # masks alone.
         data, looped = _seasons(seasons)
         rng, ids = seasons[3], sorted(data.roster)
         for stratum in data.strata:
-            for _ in range(3):
-                clustering = _random_partition(rng, ids)
+            for clustering in [data.singletons] + [_random_partition(rng, ids) for _ in range(3)]:
                 data.leaders(stratum, clustering, [data.n_weeks])
                 table = data.leaders(stratum, clustering, range(data.n_weeks + 1))
                 assert table.dtype == np.int16

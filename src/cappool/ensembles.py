@@ -251,23 +251,18 @@ def _masked_correlation(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     means = np.divide(sums, counts, out=np.zeros(n_models), where=counts > 0)
     X = np.where(mask, S - means[:, None], 0.0)
     M = mask.astype(float)
+    # Row i, column j of sx and sxx sums series i over the columns it shares
+    # with series j; their transposes are the same sums of series j.
     n = M @ M.T
     sx = X @ M.T
-    sy = M @ X.T
     sxx = (X * X) @ M.T
-    syy = M @ (X * X).T
     sxy = X @ X.T
     with np.errstate(invalid="ignore", divide="ignore"):
-        cov = sxy - sx * sy / np.where(n > 0, n, 1)
+        cov = sxy - sx * sx.T / np.where(n > 0, n, 1)
         vx = sxx - sx**2 / np.where(n > 0, n, 1)
-        vy = syy - sy**2 / np.where(n > 0, n, 1)
-        corr = cov / np.sqrt(vx * vy)
-    bad = (
-        (n < 2)
-        | (vx <= 1e-12 * np.maximum(sxx, 1e-30))
-        | (vy <= 1e-12 * np.maximum(syy, 1e-30))
-        | ~np.isfinite(corr)
-    )
+        corr = cov / np.sqrt(vx * vx.T)
+    flat = vx <= 1e-12 * np.maximum(sxx, 1e-30)
+    bad = (n < 2) | flat | flat.T | ~np.isfinite(corr)
     out = np.clip(np.where(bad, 0.0, corr), -1.0, 1.0)
     np.fill_diagonal(out, 1.0)
     np.fill_diagonal(bad, False)

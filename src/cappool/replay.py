@@ -17,7 +17,6 @@ import logging
 import math
 import os
 import re
-from collections.abc import Callable
 from dataclasses import dataclass, fields
 from operator import itemgetter
 from pathlib import Path
@@ -208,7 +207,12 @@ def ingest(config: RunConfig, out_dir) -> Path:
     """Build the persisted panel (per-season key lists, pmf arrays and
     sidecars, and the truth table); ``load_panel`` reads back the float64
     bits that ``parse_component_csv`` gives for each source row."""
-    out_dir = Path(out_dir)
+    write_panel(_assembled(config), panel_dir(out_dir))
+    return panel_dir(out_dir)
+
+
+def _assembled(config: RunConfig) -> Panel:
+    """The panel of the configured forecast and truth sources."""
     fragments = [parse_component_csv(path) for path in config.forecasts]
     if config.flusight_dir:
         fragment, skipped = ingest_flusight_tree(config.flusight_dir)
@@ -228,9 +232,7 @@ def ingest(config: RunConfig, out_dir) -> Path:
         )
     else:
         raise ForecastDataError("no truth source configured")
-    panel = Panel.assemble(fragments, truth)
-    write_panel(panel, panel_dir(out_dir))
-    return panel_dir(out_dir)
+    return Panel.assemble(fragments, truth)
 
 
 def _atomic_write(path: Path, data: bytes) -> None:
@@ -434,7 +436,16 @@ def _score_runs_targeting(
 
 
 def replay(config: RunConfig, out_dir) -> None:
-    """Replay all configured seasons for all configured variants."""
+    """Replay all configured seasons for all configured variants.
+
+    A directory without a panel gets one, once its sources parse and hold
+    every configured season; ``run.cfg`` is recorded just before it, so a
+    replay that fails before then records nothing. Then a plan and a walk:
+    ``_missing_weeks`` lists each configured season's missing weeks, and the
+    stored seasons are walked in order up to the last season with a missing
+    week. Each is loaded, its variants with missing weeks are walked from
+    week one, and it is absorbed into the history of the seasons after it
+    and dropped before the next one is loaded."""
     # Refused before the run directory is touched, so it is not recorded there.
     if not config.seasons:
         raise ConfigError("no seasons configured")
@@ -444,45 +455,37 @@ def replay(config: RunConfig, out_dir) -> None:
     recorded = recorded_config(out_dir)
     if recorded is not None:
         _check_recorded_config(recorded, config, _config_path(out_dir))
-    else:
-        _atomic_write(_config_path(out_dir), text.encode())
     stored = panel_dir(out_dir)
-    if not stored.exists():
-        ingest(config, out_dir)
-    available = stored_seasons(stored)
+    panel = None if stored.exists() else _assembled(config)
+    available = stored_seasons(stored) if panel is None else panel.seasons()
     missing = set(config.seasons) - set(available)
     if missing:
         raise ForecastDataError(f"panel has no data for seasons {sorted(missing)}")
+    if recorded is None:
+        _atomic_write(_config_path(out_dir), text.encode())
+    if panel is not None:
+        write_panel(panel, stored)
+        del panel
 
-    # A season's panel is loaded only when one of its weeks must be computed.
-    # HistoryStore must hold every earlier stored season before a season's
-    # SeasonData is built, so seasons whose week files were all reused wait
-    # in ``pending`` until a later season needs its data; seasons after the
-    # last one that does are never loaded.
+    plan = {s: _missing_weeks(out_dir, config, s) for s in sorted(config.seasons)}
+    last = max((season for season, todo in plan.items() if todo), default=0)
     history = HistoryStore()
-    pending: list[int] = []
-
-    def load(season: int) -> SeasonData:
-        return SeasonData(load_panel(stored, seasons=[season]), season, config.targets, history)
-
-    def season_data(season: int) -> SeasonData:
-        while pending:
-            history.absorb(load(pending.pop(0)))
-        return load(season)
-
-    last = max(config.seasons)
     for season in available:
         if season > last:
             break
-        data = None
-        if season in config.seasons:
-            data = _replay_season_runs(season, season_data, config, out_dir)
-        if data is None:
-            pending.append(season)
+        todo = plan.get(season, {})
+        if todo:
+            name, weeks = next(iter(todo.items()))
+            why = f"{name} week {season_week(season, weeks[0])} is not stored"
         else:
-            history.absorb(data)
-            # Only one season's forecast arrays are alive at a time.
-            del data
+            why = f"history for season {last}, which has a week to compute"
+        _log.info("season %d: %s; loading the panel", season, why)
+        data = SeasonData(load_panel(stored, seasons=[season]), season, config.targets, history)
+        for name, weeks in todo.items():
+            _walk(data, name, weeks, config, out_dir)
+        history.absorb(data)
+        # Only one season's forecast arrays are alive at a time.
+        del data
 
 
 def _recordable(config: RunConfig) -> str:
@@ -520,54 +523,45 @@ def _check_recorded_config(recorded: RunConfig, config: RunConfig, cfg_path: Pat
             )
 
 
-def _replay_season_runs(
-    season: int, season_data: Callable[[int], SeasonData], config: RunConfig, out_dir: Path
-) -> SeasonData | None:
-    """Walk one season for each configured variant. Variants keep no state
-    from one season to the next, so each season makes its own.
-
-    Every week file of a variant is checked with ``_load_week`` first; one
-    that does not read back is warned about and counts as missing. A variant
-    with no week missing is skipped. Any other is walked from week one, as
-    an uninterrupted run walks it, up to its last missing week, and only the
-    missing weeks are written: a stored week never feeds the computation, so
-    a replay parses no stored pmf text. ``season_data(season)`` is called for
-    the first variant walked; its SeasonData is returned, or None when every
-    week file was reused."""
-    strict = config.brier_mode == "strict"
-    n_weeks = season_length(season)
-    weeks = [season_week(season, t) for t in range(1, n_weeks + max(config.targets) + 1)]
-    data = None
+def _missing_weeks(out_dir: Path, config: RunConfig, season: int) -> dict[str, list[int]]:
+    """The week indices, ascending, whose files each configured variant
+    must write for a season, for the variants with any. Every week file is
+    checked once with ``_load_week``; one that does not read back is warned
+    about and counts as missing."""
+    n_files = season_length(season) + max(config.targets)
+    plan = {}
     for name in config.variants:
-        missing = set()
-        for t, week in enumerate(weeks, start=1):
+        missing = []
+        for t in range(1, n_files + 1):
             try:
-                if _load_week(out_dir, name, season, week) is None:
-                    missing.add(t)
+                if _load_week(out_dir, name, season, season_week(season, t)) is not None:
+                    continue
             except CorruptArtifactError as exc:
                 _log.warning("%s; recomputing that week", exc)
-                missing.add(t)
-        if not missing:
-            continue
-        if data is None:
-            _log.info(
-                "season %d: %s week %s is not stored; loading the panel",
-                season, name, weeks[min(missing) - 1],
-            )
-            data = season_data(season)
-        variant = make_variant(name, phi_grid=config.phi_grid, delta=config.delta)
-        runs_by_week: list[list[EnsembleRun]] = [[]]
-        for t in range(1, max(missing) + 1):
-            runs_by_week.append(variant.week_runs(data, t) if t <= n_weeks else [])
-            if t in missing:
-                scores = _score_runs_targeting(data, runs_by_week, t, config.targets, strict)
-                _write_week(out_dir, name, season, weeks[t - 1], runs_by_week[t], scores)
-    if data is None:
-        _log.info(
-            "season %d: all %d week files reused, panel not loaded",
-            season, len(config.variants) * len(weeks),
-        )
-    return data
+            missing.append(t)
+        if missing:
+            plan[name] = missing
+    if not plan:
+        _log.info("season %d: all %d week files reused", season, len(config.variants) * n_files)
+    return plan
+
+
+def _walk(
+    data: SeasonData, name: str, missing: list[int], config: RunConfig, out_dir: Path
+) -> None:
+    """Walk one variant through a season from week one, as an uninterrupted
+    run walks it, up to its last missing week, and write only the missing
+    weeks: a stored week never feeds the computation, so a replay parses no
+    stored pmf text. Variants keep no state from one season to the next, so
+    each walk makes its own."""
+    strict = config.brier_mode == "strict"
+    variant = make_variant(name, phi_grid=config.phi_grid, delta=config.delta)
+    runs_by_week: list[list[EnsembleRun]] = [[]]
+    for t in range(1, missing[-1] + 1):
+        runs_by_week.append(variant.week_runs(data, t) if t <= data.n_weeks else [])
+        if t in missing:
+            scores = _score_runs_targeting(data, runs_by_week, t, config.targets, strict)
+            _write_week(out_dir, name, data.season, data.week(t), runs_by_week[t], scores)
 
 
 _SEASON_DIR = re.compile(r"[1-9][0-9]*")

@@ -370,6 +370,26 @@ class TestRecordedConfig:
             replay(RunConfig.parse(_config_text(data_dir, **overrides)), run)
         assert _tree_bytes(run) == before
 
+    @pytest.mark.parametrize(
+        "field, value, error, message",
+        [
+            ("forecasts", "absent.csv", FileNotFoundError, "absent.csv"),
+            ("seasons", "2019", ForecastDataError, "panel has no data for seasons [2019]"),
+        ],
+    )
+    def test_failed_replay_records_nothing(self, cap_run, tmp_path, field, value, error, message):
+        # A replay that fails before its panel is written leaves no run.cfg
+        # and no panel, so the corrected config then replays there.
+        data_dir, overrides, out = cap_run
+        if field == "forecasts":
+            value = str(tmp_path / value)
+        run = tmp_path / "run"
+        with pytest.raises(error, match=re.escape(message)):
+            replay(RunConfig.parse(_config_text(data_dir, **{**overrides, field: value})), run)
+        assert not (run / "run.cfg").exists() and not (run / "panel").exists()
+        replay(RunConfig.parse(_config_text(data_dir, **overrides)), run)
+        assert _tree_bytes(run) == _tree_bytes(out)
+
 
 def _made_variants(monkeypatch) -> list:
     """Record every variant replay makes, in order."""
@@ -603,8 +623,7 @@ class TestResumeLoadsOnlyWhatItComputes:
         seasons = (2010, 2011, 2012)
         assert len(replay_calls["reads"]) == 2 * sum(_n_week_files(config, s) for s in seasons)
         assert [r.getMessage() for r in caplog.records if r.name == "cappool"] == [
-            f"season {s}: all {2 * _n_week_files(config, s)} week files reused, panel not loaded"
-            for s in seasons
+            f"season {s}: all {2 * _n_week_files(config, s)} week files reused" for s in seasons
         ]
 
     def test_resume_loads_up_to_the_season_it_computes(
@@ -624,12 +643,41 @@ class TestResumeLoadsOnlyWhatItComputes:
         assert replay_calls["built"] == [2010, 2011]
         assert set(replay_calls["reads"].values()) == {1}
         assert _tree_bytes(run) == _tree_bytes(full)
-        reused = "week files reused, panel not loaded"
+        # The plan's line for each season with no week missing, then one
+        # line per panel load, as it happens.
         assert [r.getMessage() for r in caplog.records if r.name == "cappool"] == [
-            f"season 2010: all {2 * _n_week_files(config, 2010)} {reused}",
+            f"season 2010: all {2 * _n_week_files(config, 2010)} week files reused",
+            f"season 2012: all {2 * _n_week_files(config, 2012)} week files reused",
+            "season 2010: history for season 2011, which has a week to compute; loading the panel",
             "season 2011: equal week 201215 is not stored; loading the panel",
-            f"season 2012: all {2 * _n_week_files(config, 2012)} {reused}",
         ]
+
+    def test_resume_of_a_season_subset_loads_the_seasons_between_as_history(
+        self, three_season_run, tmp_path, replay_calls
+    ):
+        # 2011 is stored but not configured: a resume that computes a 2012
+        # week loads it, in season order, only as the history of 2012.
+        config, three = three_season_run
+        subset = replace(config, seasons=(2010, 2012))
+        full, run = tmp_path / "full", tmp_path / "run"
+        replay(subset, full)
+        shutil.copytree(full, run)
+        removed = list(run.glob("runs/*/2012/week-201250.*"))
+        for path in removed:
+            path.unlink()
+        assert len(removed) == 4
+        for calls in replay_calls.values():
+            calls.clear()
+        replay(subset, run)
+        assert replay_calls["loads"] == [[2010], [2011], [2012]]
+        assert replay_calls["built"] == [2010, 2011, 2012]
+        assert set(replay_calls["reads"].values()) == {1}
+        assert not list(run.glob("runs/*/2011"))
+        assert _tree_bytes(run / "runs") == _tree_bytes(full / "runs")
+        # The uninterrupted subset run wrote what the three-season run wrote.
+        assert _tree_bytes(full / "runs") == {
+            path: data for path, data in _tree_bytes(three / "runs").items() if "/2011/" not in path
+        }
 
     def test_finished_directory_parses_no_pmf_text(
         self, three_season_run, tmp_path, replay_calls

@@ -177,10 +177,16 @@ def _cmd_surface(args) -> int:
 def _cmd_phi_trace(args) -> int:
     runs, _ = load_run_artifacts(args.out)
     subset = [r for r in runs if r.phi is not None]
-    if args.variant is not None:
-        subset = [r for r in subset if r.variant == args.variant]
     if not subset:
         raise FileNotFoundError("no cluster-aggregate-pool runs found in this run directory")
+    if args.variant is not None:
+        present = sorted({r.variant for r in subset})
+        subset = [r for r in subset if r.variant == args.variant]
+        if not subset:
+            raise ValueError(
+                f"no cluster-aggregate-pool runs of variant {args.variant!r} in this run "
+                f"directory; it holds runs of {', '.join(present)}"
+            )
     table = [
         ["variant", "season", "issue_week", "region", "target", "phi", "n_clusters", "entropy",
          "clusters", "leaders"]

@@ -37,9 +37,6 @@ __all__ = [
     "HistoryStore",
     "SeasonData",
     "make_variant",
-    "EqualVariant",
-    "StaticVariant",
-    "AdaptiveVariant",
     "CapVariant",
 ]
 
@@ -433,56 +430,31 @@ class SeasonData:
         return self.strata[stratum].prior_mass.copy()
 
 
-def _pooled_run(
-    variant: str, data: SeasonData, stratum, t: int, units, fitted, keys, **fields
-) -> EnsembleRun:
-    """Week t's run of the linear pool of the present ``units``' forecasts.
-
-    ``units`` gives each pooled unit's roster index, or -1 when the unit has
-    no forecast; ``fitted`` is each unit's weight and ``keys`` its name in
-    the run's weights. The weights are renormalized over the present units.
-    With no unit present this is the "no forecasts submitted" run.
-    """
-    units = np.asarray(units)
-    present = np.flatnonzero(units >= 0)
-    if present.size:
-        w = renormalized(fitted, present)
-        fields.update(
-            pmf=linear_pool(data.strata[stratum].pmf[t, units[present]], w),
-            weights={keys[i]: float(v) for i, v in zip(present.tolist(), w)},
-            entropy=percent_entropy(w),
-        )
-    else:
-        fields.update(pmf=None, weights={}, entropy=None, note=_NO_FORECASTS)
-    region, target = stratum
-    return EnsembleRun(
-        variant=variant,
-        season=data.season,
-        region=region,
-        target=target,
-        issue_week=data.week(t).to_int(),
-        week_index=t,
-        missing_models=data.strata[stratum].missing(t),
-        **fields,
-    )
-
-
 class _VariantBase:
     """A weekly ensemble recipe: pool the leaders of a partition of the
     roster under ``pooling``'s weights, "equal", "static" (fit once on the
-    prior seasons) or "adaptive" (refit each week on the season so far).
-    The partition is the roster in singletons unless a subclass picks one."""
+    prior seasons, then frozen; equal with no prior season) or "adaptive"
+    (refit each week on the season so far, tempered toward equal by a
+    Dirichlet penalty of strength ``delta`` that relaxes as the season
+    ages). The partition is the roster in singletons unless a subclass
+    picks one."""
 
-    name: str
-    pooling: str
-    delta: float  # tempering strength of the adaptive fits
+    _POOLINGS = ("equal", "static", "adaptive")
 
-    def __init__(self) -> None:
+    def __init__(self, pooling: str, delta: float = 5.0) -> None:
+        if pooling not in self._POOLINGS:
+            raise ValueError(f"unknown pooling {pooling!r}")
+        self.pooling = pooling
+        self.delta = delta
         # Weight fits kept for reuse, keyed (stratum, fitted week or None for
         # the prior seasons, partition): distinct thresholds often give one
         # partition, and a fit depends only on it.
         self._fits: dict[tuple, np.ndarray] = {}
         self._season: SeasonData | None = None
+
+    @property
+    def name(self) -> str:
+        return self.pooling
 
     def week_runs(self, data: SeasonData, t: int) -> list[EnsembleRun]:
         """Week t's run of every stratum, in ``stratum_keys()`` order."""
@@ -501,13 +473,38 @@ class _VariantBase:
         return data.roster, {}
 
     def _run(self, data: SeasonData, stratum, t: int) -> EnsembleRun:
-        clustering, leaders, fitted = None, (), None
-        if data.strata[stratum].sub[t].any():
+        """Week t's run in ``stratum``: the linear pool of the forecasts of
+        the week's partition's leaders, under ``_fitted``'s weights
+        renormalized over the leaders present, keyed and completed by
+        ``_labels``. With no submission it is the "no forecasts submitted"
+        run."""
+        sd = data.strata[stratum]
+        clustering, leaders = None, ()
+        if sd.sub[t].any():
             clustering = self._partition(data, stratum, t)
             leaders = data.leaders(stratum, clustering, [t])[0]
-            fitted = self._fitted(data, stratum, t, clustering.clusters)
         keys, fields = self._labels(data, t, clustering, leaders)
-        return _pooled_run(self.name, data, stratum, t, leaders, fitted, keys, **fields)
+        if clustering is None:
+            fields.update(pmf=None, weights={}, entropy=None, note=_NO_FORECASTS)
+        else:
+            present = np.flatnonzero(leaders >= 0)
+            w = renormalized(self._fitted(data, stratum, t, clustering.clusters), present)
+            fields.update(
+                pmf=linear_pool(sd.pmf[t, leaders[present]], w),
+                weights={keys[i]: float(v) for i, v in zip(present.tolist(), w)},
+                entropy=percent_entropy(w),
+            )
+        region, target = stratum
+        return EnsembleRun(
+            variant=self.name,
+            season=data.season,
+            region=region,
+            target=target,
+            issue_week=data.week(t).to_int(),
+            week_index=t,
+            missing_models=sd.missing(t),
+            **fields,
+        )
 
     def _use_season(self, data: SeasonData) -> None:
         """Drop what was kept for another ``SeasonData``."""
@@ -590,32 +587,6 @@ class _VariantBase:
                 self._keep(data, key, problems[key][0], fitted_for, fit)
 
 
-class EqualVariant(_VariantBase):
-    """Equal weights over every component that submitted this week."""
-
-    name = pooling = "equal"
-
-
-class StaticVariant(_VariantBase):
-    """Weights fit once per season on all prior seasons, then frozen.
-
-    With no prior seasons the fit degenerates to equal weights.
-    """
-
-    name = pooling = "static"
-
-
-class AdaptiveVariant(_VariantBase):
-    """Weights refit each week on the season so far, tempered toward equal
-    by a Dirichlet penalty that relaxes as the season ages."""
-
-    name = pooling = "adaptive"
-
-    def __init__(self, delta: float = 5.0) -> None:
-        super().__init__()
-        self.delta = delta
-
-
 class CapVariant(_VariantBase):
     """Cluster-aggregate-pool ensemble with a data-driven threshold.
 
@@ -629,15 +600,13 @@ class CapVariant(_VariantBase):
     fits belong to one ``SeasonData`` and are dropped when another arrives.
     """
 
+    _POOLINGS = ("equal", "adaptive")
+
     def __init__(self, pooling: str = "equal", phi_grid=DEFAULT_PHI_GRID, delta: float = 5.0):
-        if pooling not in ("equal", "adaptive"):
-            raise ValueError(f"unknown pooling {pooling!r}")
-        super().__init__()
-        self.pooling = pooling
+        super().__init__(pooling, delta)
         self.phi_grid = tuple(sorted(float(p) for p in phi_grid))
         if not self.phi_grid or len(set(self.phi_grid)) < len(self.phi_grid):
             raise ValueError(f"phi grid {list(self.phi_grid)} is empty or has duplicates")
-        self.delta = delta
         # (stratum, week) -> replayed log score per grid phi, or None when
         # nobody submitted that week.
         self._rows: dict[tuple, list[float] | None] = {}
@@ -783,14 +752,8 @@ class CapVariant(_VariantBase):
 
 
 def make_variant(name: str, phi_grid=DEFAULT_PHI_GRID, delta: float = 5.0) -> _VariantBase:
-    if name == "equal":
-        return EqualVariant()
-    if name == "static":
-        return StaticVariant()
-    if name == "adaptive":
-        return AdaptiveVariant(delta=delta)
-    if name == "cap-equal":
-        return CapVariant("equal", phi_grid=phi_grid, delta=delta)
-    if name == "cap-adaptive":
-        return CapVariant("adaptive", phi_grid=phi_grid, delta=delta)
-    raise ValueError(f"unknown ensemble variant {name!r}")
+    if name not in VARIANTS:
+        raise ValueError(f"unknown ensemble variant {name!r}")
+    if name.startswith("cap-"):
+        return CapVariant(name[len("cap-"):], phi_grid=phi_grid, delta=delta)
+    return _VariantBase(name, delta)

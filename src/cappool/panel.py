@@ -518,10 +518,12 @@ def truth_from_state_ili(
     state_ili: dict[tuple[str, Epiweek], float], pops: StatePopulationTable
 ) -> TruthTable:
     """Build the regional truth table from state-level ILI observations."""
-    weeks = sorted({week for _, week in state_ili})
+    by_week: dict[Epiweek, dict[str, float]] = {}
+    for (state, week), value in state_ili.items():
+        by_week.setdefault(week, {})[state] = value
     table = TruthTable()
-    for week in weeks:
-        per_state = {s: v for (s, w), v in state_ili.items() if w == week}
+    for week in sorted(by_week):
+        per_state = by_week[week]
         for region in REGIONS:
             states = pops.states_of(region)
             if states and all(s in per_state for s in states):
@@ -764,15 +766,16 @@ def load_panel(directory, seasons=None) -> Panel:
     Stored probabilities are read back exactly (no renormalization), so a
     write/load cycle is bit-exact, and each entry is a read-only row view of
     its season's array. A key list that breaks a key rule or whose count
-    differs from the one its sidecar implies, a sidecar whose roster is not
-    in ascending id order (the order the replay's tables rely on), and a
-    pmf array that ``_stored_pmfs`` rejects all raise. Every error names
-    the file.
+    differs from the one its sidecar implies or that names a model outside
+    its sidecar's roster, a sidecar whose roster is not in ascending id
+    order (the order the replay's tables rely on) or differs from the first
+    season's, and a pmf array that ``_stored_pmfs`` rejects all raise.
+    Every error names the file.
     """
     directory = Path(directory)
     truth = parse_truth_csv(truth_path(directory))
     entries: dict[ForecastKey, np.ndarray] = {}
-    rosters: list[tuple[str, ...]] = []
+    first: tuple[Path, tuple[str, ...]] | None = None  # the first season's sidecar and roster
     found = stored_seasons(directory)
     if seasons is not None:
         wanted = {int(s) for s in seasons}
@@ -799,13 +802,16 @@ def load_panel(directory, seasons=None) -> Panel:
             raise ForecastDataError(
                 f"{path}: {len(keys)} forecasts, but {sidecar_path.name} implies {expected}"
             )
+        if first is not None and roster != first[1]:
+            raise ForecastDataError(f"{sidecar_path}: roster differs from that of {first[0].name}")
+        outside = {key.model_id for key in keys}.difference(roster)
+        if outside:
+            raise ForecastDataError(
+                f"{path}: models {sorted(outside)} are outside the roster of {sidecar_path.name}"
+            )
         entries.update(zip(keys, _stored_pmfs(_season_file(directory, season, ".npy"), keys)))
-        rosters.append(roster)
-    if rosters and len(set(rosters)) != 1:
-        raise ForecastDataError("inconsistent rosters across season sidecars")
+        first = first or (sidecar_path, roster)
     panel = Panel(entries, truth)
-    if rosters and set(panel.roster) - set(rosters[0]):
-        raise ForecastDataError("stored forecasts reference models outside the roster")
-    if rosters:
-        panel.roster = rosters[0]
+    if first is not None:
+        panel.roster = first[1]
     return panel

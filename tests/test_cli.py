@@ -1,7 +1,9 @@
 import csv
 import hashlib
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -33,6 +35,15 @@ def run_setup(tmp_path):
         "phi_grid = 0.0,0.5\n"
     )
     return cfg, tmp_path / "out"
+
+
+@pytest.mark.parametrize(
+    "module", sorted(m.name for m in pkgutil.iter_modules(cappool.__path__, "cappool."))
+)
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module(module)
+    assert mod.__all__
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
 
 
 class TestCliExitCodes:
@@ -265,6 +276,35 @@ class TestCliWorkflow:
         for r in rows:
             assert 0.0 <= float(r["phi"]) <= 1.0
             assert r["clusters"]
+
+    def _two_cap_variants(self, run_setup):
+        cfg, out = run_setup
+        cfg.write_text(cfg.read_text().replace("cap-equal,equal", "cap-equal,cap-adaptive,equal"))
+        assert main(["replay", "--config", str(cfg), "--out", str(out)]) == 0
+        return out
+
+    def test_phi_trace_of_one_variant(self, run_setup, capsys):
+        out = self._two_cap_variants(run_setup)
+        assert main(["phi-trace", "--out", str(out)]) == 0
+        with open(out / "reports" / "phi_trace.csv", newline="") as fh:
+            every = list(csv.DictReader(fh))
+        assert {r["variant"] for r in every} == {"cap-equal", "cap-adaptive"}
+        assert main(["phi-trace", "--variant", "cap-adaptive", "--out", str(out)]) == 0
+        capsys.readouterr()
+        with open(out / "reports" / "phi_trace.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows == [r for r in every if r["variant"] == "cap-adaptive"]
+
+    @pytest.mark.parametrize("variant", ["equal", "cap-eqaul"])
+    def test_phi_trace_of_an_absent_variant_names_it(self, run_setup, capsys, variant):
+        out = self._two_cap_variants(run_setup)
+        capsys.readouterr()
+        assert main(["phi-trace", "--variant", variant, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: no cluster-aggregate-pool runs of variant {variant!r} in this run "
+            "directory; it holds runs of cap-adaptive, cap-equal\n"
+        )
+        assert not (out / "reports" / "phi_trace.csv").exists()
 
     def test_ingest_from_state_ili(self, tmp_path, capsys):
         data_dir = tmp_path / "data"

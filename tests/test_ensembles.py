@@ -9,11 +9,8 @@ from cappool import ensembles, pool
 from cappool.clustering import Clustering
 from cappool.ensembles import (
     CapVariant,
-    AdaptiveVariant,
-    EqualVariant,
     HistoryStore,
     SeasonData,
-    StaticVariant,
     aggregate_cluster,
     make_variant,
     percent_entropy,
@@ -190,6 +187,31 @@ class TestSelectPhi:
 
         assert cap.select_phi(data, 4) == 0.2
 
+    def test_week_nobody_submitted_to_adds_no_row_to_the_mean(self):
+        # Nobody submits at week 2, whose truth is realized. By week 4 the
+        # scored weeks 1 and 3 put corr(a,b)=1 and corr(a,c)=-1, so phi 0.2
+        # pools {a,b} via one leader plus {c} and phi 1.0 keeps singletons;
+        # week 4 then favours phi 1.0, which week 5 picks.
+        truths = [1.0, 2.0, 3.0, 4.0]
+        bins = [bin_index(t) for t in truths]
+        masses = {"a": (0.5, 0.1, 0.6), "c": (0.1, 0.8, 0.2)}
+        design = {
+            m: {i: soft_mass(bins[i - 1], p) for i, p in zip((1, 3, 4), ps)}
+            for m, ps in masses.items()
+        }
+        design["b"] = dict(design["a"])
+        data = SeasonData(_mini_panel(design, truths), 2010, (1,))
+        cap = CapVariant("equal", phi_grid=(0.2, 1.0))
+        assert cap.select_phi(data, 5) == 1.0
+        stratum = ("Nat", 1)
+        assert cap._rows[stratum, 2] is None
+        assert cap._rows[stratum, 4] == [
+            pytest.approx(math.log(np.mean([0.6, 0.2]))),
+            pytest.approx(math.log(np.mean([0.6, 0.6, 0.2]))),
+        ]
+        rows = [cap._rows[stratum, j] for j in (1, 3, 4)]
+        assert cap.select_phi(data, 5) == cap.phi_grid[int(np.argmax(np.mean(rows, axis=0)))]
+
     def test_tie_breaks_to_smaller_phi(self):
         panel, _ = self._toy_season()
         data = SeasonData(panel, 2010, (1,))
@@ -245,7 +267,7 @@ class TestCapPipeline:
         panel, _ = self._identical_models_panel()
         data = SeasonData(panel, 2010, (1,))
         cap = CapVariant("equal", phi_grid=(1.0,))
-        equal = EqualVariant()
+        equal = make_variant("equal")
         for t in range(1, 6):
             cap_run = cap.week_runs(data, t)[0]
             eq_run = equal.week_runs(data, t)[0]
@@ -323,13 +345,13 @@ class TestComparators:
 
     def test_equal_pools_submitters(self):
         data = SeasonData(self._panel(), 2010, (1,))
-        run = EqualVariant().week_runs(data, 1)[0]
+        run = make_variant("equal").week_runs(data, 1)[0]
         assert run.weights == {"bad": 0.5, "good": 0.5}
         assert run.entropy == pytest.approx(1.0)
 
     def test_static_first_season_equal_all_season(self):
         data = SeasonData(self._panel(), 2010, (1,))
-        static = StaticVariant()
+        static = make_variant("static")
         for t in range(1, 5):
             run = static.week_runs(data, t)[0]
             assert run.weights == {"bad": 0.5, "good": 0.5}
@@ -346,12 +368,12 @@ class TestComparators:
             season=2011,
         )
         data = SeasonData(panel_next, 2011, (1,), history)
-        run = StaticVariant().week_runs(data, 1)[0]
+        run = make_variant("static").week_runs(data, 1)[0]
         assert run.weights["good"] > 0.95
 
     def test_adaptive_week_one_equal_then_adapts(self):
         data = SeasonData(self._panel(), 2010, (1,))
-        adaptive = AdaptiveVariant(delta=5.0)
+        adaptive = make_variant("adaptive", delta=5.0)
         run1 = adaptive.week_runs(data, 1)[0]
         assert run1.weights == {"bad": 0.5, "good": 0.5}
         run4 = adaptive.week_runs(data, 4)[0]
@@ -365,7 +387,7 @@ class TestComparators:
             "bad": {i: soft_mass(bin_index(truths[i - 1]) + 20, 0.8) for i in (1, 2)},
         }
         data = SeasonData(_mini_panel(design, truths), 2010, (1,))
-        run = AdaptiveVariant().week_runs(data, 3)[0]
+        run = make_variant("adaptive").week_runs(data, 3)[0]
         assert set(run.weights) == {"good"}
         assert run.weights["good"] == pytest.approx(1.0)
         assert run.missing_models == ("bad",)
@@ -380,7 +402,7 @@ class TestComparators:
             missing_rate=0.05,
         )
         panel, history = Panel(fragment, truth), HistoryStore()
-        variants = [EqualVariant(), StaticVariant(), AdaptiveVariant(delta=3.0)]
+        variants = [make_variant("equal"), make_variant("static"), make_variant("adaptive", delta=3.0)]
         checked = 0
         for season in (2010, 2011):
             data = SeasonData(panel, season, (1, 2), history)
@@ -720,3 +742,15 @@ class TestMakeVariant:
     def test_unknown(self):
         with pytest.raises(ValueError):
             make_variant("stacked")
+
+    def test_comparators_are_variant_base_instances(self):
+        for name in ("equal", "static", "adaptive"):
+            variant = make_variant(name, delta=3.0)
+            assert type(variant) is ensembles._VariantBase
+            assert (variant.pooling, variant.delta) == (name, 3.0)
+
+    def test_unknown_pooling(self):
+        with pytest.raises(ValueError, match="unknown pooling 'stacked'"):
+            ensembles._VariantBase("stacked")
+        with pytest.raises(ValueError, match="unknown pooling 'static'"):
+            CapVariant("static")

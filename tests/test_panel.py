@@ -224,6 +224,24 @@ class TestComputeWili:
         # Nat needs every state; both are present here
         assert truth.wili("Nat", Epiweek(2010, 40)) == pytest.approx(3.5)
 
+    def test_truth_from_state_ili_over_several_weeks(self):
+        weeks = [Epiweek(2010, w) for w in range(40, 45)]
+        ili = {
+            (state, week): 1.0 + k + 0.5 * i
+            for i, week in enumerate(weeks)
+            for k, state in enumerate(POPS.population)
+            if (state, week) != ("bb", weeks[2])
+        }
+        truth = truth_from_state_ili(ili, POPS)
+        for week in weeks:
+            per_state = {s: v for (s, w), v in ili.items() if w == week}
+            for region in ("HHS1", "HHS2", "Nat"):
+                if week == weeks[2] and region != "HHS2":
+                    assert truth.wili(region, week) is None
+                else:
+                    assert truth.wili(region, week) == compute_wili(per_state, POPS, region)
+        assert len(truth) == 3 * len(weeks) - 2
+
 
 _LONG_HEADER = "Location,Target,Type,Unit,Bin_start_incl,Bin_end_notincl,Value"
 
@@ -537,6 +555,34 @@ class TestPanel:
         with pytest.raises(ForecastDataError) as info:
             load_panel(tmp_path / "panel")
         assert str(info.value) == f"{path}: roster not in ascending id order"
+
+    def _renamed_roster_member(self, path):
+        # Same length and still in id order, so only the roster check fails.
+        sidecar = json.loads(path.read_text())
+        assert sidecar["roster"][-1] == "m5"
+        sidecar["roster"][-1] = "m9"
+        path.write_text(json.dumps(sidecar))
+
+    def test_differing_roster_rejected_by_name(self, tmp_path):
+        fragment, truth = synthetic_archive(
+            seasons=(2010, 2011), regions=("Nat",), targets=(1, 4), seed=11
+        )
+        write_panel(Panel.assemble([fragment], truth), tmp_path / "panel")
+        path = tmp_path / "panel" / "season-2011.json"
+        self._renamed_roster_member(path)
+        with pytest.raises(ForecastDataError) as info:
+            load_panel(tmp_path / "panel")
+        assert str(info.value) == f"{path}: roster differs from that of season-2010.json"
+
+    def test_model_outside_roster_rejected_by_name(self, tmp_path):
+        write_panel(self._small_panel(), tmp_path / "panel")
+        self._renamed_roster_member(tmp_path / "panel" / "season-2010.json")
+        with pytest.raises(ForecastDataError) as info:
+            load_panel(tmp_path / "panel", seasons=[2010])
+        path = tmp_path / "panel" / "season-2010.csv"
+        assert str(info.value) == (
+            f"{path}: models ['m5'] are outside the roster of season-2010.json"
+        )
 
     def test_load_missing_season_rejected(self, tmp_path):
         panel = self._small_panel()

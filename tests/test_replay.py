@@ -174,6 +174,23 @@ class TestReplayStructure:
         second = json.loads(weeks[1].read_text())
         assert len(second["scores"]) == 1
 
+    def test_run_whose_target_week_has_no_truth_is_not_scored(self, tmp_path):
+        data_dir = tmp_path / "data"
+        write_synthetic_archive(data_dir, seasons=(2010,), regions=("Nat",), targets=(1,), seed=9)
+        truth = data_dir / "truth.csv"
+        lines = truth.read_text().splitlines(keepends=True)
+        kept = [line for line in lines if not line.startswith("Nat,201045,")]
+        assert len(kept) == len(lines) - 1
+        truth.write_text("".join(kept))
+        out = tmp_path / "run"
+        replay(RunConfig.parse(_config_text(data_dir, targets="1", variants="equal")), out)
+        runs, scores = load_run_artifacts(out)
+        assert 201044 in {r.issue_week for r in runs if r.pmf is not None}
+        scored = {s.issue_week for s in scores}
+        assert 201044 not in scored and {201043, 201045} <= scored
+        week = json.loads((out / "runs" / "equal" / "2010" / "week-201045.json").read_text())
+        assert week["scores"] == []
+
     def test_static_first_season_equal_weights(self, small_run):
         _, out = small_run
         runs, _ = load_run_artifacts(out)

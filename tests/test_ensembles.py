@@ -209,8 +209,6 @@ class TestSelectPhi:
             pytest.approx(math.log(np.mean([0.6, 0.2]))),
             pytest.approx(math.log(np.mean([0.6, 0.6, 0.2]))),
         ]
-        rows = [cap._rows[stratum, j] for j in (1, 3, 4)]
-        assert cap.select_phi(data, 5) == cap.phi_grid[int(np.argmax(np.mean(rows, axis=0)))]
 
     def test_tie_breaks_to_smaller_phi(self):
         panel, _ = self._toy_season()
